@@ -9,7 +9,7 @@ import numpy as np
 from supnorm import (
     ExperimentConfig,
     bin_counts,
-    draw_histogram_posterior,
+    draw_histogram_values,
     fit_rate,
     histogram_posterior,
     run_experiment,
@@ -17,6 +17,7 @@ from supnorm import (
 )
 from supnorm.density import HistogramPriorSpec
 from supnorm.functions import DensityTruthSpec, HolderTruthSpec, make_density_truth
+from supnorm.grids import GridFunction
 from supnorm.wavelets import build_basis
 
 # --- one posterior, step by step -----------------------------------------
@@ -35,7 +36,8 @@ post = histogram_posterior(prior, counts)
 print(f"level L = {L}: counts head {counts[:4]}, posterior params head "
       f"{post.params[:4]}")
 
-draws = draw_histogram_posterior(post, m=500, seed=3, grid=basis.grid)
+values = draw_histogram_values(post, m=500, seed=3, grid=basis.grid)
+draws = [GridFunction(basis.grid, row) for row in values]
 sup_losses = [np.abs(d.values - truth.values).max() for d in draws]
 print(f"posterior-expected sup loss  : {np.mean(sup_losses):.4f}")
 print(f"0.9 posterior quantile (sup) : {np.quantile(sup_losses, 0.9):.4f}")

@@ -33,7 +33,7 @@ from .whitenoise import (
     ProductPriorSpec,
     WhiteNoiseData,
     coord_posterior,
-    draw_posterior_function,
+    draw_posterior_coefficients,
     laplace_check,
     simulate_wn,
 )
@@ -45,11 +45,10 @@ from .density import (
     McmcConfig,
     Sample,
     bin_counts,
-    draw_histogram_posterior,
+    draw_histogram_values,
     histogram_posterior,
     log_likelihood,
     logdensity_mcmc,
-    normalize_logdensity,
     posterior_expected_losses,
     sample_data,
 )
@@ -70,11 +69,11 @@ __all__ = [
     "DensityTruthSpec", "HolderTruthSpec", "besov_norm", "hellinger",
     "l2_distance", "make_density_truth", "make_holder_truth", "sup_distance",
     "CoordPosterior", "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",
-    "draw_posterior_function", "laplace_check", "simulate_wn",
+    "draw_posterior_coefficients", "laplace_check", "simulate_wn",
     "HistogramPosterior", "HistogramPriorSpec", "LogDensityPriorSpec",
     "McmcChain", "McmcConfig", "Sample", "bin_counts",
-    "draw_histogram_posterior", "histogram_posterior", "log_likelihood",
-    "logdensity_mcmc", "normalize_logdensity", "posterior_expected_losses",
+    "draw_histogram_values", "histogram_posterior", "log_likelihood",
+    "logdensity_mcmc", "posterior_expected_losses",
     "sample_data",
     "ExperimentConfig", "LossRecord", "RateFit", "cutoff", "fit_rate",
     "run_experiment", "target_exponent",

@@ -8,6 +8,7 @@ a separate manifest so the CSV stays byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -26,12 +27,7 @@ from .rates import (
     write_records,
 )
 
-_CONFIG_KEYS = {
-    "model", "alpha", "n_grid", "radius", "replications", "draws",
-    "master_seed", "grid_resolution", "basis_kind", "basis_order",
-    "truth_kind", "prior_family", "bound", "delta", "dirichlet_alpha",
-    "coefficient_law", "r", "tau", "prior_scale", "mcmc", "threads",
-}
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def config_hash(raw: dict) -> str:
@@ -54,7 +50,7 @@ def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -62,7 +58,7 @@ def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
     except TypeError as e:
         raise ConfigError(str(e))
     echo = {k: getattr(cfg, k) for k in _CONFIG_KEYS}
-    echo["mcmc"] = vars(cfg.mcmc).copy()
+    echo["mcmc"] = dataclasses.asdict(cfg.mcmc)
     echo["n_grid"] = list(cfg.n_grid)
     return cfg, echo
 
@@ -102,9 +98,6 @@ def cmd_simulate(args) -> int:
         with open(os.path.join(args.out, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except OSError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return 3
     except Exception as e:  # noqa: BLE001 - the CLI contract maps these to exit 3
         print(f"runtime error: {e}", file=sys.stderr)
         return 3
@@ -125,7 +118,7 @@ def cmd_fit_rate(args) -> int:
     except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    json.dump(fit.to_json_dict(), sys.stdout)
+    json.dump(fit.to_json_dict(), sys.stdout, allow_nan=False)
     sys.stdout.write("\n")
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import DyadicGrid, GridFunction
-from .functions import normalize_log
+from .functions import hellinger_rows, log_mean_exp
 from .wavelets import WaveletBasis
 
 
@@ -175,17 +175,10 @@ def dirichlet_draws(rng: np.random.Generator, params: np.ndarray, m: int) -> np.
     return w
 
 
-def draw_histogram_posterior(
-    post: HistogramPosterior, m: int, seed: int, grid: DyadicGrid
-) -> list[GridFunction]:
-    """m posterior density draws as step functions on the grid."""
-    values = draw_histogram_values(post, m, seed, grid)
-    return [GridFunction(grid, values[i]) for i in range(m)]
-
-
 def draw_histogram_values(
     post: HistogramPosterior, m: int, seed: int, grid: DyadicGrid
 ) -> np.ndarray:
+    """(m, N) posterior density draws as step functions on the grid."""
     if m < 1:
         raise ValueError("draw count m must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(13,)))
@@ -202,11 +195,6 @@ def log_likelihood(f: GridFunction, sample: Sample) -> float:
         return 0.0
     cells = f.grid.cell_of(sample.values)
     return float(np.log(f.values[cells]).sum())
-
-
-def normalize_logdensity(t: GridFunction) -> GridFunction:
-    """exp(T - c(T)) with c(T) = log int e^T, computed with a max shift."""
-    return normalize_log(t)
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +297,16 @@ class McmcConfig:
     adapt_every: int = 25
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError("mcmc burn_in must be >= 0")
         if self.iterations < self.burn_in + 100:
-            raise ValueError("iterations must exceed burn_in + 100")
+            raise ValueError("mcmc iterations must exceed burn_in + 100")
+        if self.thin < 1:
+            raise ValueError("mcmc thin must be >= 1")
+        if self.adapt_every < 1:
+            raise ValueError("mcmc adapt_every must be >= 1")
+        if not 0.0 < self.target_acceptance < 1.0:
+            raise ValueError("mcmc target_acceptance must lie in (0, 1)")
 
 
 @dataclass
@@ -326,18 +322,20 @@ class McmcChain:
     thin: int = 1
     converged: bool = True
 
-    def coefficient_draws(self) -> np.ndarray:
-        return self.states * self.sigmas
+    def density_values(self, basis: WaveletBasis, rows: slice = slice(None)) -> np.ndarray:
+        """(kept, N) posterior density draws on the grid, or those of `rows`."""
+        B = _wavelet_columns(basis, len(self.level_slices) - 1)
+        T = (self.states[rows] * self.sigmas) @ B.T
+        T -= log_mean_exp(T)[:, None]
+        return np.exp(T, out=T)
 
-    def density_values(self, basis: WaveletBasis, wavelet_columns: np.ndarray | None = None) -> np.ndarray:
-        """(kept, N) posterior density draws on the grid."""
-        B = wavelet_columns if wavelet_columns is not None else _wavelet_columns(
-            basis, len(self.level_slices) - 1
-        )
-        T = self.coefficient_draws() @ B.T
-        m = T.max(axis=1, keepdims=True)
-        logz = m + np.log(np.exp(T - m).mean(axis=1, keepdims=True))
-        return np.exp(T - logz)
+    def expected_losses(self, basis: WaveletBasis, f0: GridFunction) -> "LossSummary":
+        """`posterior_expected_losses` of the density draws, a block of draws at a
+        time: no cell holds all (kept, N) values, so threads do not add them up."""
+        return LossSummary.of_draws(*(
+            posterior_expected_losses(self.density_values(basis, rows), f0).per_draw
+            for rows in _row_blocks(len(self.states), basis.grid.size)
+        ))
 
 
 def _wavelet_columns(basis: WaveletBasis, L: int) -> np.ndarray:
@@ -384,9 +382,7 @@ def logdensity_mcmc(
     n = sample.n
 
     def loglik(T: np.ndarray) -> float:
-        m = T.max()
-        c = m + np.log(np.exp(T - m).mean())
-        return float(counts @ T - n * c)
+        return float(counts @ T - n * log_mean_exp(T))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     a = prior.draw_standardized(rng, K)
@@ -453,19 +449,40 @@ def logdensity_mcmc(
     )
 
 
+# grid values reduced at once (1 MiB of float64), whatever the draw count
+_BLOCK_VALUES = 2 ** 17
+
+
+def _row_blocks(m: int, width: int) -> list[slice]:
+    """Slices covering range(m), of about _BLOCK_VALUES / width rows each."""
+    k = max(1, min(m, -(-m * width // _BLOCK_VALUES)))
+    return [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
+
+
 @dataclass(frozen=True)
 class LossSummary:
     sup: float
     l2: float
     hellinger: float | None
     q90_sup: float
+    # (sup, l2[, hellinger]) loss of each draw, one row per loss
+    per_draw: np.ndarray = field(repr=False, compare=False)
+
+    @classmethod
+    def of_draws(cls, *parts: np.ndarray) -> "LossSummary":
+        """Summary of the per-draw losses `parts`, concatenated in order."""
+        d = np.concatenate(parts, axis=1)
+        hell = float(d[2].mean()) if len(d) > 2 else None
+        return cls(float(d[0].mean()), float(d[1].mean()), hell, float(np.quantile(d[0], 0.9)), d)
 
 
 def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -> LossSummary:
     """Monte Carlo average of sup/L2(/Hellinger) losses over posterior draws.
 
     `draws` is a list of GridFunctions or an array of draw values (rows).
-    Also reports the 0.9 quantile of the sup loss over draws.
+    Also reports the 0.9 quantile of the sup loss over draws.  Density draws
+    below -1e-12 raise `functions.NegativeDensityError`.  The draws are
+    reduced a block of rows at a time, with the same result per draw.
     """
     if isinstance(draws, np.ndarray):
         values = draws
@@ -474,18 +491,10 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
         if not draws:
             raise ValueError("need at least one draw")
         values = np.vstack([d.values for d in draws])
-    diff = values - f0.values
-    sups = np.abs(diff).max(axis=1)
-    l2s = np.sqrt((diff ** 2).mean(axis=1))
-    hell = None
-    if densities:
-        if values.min() < -1e-12 or f0.values.min() < -1e-12:
-            raise NonDensityError("density draws must be nonnegative")
-        rt = np.sqrt(np.clip(values, 0.0, None)) - np.sqrt(np.clip(f0.values, 0.0, None))
-        hell = float(np.sqrt((rt ** 2).mean(axis=1)).mean())
-    return LossSummary(
-        sup=float(sups.mean()),
-        l2=float(l2s.mean()),
-        hellinger=hell,
-        q90_sup=float(np.quantile(sups, 0.9)),
-    )
+
+    def losses(v):
+        diff = v - f0.values
+        rows = [np.abs(diff).max(axis=1), np.sqrt((diff ** 2).mean(axis=1))]
+        return np.array(rows + [hellinger_rows(v, f0.values)] if densities else rows)
+
+    return LossSummary.of_draws(*(losses(values[rows]) for rows in _row_blocks(*values.shape)))

@@ -47,12 +47,19 @@ def l2_distance(f: GridFunction, g: GridFunction) -> float:
 def hellinger(f: GridFunction, g: GridFunction) -> float:
     """Unnormalized Hellinger distance: h^2 = integral (sqrt f - sqrt g)^2."""
     check_same_grid(f, g)
-    fv, gv = f.values, g.values
-    if fv.min() < -1e-12 or gv.min() < -1e-12:
+    return float(hellinger_rows(f.values, g.values))
+
+
+def hellinger_rows(values: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Hellinger distance of each row of `values` (last axis: the grid) to g.
+
+    Values down to -1e-12 are rounding dust and are clamped to zero; anything
+    more negative is not a density.
+    """
+    if values.min() < -1e-12 or g.min() < -1e-12:
         raise NegativeDensityError("density values below -1e-12")
-    fv = np.clip(fv, 0.0, None)
-    gv = np.clip(gv, 0.0, None)
-    return float(np.sqrt(((np.sqrt(fv) - np.sqrt(gv)) ** 2).mean()))
+    rt = np.sqrt(np.clip(values, 0.0, None)) - np.sqrt(np.clip(g, 0.0, None))
+    return np.sqrt((rt ** 2).mean(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -122,9 +129,17 @@ def make_density_truth(spec: DensityTruthSpec, basis: WaveletBasis):
     return f0, filled
 
 
+def log_mean_exp(t: np.ndarray):
+    """c(T) = log integral e^T along the last axis (the grid), with a max shift.
+
+    A 1-D input gives a scalar; a (rows, N) input gives one value per row.
+    """
+    m = t.max(axis=-1)
+    e = t - m[..., None]
+    np.exp(e, out=e)  # one buffer and sum / N: this sits on the MCMC hot path
+    return m + np.log(e.sum(axis=-1) / t.shape[-1])
+
+
 def normalize_log(t: GridFunction) -> GridFunction:
-    """exp(T - c(T)) with c(T) = log integral e^T, computed with a max shift."""
-    tv = t.values
-    m = tv.max()
-    c = m + np.log(np.exp(tv - m).mean())
-    return GridFunction(t.grid, np.exp(tv - c))
+    """exp(T - c(T)) with c(T) = log integral e^T."""
+    return GridFunction(t.grid, np.exp(t.values - log_mean_exp(t.values)))

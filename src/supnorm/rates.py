@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import GridFunction
 from .functions import DensityTruthSpec, HolderTruthSpec, make_density_truth, make_holder_truth
-from .wavelets import WaveletBasis, build_basis, default_resolution
+from .wavelets import WaveletBasis, build_basis, check_basis_args
 from . import density as dens
 from . import whitenoise as wn
 
@@ -76,10 +76,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # checks no spec owns; every other rule is checked by building the
+        # specs, the mcmc settings and the basis plan the run will use
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
         ns = tuple(int(v) for v in self.n_grid)
         if not ns or any(v < 3 for v in ns):
             raise ConfigError("n-grid entries must be >= 3")
@@ -98,29 +98,39 @@ class ExperimentConfig:
             warnings.warn("fewer than 5 replications per n", stacklevel=2)
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
+        try:
+            self.truth_spec(0)
+            self.prior_spec(0)
+            if isinstance(self.mcmc, dict):
+                self.mcmc = dens.McmcConfig(**self.mcmc)
+            _basis_args(self)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        if not isinstance(self.mcmc, dens.McmcConfig):
+            raise ConfigError("mcmc must be an object of MCMC settings")
+        uniform = self.model == "white-noise" and self.prior_family == "uniform"
+        if uniform and self.bound <= self.radius:
+            raise ConfigError(
+                f"uniform prior needs B > R (got B={self.bound}, R={self.radius})"
+            )
+
+    def truth_spec(self, rep: int) -> HolderTruthSpec | DensityTruthSpec:
+        """Truth of replication `rep` (a density of one for density models)."""
+        spec = HolderTruthSpec(self.alpha, self.radius, _truth_seed(self, rep), self.truth_kind)
+        return spec if self.model == "white-noise" else DensityTruthSpec(spec)
+
+    def prior_spec(self, level: int):
+        """The model's prior, truncated at `level`."""
         if self.model == "white-noise":
-            if self.prior_family == "uniform" and self.bound <= self.radius:
-                raise ConfigError(
-                    f"uniform prior needs B > R (got B={self.bound}, R={self.radius})"
-                )
-            if self.prior_family == "exp-power" and self.delta <= 0:
-                raise ConfigError("exp-power prior needs delta > 0")
-            if self.prior_family not in ("uniform", "exp-power"):
-                raise ConfigError(f"unknown prior family {self.prior_family!r}")
-        if self.model == "density-histogram" and self.dirichlet_alpha <= 0:
-            raise ConfigError("dirichlet alpha must be > 0")
-        if self.model == "density-logdensity":
-            if self.coefficient_law == "gaussian" and not 0 < self.r <= self.alpha - 0.25:
-                raise ConfigError(
-                    f"gaussian log-density prior requires 0 < r <= alpha - 1/4 "
-                    f"(got r={self.r}, alpha={self.alpha})"
-                )
-            if self.coefficient_law not in ("gaussian",) + dens.LOG_LIPSCHITZ_LAWS:
-                raise ConfigError(f"unknown coefficient law {self.coefficient_law!r}")
-        if self.truth_kind not in ("signed-coefficient", "fixed-analytic"):
-            raise ConfigError(f"unknown truth kind {self.truth_kind!r}")
-        if isinstance(self.mcmc, dict):
-            self.mcmc = dens.McmcConfig(**self.mcmc)
+            return wn.ProductPriorSpec(
+                self.prior_family, self.alpha, level, bound=self.bound, delta=self.delta
+            )
+        if self.model == "density-histogram":
+            return dens.HistogramPriorSpec.flat(level, self.dirichlet_alpha)
+        return dens.LogDensityPriorSpec(
+            self.coefficient_law, self.alpha, level,
+            r=self.r, tau=self.tau, scale=self.prior_scale,
+        )
 
     @property
     def prior_label(self) -> str:
@@ -212,8 +222,8 @@ def _truth_seed(cfg: ExperimentConfig, rep: int) -> int:
     return _derived_seed(cfg.master_seed, _TAG_TRUTH, 0, rep)
 
 
-def plan_basis(cfg: ExperimentConfig) -> WaveletBasis:
-    """Basis deep enough for the largest prior cutoff plus truth margin."""
+def _basis_args(cfg: ExperimentConfig) -> tuple[str, int, int]:
+    """(kind, L_max, J): deep enough for the largest prior cutoff plus truth margin."""
     _, L_top = cutoff(max(cfg.n_grid), cfg.alpha)
     if cfg.model == "white-noise":
         L_max = L_top + 2 + 2  # prior truncation L_n + 2, truth two levels deeper
@@ -226,20 +236,20 @@ def plan_basis(cfg: ExperimentConfig) -> WaveletBasis:
     else:
         L_max = L_top + 2
         kind = cfg.basis_kind or "boundary-smooth"
-    J = cfg.grid_resolution or default_resolution(L_max)
+    J = check_basis_args(kind, L_max, cfg.grid_resolution or None, cfg.basis_order)
+    return kind, L_max, J
+
+
+def plan_basis(cfg: ExperimentConfig) -> WaveletBasis:
+    kind, L_max, J = _basis_args(cfg)
     return build_basis(kind, L_max, J, order=cfg.basis_order)
 
 
 def _truth_for_rep(cfg: ExperimentConfig, basis: WaveletBasis, rep: int) -> GridFunction:
-    spec = HolderTruthSpec(
-        alpha=cfg.alpha,
-        radius=cfg.radius,
-        seed=_truth_seed(cfg, rep),
-        kind=cfg.truth_kind,
-    )
+    spec = cfg.truth_spec(rep)
     if cfg.model == "white-noise":
         return make_holder_truth(spec, basis)
-    f0, _ = make_density_truth(DensityTruthSpec(spec), basis)
+    f0, _ = make_density_truth(spec, basis)
     return f0
 
 
@@ -251,13 +261,7 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis, f0: GridFunction,
 
     if cfg.model == "white-noise":
         L_trunc = min(L_n + 2, basis.L_max)
-        prior = wn.ProductPriorSpec(
-            family=cfg.prior_family,
-            alpha=cfg.alpha,
-            truncation_level=L_trunc,
-            bound=cfg.bound,
-            delta=cfg.delta,
-        )
+        prior = cfg.prior_spec(L_trunc)
         data = wn.simulate_wn(f0, n, basis, data_seed, truncation_level=L_trunc)
         flat = wn.draw_posterior_coefficients(data, prior, basis, cfg.draws, draw_seed)
         values = basis.synthesize_flat(flat)
@@ -269,7 +273,7 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis, f0: GridFunction,
         )
 
     if cfg.model == "density-histogram":
-        prior = dens.HistogramPriorSpec.flat(L_n, cfg.dirichlet_alpha)
+        prior = cfg.prior_spec(L_n)
         sample = dens.sample_data(f0, n, data_seed)
         post = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
         values = dens.draw_histogram_values(post, cfg.draws, draw_seed, basis.grid)
@@ -281,18 +285,10 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis, f0: GridFunction,
         )
 
     # density-logdensity
-    prior = dens.LogDensityPriorSpec(
-        law=cfg.coefficient_law,
-        alpha=cfg.alpha,
-        cutoff_level=min(L_n, basis.L_max),
-        r=cfg.r,
-        tau=cfg.tau,
-        scale=cfg.prior_scale,
-    )
+    prior = cfg.prior_spec(min(L_n, basis.L_max))
     sample = dens.sample_data(f0, n, data_seed)
     chain = dens.logdensity_mcmc(prior, sample, basis, cfg.mcmc, draw_seed)
-    values = chain.density_values(basis)
-    losses = dens.posterior_expected_losses(values, f0, densities=True)
+    losses = chain.expected_losses(basis, f0)
     return LossRecord(
         cfg.model, cfg.prior_label, cfg.alpha, n, rep,
         losses.sup, losses.l2, losses.hellinger, losses.q90_sup,
@@ -352,25 +348,36 @@ def fit_rate(records, regressor: str = "nlogn", loss: str = "sup") -> RateFit:
     """OLS of log(mean loss at n) on log(n/log n) or log n.
 
     Mean over replications is taken before the log transform; flagged rows
-    are excluded and counted.
+    are excluded and counted.  All records must share one (model, prior,
+    alpha): pooling different experiments has no target rate.
     """
     if regressor not in ("nlogn", "n"):
         raise ValueError("regressor must be 'nlogn' or 'n'")
+    if loss not in ("sup", "l2", "hellinger"):
+        raise ValueError(f"unknown loss {loss!r}; use 'sup', 'l2' or 'hellinger'")
     records = list(records)
+    groups = sorted({(r.model, r.prior, r.alpha) for r in records})
+    if len(groups) > 1:
+        raise ValueError(
+            f"records mix {len(groups)} (model, prior, alpha) groups {groups}; "
+            "fit each group separately"
+        )
     excluded = sum(1 for r in records if r.flag)
     clean = [r for r in records if not r.flag]
     by_n: dict[int, list[float]] = {}
-    alphas = set()
     for r in clean:
-        val = getattr(r, f"{loss}_loss" if loss != "sup" else "sup_loss")
+        val = getattr(r, f"{loss}_loss")
+        if val is None:
+            raise ValueError(f"{r.model} records carry no {loss} loss")
         by_n.setdefault(r.n, []).append(val)
-        alphas.add(r.alpha)
     if len(by_n) < 3:
         raise InsufficientDataError(
             f"need >= 3 distinct n values, have {len(by_n)}"
         )
     ns = np.array(sorted(by_n))
     means = np.array([np.mean(by_n[n]) for n in ns])
+    if ns[0] < 2 or not np.all(np.isfinite(means) & (means > 0)):
+        raise ValueError("rate fit needs n >= 2 and positive, finite mean losses")
     x = np.log(ns / np.log(ns)) if regressor == "nlogn" else np.log(ns)
     y = np.log(means)
     xbar = x.mean()
@@ -382,8 +389,6 @@ def fit_rate(records, regressor: str = "nlogn", loss: str = "sup") -> RateFit:
     stderr = float(np.sqrt((resid ** 2).sum() / dof / sxx))
     sst = ((y - y.mean()) ** 2).sum()
     r2 = float(1.0 - (resid ** 2).sum() / sst) if sst > 0 else 1.0
-    alpha = alphas.pop() if len(alphas) == 1 else None
-    target = -target_exponent(alpha) if alpha is not None else float("nan")
     return RateFit(
         slope=slope,
         intercept=intercept,
@@ -392,5 +397,5 @@ def fit_rate(records, regressor: str = "nlogn", loss: str = "sup") -> RateFit:
         regressor=regressor,
         n_points=len(ns),
         excluded_rows=excluded,
-        target=target,
+        target=-target_exponent(groups[0][2]),
     )

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import DyadicGrid, GridFunction
+from .grids import DyadicGrid, GridFunction, GridMismatchError
 
 HAAR_GRAM_TOL = 1e-8
 SMOOTH_GRAM_TOL = 1e-6
@@ -475,7 +475,10 @@ class WaveletBasis:
     def analyze(self, f: GridFunction) -> CoefficientTree:
         """Quadrature inner products of f with every basis function."""
         if f.grid.resolution != self.grid.resolution:
-            raise_grid_mismatch(f, self)
+            raise GridMismatchError(
+                f"function grid J={f.grid.resolution} does not match basis grid "
+                f"J={self.grid.resolution}"
+            )
         flat = self.columns.T @ f.values / self.grid.size
         return CoefficientTree.from_flat(flat, self.L_max)
 
@@ -513,46 +516,41 @@ class WaveletBasis:
         return float(np.abs(block).sum(axis=1).max())
 
 
-def raise_grid_mismatch(f, basis):
-    from .grids import GridMismatchError
+def check_basis_args(kind: str, L_max: int, J: int | None = None, order: int = 4) -> int:
+    """Validate the arguments of `build_basis` without building; returns J.
 
-    raise GridMismatchError(
-        f"function grid J={f.grid.resolution} does not match basis grid "
-        f"J={basis.grid.resolution}"
-    )
-
-
-def default_resolution(L_max: int) -> int:
-    return max(12, L_max + 4)
+    J defaults to max(12, L_max + 4) and must satisfy J >= L_max + 2.
+    """
+    if L_max < 0:
+        raise ValueError("L_max must be >= 0")
+    if J is None:
+        J = max(12, L_max + 4)
+    if J < L_max + 2:
+        raise ResolutionError(
+            f"grid resolution J={J} too coarse for L_max={L_max} (need J >= L_max + 2)"
+        )
+    if kind not in ("haar", "boundary-smooth"):
+        raise ValueError(f"unknown basis kind {kind!r}")
+    if kind == "boundary-smooth" and order < 2:
+        raise ValueError("boundary-smooth order must be >= 2")
+    return J
 
 
 def build_basis(kind: str, L_max: int, J: int | None = None, order: int = 4) -> WaveletBasis:
     """Build a sampled wavelet basis on the 2^J grid.
 
-    kind: "haar" or "boundary-smooth".  J defaults to max(12, L_max + 4)
-    and must satisfy J >= L_max + 2.
+    kind: "haar" or "boundary-smooth"; see `check_basis_args` for J.
     """
-    if L_max < 0:
-        raise ValueError("L_max must be >= 0")
-    if J is None:
-        J = default_resolution(L_max)
-    if J < L_max + 2:
-        raise ResolutionError(
-            f"grid resolution J={J} too coarse for L_max={L_max} (need J >= L_max + 2)"
-        )
+    J = check_basis_args(kind, L_max, J, order)
     grid = DyadicGrid(J)
     if kind == "haar":
         cols = _haar_columns(L_max, J)
         basis = WaveletBasis("haar", 1, L_max, grid, cols)
         tol = HAAR_GRAM_TOL
-    elif kind == "boundary-smooth":
-        if order < 2:
-            raise ValueError("boundary-smooth order must be >= 2")
+    else:
         cols = _boundary_smooth_columns(order, L_max, J)
         basis = WaveletBasis("boundary-smooth", order, L_max, grid, cols)
         tol = SMOOTH_GRAM_TOL
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
     dev = basis.gram_deviation()
     if dev > tol:
         raise BasisConstructionError(f"Gram deviation {dev:.2e} exceeds {tol:.0e}")

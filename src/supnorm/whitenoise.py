@@ -12,12 +12,11 @@ the experiment harness).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma as gamma_fn
 
 import numpy as np
 
 from .grids import GridFunction
-from .wavelets import WaveletBasis, CoefficientTree
+from .wavelets import WaveletBasis
 
 QUADRATURE_POINTS = 4096
 LIKELIHOOD_HALF_WIDTH = 8.0  # in units of 1/sqrt(n); mass outside < 1e-14
@@ -72,12 +71,6 @@ class ProductPriorSpec:
         if self.family == "uniform":
             return self.bound
         return 50.0 ** (1.0 / (1.0 + self.delta))
-
-    def phi_normalization(self) -> float:
-        if self.family == "uniform":
-            return 1.0 / (2.0 * self.bound)
-        d = 1.0 + self.delta
-        return d / (2.0 * gamma_fn(1.0 / d))
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,11 @@ def draw_posterior_coefficients(
     m: int,
     seed: int,
 ) -> np.ndarray:
-    """m independent coefficient vectors (flat basis order) from the posterior."""
+    """m independent coefficient vectors (flat basis order) from the posterior.
+
+    Coordinates are sampled by inverse CDF; the rows of
+    `basis.synthesize_flat(flat)` are the posterior function draws.
+    """
     if m < 1:
         raise ValueError("draw count m must be >= 1")
     flat = np.zeros((m, basis.dim))
@@ -215,19 +212,6 @@ def draw_posterior_coefficients(
         col = 0 if slot == 0 else 1 + (2 ** l - 1) + k
         flat[:, col] = post.sample(u)
     return flat
-
-
-def draw_posterior_function(
-    data: WhiteNoiseData,
-    prior: ProductPriorSpec,
-    basis: WaveletBasis,
-    m: int,
-    seed: int,
-) -> list[GridFunction]:
-    """m posterior function draws, coordinates sampled by inverse CDF."""
-    flat = draw_posterior_coefficients(data, prior, basis, m, seed)
-    values = basis.synthesize_flat(flat)
-    return [GridFunction(basis.grid, values[i]) for i in range(m)]
 
 
 def laplace_check(
@@ -267,7 +251,3 @@ def truncation_bias_bound(prior: ProductPriorSpec, radius_scale: float | None = 
     if radius_scale is None:
         radius_scale = prior.bound if prior.family == "uniform" else 1.0
     return float(radius_scale * tail)
-
-
-def coefficient_tree_from_draw(flat: np.ndarray, basis: WaveletBasis) -> CoefficientTree:
-    return CoefficientTree.from_flat(flat, basis.L_max)

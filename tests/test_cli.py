@@ -23,13 +23,42 @@ def tiny_config(tmp_path):
     return str(path)
 
 
-def write_synthetic_csv(path, ns, loss_fn):
+def write_synthetic_csv(path, ns, loss_fn, alphas=(1.0,)):
     rows = ["model,prior,alpha,n,rep,sup_loss,l2_loss,hellinger_loss,"
             "q90_sup,trunc_bias,seed,flag"]
-    for n in ns:
-        v = repr(float(loss_fn(n)))
-        rows.append(f"white-noise,uniform,1.0,{n},0,{v},{v},,{v},0.0,0,0")
+    for alpha in alphas:
+        for n in ns:
+            v = repr(float(loss_fn(n)))
+            rows.append(f"white-noise,uniform,{alpha!r},{n},0,{v},{v},,{v},0.0,0,0")
     path.write_text("\n".join(rows) + "\n")
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+LOGD = {
+    "model": "density-logdensity", "alpha": 1.0,
+    "n_grid": [64, 256, 4096], "replications": 5,
+}
+
+# each is a config error that used to surface only at run time (exit 3) or
+# as a bare traceback (exit 1)
+BAD_CONFIGS = {
+    "heavy-tail-tau": {**LOGD, "coefficient_law": "heavy-tail", "tau": 1.5},
+    "prior-scale-zero": {**LOGD, "prior_scale": 0},
+    "negative-radius": {**TINY, "radius": -1},
+    "mcmc-too-short": {**LOGD, "mcmc": {"iterations": 150, "burn_in": 100}},
+    "mcmc-thin-zero": {**LOGD, "mcmc": {"thin": 0}},
+    "mcmc-adapt-every-zero": {**LOGD, "mcmc": {"adapt_every": 0}},
+    "grid-too-coarse": {
+        "model": "white-noise", "alpha": 1.0, "n_grid": [64, 256, 4096],
+        "replications": 5, "grid_resolution": 5,
+    },
+}
 
 
 class TestParseConfig:
@@ -111,6 +140,17 @@ class TestSimulate:
         bad.write_text("{not json")
         assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_spec_errors_exit_2_before_work(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_CONFIGS[name]))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+        assert not (out / "records.csv").exists()
+
     def test_unwritable_out_exit_3(self, tiny_config, tmp_path):
         # a regular file where the output directory should go (permission
         # tricks do not stop root)
@@ -136,7 +176,7 @@ class TestFitRate:
                             lambda n: (n / np.log(n)) ** (-1.0 / 3.0))
         rc = main(["fit-rate", str(csv)])
         assert rc == 0
-        out = json.loads(capsys.readouterr().out)
+        out = strict_json(capsys.readouterr().out)
         assert out["slope"] == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert out["target"] == pytest.approx(-1.0 / 3.0)
         assert out["regressor"] == "nlogn"
@@ -155,6 +195,15 @@ class TestFitRate:
         write_synthetic_csv(csv, [10, 100], lambda n: 1.0 / n)
         assert main(["fit-rate", str(csv)]) == 2
         assert "3 distinct n" in capsys.readouterr().err
+
+    def test_mixed_alpha_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "mixed.csv"
+        write_synthetic_csv(csv, [64, 256, 4096], lambda n: n ** -0.3,
+                            alphas=(1.0, 0.5))
+        assert main(["fit-rate", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(model, prior, alpha)" in captured.err
 
     def test_malformed_csv_exit_2(self, tmp_path):
         csv = tmp_path / "junk.csv"

@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from supnorm.grids import DyadicGrid, GridFunction, constant
-from supnorm.functions import DensityTruthSpec, HolderTruthSpec, make_density_truth
+from supnorm.functions import (
+    DensityTruthSpec,
+    HolderTruthSpec,
+    hellinger_rows,
+    make_density_truth,
+    normalize_log,
+)
 from supnorm.wavelets import build_basis
 from supnorm import density as dens
 
@@ -118,8 +124,8 @@ class TestDirichletDraws:
     def test_unit_integral(self, grid):
         prior = dens.HistogramPriorSpec.flat(3, 0.3)
         post = dens.histogram_posterior(prior, np.arange(8))
-        draws = dens.draw_histogram_posterior(post, 20, seed=0, grid=grid)
-        for d in draws:
+        values = dens.draw_histogram_values(post, 20, seed=0, grid=grid)
+        for d in (GridFunction(grid, row) for row in values):
             assert d.quad() == pytest.approx(1.0, abs=1e-10)
             assert d.values.min() > 0.0
 
@@ -190,7 +196,7 @@ class TestLogLikelihood:
 
 class TestNormalizeLogDensity:
     def test_constant_shift_cancels(self, grid):
-        f = dens.normalize_logdensity(constant(grid, 5.0))
+        f = normalize_log(constant(grid, 5.0))
         assert np.allclose(f.values, 1.0, atol=1e-14)
 
     def test_recovers_density(self, grid):
@@ -199,23 +205,23 @@ class TestNormalizeLogDensity:
             DensityTruthSpec(HolderTruthSpec(1.0, 1.0, seed=7)), basis
         )
         t = GridFunction(grid, np.log(f0.values))
-        back = dens.normalize_logdensity(t)
+        back = normalize_log(t)
         assert np.abs(back.values - f0.values).max() < 1e-10
 
     def test_shift_identity(self, grid):
         rng = np.random.default_rng(8)
         t = GridFunction(grid, rng.normal(size=grid.size))
-        c1 = -np.log(dens.normalize_logdensity(t).values[0]) + t.values[0]
+        c1 = -np.log(normalize_log(t).values[0]) + t.values[0]
         t2 = t + 3.0
-        c2 = -np.log(dens.normalize_logdensity(t2).values[0]) + t2.values[0]
+        c2 = -np.log(normalize_log(t2).values[0]) + t2.values[0]
         assert c2 - c1 == pytest.approx(3.0, abs=1e-10)
         assert np.abs(
-            dens.normalize_logdensity(t).values - dens.normalize_logdensity(t2).values
+            normalize_log(t).values - normalize_log(t2).values
         ).max() < 1e-12
 
     def test_overflow_guard(self, grid):
         t = constant(grid, 800.0)
-        f = dens.normalize_logdensity(t)
+        f = normalize_log(t)
         assert np.allclose(f.values, 1.0)
 
 
@@ -336,6 +342,10 @@ class TestMcmc:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             dens.McmcConfig(iterations=100, burn_in=50)
+        for bad in ({"burn_in": -1}, {"thin": 0}, {"adapt_every": 0},
+                    {"target_acceptance": 0.0}, {"target_acceptance": 1.0}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                dens.McmcConfig(**bad)
         with pytest.raises(ValueError):
             dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=2, r=0.9)
         with pytest.raises(ValueError):
@@ -364,3 +374,56 @@ class TestLossSummary:
             vals = dens.draw_histogram_values(post, 10_000, seed=seed, grid=grid)
             outs.append(dens.posterior_expected_losses(vals, f0).sup)
         assert abs(outs[0] - outs[1]) / outs[0] < 0.02
+
+    def test_blocks_match_one_pass(self, grid):
+        # 1000 draws on a 1024-cell grid span eight blocks of rows
+        prior = dens.HistogramPriorSpec.flat(3, 1.0)
+        post = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
+        f0 = post.mean_density(grid)
+        vals = dens.draw_histogram_values(post, 1000, seed=2, grid=grid)
+        assert len(dens._row_blocks(*vals.shape)) > 1
+        out = dens.posterior_expected_losses(vals, f0)
+        diff = vals - f0.values
+        sups = np.abs(diff).max(axis=1)
+        assert out.sup == sups.mean()
+        assert out.l2 == np.sqrt((diff ** 2).mean(axis=1)).mean()
+        assert out.hellinger == hellinger_rows(vals, f0.values).mean()
+        assert out.q90_sup == np.quantile(sups, 0.9)
+
+    def test_pool_of_parts_is_the_whole(self, grid, two_bin):
+        rng = np.random.default_rng(3)
+        vals = two_bin.values * rng.uniform(0.5, 1.5, (40, grid.size))
+        whole = dens.posterior_expected_losses(vals, two_bin)
+        parts = [dens.posterior_expected_losses(vals[a:b], two_bin) for a, b in ((0, 7), (7, 40))]
+        pooled = dens.LossSummary.of_draws(*(p.per_draw for p in parts))
+        assert pooled == whole
+        np.testing.assert_array_equal(pooled.per_draw, whole.per_draw)
+
+    @pytest.mark.parametrize("m, width", [(1, 4096), (3000, 4096), (7, 2 ** 20), (257, 512)])
+    def test_row_blocks_cover_the_rows(self, m, width):
+        blocks = dens._row_blocks(m, width)
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = {s.stop - s.start for s in blocks}
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) * width <= max(dens._BLOCK_VALUES, width) + width
+
+
+class TestChainLosses:
+    def test_blockwise_losses_match_the_full_evaluation(self):
+        basis = build_basis("boundary-smooth", 3, 9)
+        f0, _ = make_density_truth(
+            DensityTruthSpec(HolderTruthSpec(1.0, 0.5, seed=4)), basis
+        )
+        sample = dens.sample_data(f0, 200, seed=4)
+        prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=2, r=0.5)
+        cfg = dens.McmcConfig(iterations=1_300, burn_in=300, thin=1)
+        chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=2)
+        vals = chain.density_values(basis)
+        np.testing.assert_array_equal(chain.density_values(basis, rows=slice(10, 20)), vals[10:20])
+        assert len(dens._row_blocks(*vals.shape)) > 1
+        got = chain.expected_losses(basis, f0)
+        want = dens.posterior_expected_losses(vals, f0)
+        # blocks differ from the full product only by the BLAS kernel's rounding
+        for field in ("sup", "l2", "hellinger", "q90_sup"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)

@@ -9,7 +9,9 @@ from supnorm.functions import (
     NegativeDensityError,
     besov_norm,
     hellinger,
+    hellinger_rows,
     l2_distance,
+    log_mean_exp,
     make_density_truth,
     make_holder_truth,
     normalize_log,
@@ -127,6 +129,34 @@ class TestHellinger:
     def test_negative_dust_clamped(self, grid):
         dusty = GridFunction(grid, np.full(grid.size, -1e-13))
         assert np.isfinite(hellinger(dusty, constant(grid)))
+
+
+class TestRowwiseReductions:
+    """The row-wise forms used on (draws, N) arrays equal the 1-D forms."""
+
+    def test_log_mean_exp_rows_bitwise(self):
+        rng = np.random.default_rng(3)
+        T = rng.normal(scale=5.0, size=(50, 1024))
+        rows = log_mean_exp(T)
+        assert rows.shape == (50,)
+        assert all(rows[i] == log_mean_exp(T[i]) for i in range(50))
+
+    def test_log_mean_exp_matches_direct_formula(self):
+        t = np.random.default_rng(4).normal(size=1024)
+        assert log_mean_exp(t) == pytest.approx(np.log(np.exp(t).mean()), rel=1e-12)
+
+    def test_hellinger_rows_bitwise(self, grid):
+        rng = np.random.default_rng(5)
+        V = np.exp(rng.normal(size=(20, grid.size)))
+        g = constant(grid)
+        rows = hellinger_rows(V, g.values)
+        assert all(rows[i] == hellinger(GridFunction(grid, V[i]), g) for i in range(20))
+
+    def test_hellinger_rows_negativity(self, grid):
+        V = np.ones((3, grid.size))
+        V[1, 7] = -1e-6
+        with pytest.raises(NegativeDensityError):
+            hellinger_rows(V, np.ones(grid.size))
 
 
 class TestGridFunctionCsv:

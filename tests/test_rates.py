@@ -16,13 +16,14 @@ from supnorm.rates import (
 )
 
 
-def synthetic_records(ns, loss_fn, model="white-noise", reps=1, flag_fn=None):
+def synthetic_records(ns, loss_fn, model="white-noise", reps=1, flag_fn=None,
+                      alpha=1.0):
     out = []
     for n in ns:
         for rep in range(reps):
             out.append(
                 LossRecord(
-                    model=model, prior="uniform", alpha=1.0, n=n, rep=rep,
+                    model=model, prior="uniform", alpha=alpha, n=n, rep=rep,
                     sup_loss=loss_fn(n), l2_loss=loss_fn(n) / 2,
                     hellinger_loss=None, q90_sup=loss_fn(n),
                     trunc_bias=0.0, seed=0,
@@ -129,6 +130,36 @@ class TestFitRate:
         recs = synthetic_records([16, 256, 4096], lambda n: n ** (-0.3))
         assert fit_rate(recs).target == pytest.approx(-1.0 / 3.0)
 
+    @pytest.mark.parametrize("other", [{"alpha": 0.5}, {"model": "density-histogram"}])
+    def test_mixed_groups_refused(self, other):
+        ns = [64, 256, 4096]
+        recs = (synthetic_records(ns, lambda n: n ** (-0.3))
+                + synthetic_records(ns, lambda n: n ** (-0.2), **other))
+        with pytest.raises(ValueError, match="mix 2"):
+            fit_rate(recs)
+
+    def test_missing_loss_refused(self):
+        # white-noise records carry no Hellinger loss
+        recs = synthetic_records([64, 256, 4096], lambda n: n ** (-0.3))
+        with pytest.raises(ValueError, match="no hellinger loss"):
+            fit_rate(recs, loss="hellinger")
+
+    def test_unknown_loss_refused(self):
+        recs = synthetic_records([64, 256, 4096], lambda n: n ** (-0.3))
+        with pytest.raises(ValueError, match="unknown loss"):
+            fit_rate(recs, loss="kullback")
+
+    def test_l2_loss_selected(self):
+        recs = synthetic_records([64, 256, 4096], lambda n: 3.0 * n ** (-0.3))
+        fit = fit_rate(recs, regressor="n", loss="l2")
+        assert fit.slope == pytest.approx(-0.3, abs=1e-12)
+        assert fit.intercept == pytest.approx(np.log(1.5), abs=1e-12)
+
+    def test_zero_loss_refused(self):
+        recs = synthetic_records([64, 256, 4096], lambda n: 0.0)
+        with pytest.raises(ValueError, match="positive, finite"):
+            fit_rate(recs)
+
 
 class TestConfig:
     def test_valid_minimal(self):
@@ -162,6 +193,17 @@ class TestConfig:
                 model="density-logdensity", alpha=1.0, r=0.9,
                 n_grid=(64, 256, 4096),
             )
+
+    def test_specs_follow_the_model(self):
+        cfg = ExperimentConfig(
+            model="density-logdensity", alpha=1.0, n_grid=(64, 256, 4096),
+            coefficient_law="laplace", prior_scale=2.0, master_seed=4,
+        )
+        prior = cfg.prior_spec(3)
+        assert (prior.law, prior.cutoff_level, prior.scale) == ("laplace", 3, 2.0)
+        # density models get the density built from a Holder-ball truth
+        assert cfg.truth_spec(1).log_spec.alpha == 1.0
+        assert cfg.truth_spec(1) == cfg.truth_spec(1) != cfg.truth_spec(2)
 
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,12 +3,12 @@ import pytest
 from scipy import stats
 
 from supnorm.functions import HolderTruthSpec, make_holder_truth
+from supnorm.grids import GridFunction
 from supnorm.wavelets import build_basis
 from supnorm.whitenoise import (
     ProductPriorSpec,
     coord_posterior,
     draw_posterior_coefficients,
-    draw_posterior_function,
     laplace_check,
     simulate_wn,
     truncation_bias_bound,
@@ -174,9 +174,9 @@ class TestDraws:
         f0 = make_holder_truth(HolderTruthSpec(alpha=3.0, radius=0.5, seed=1), haar)
         prior = ProductPriorSpec("uniform", 3.0, truncation_level=4, bound=1.0)
         data = simulate_wn(f0, 4, haar, seed=0)
-        draws = draw_posterior_function(data, prior, haar, 3, seed=1)
-        for d in draws:
-            tree = haar.analyze(d)
+        flat = draw_posterior_coefficients(data, prior, haar, 3, seed=1)
+        for row in haar.synthesize_flat(flat):
+            tree = haar.analyze(GridFunction(haar.grid, row))
             assert np.abs(tree.levels[4]).max() <= prior.bound * prior.sigma(4) + 1e-12
 
     def test_hard_support_constraint(self, haar, truth):
