@@ -36,10 +36,12 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
+def parse_config(path: str, seed: str | None = None) -> tuple[ExperimentConfig, dict]:
     """Load and validate a JSON config; returns (config, echo dict).
 
-    The echo dict is the raw input with all defaults filled in.
+    `seed`, a SUPNORM_SEED value, replaces the master seed before validation,
+    so a bad one is a config error like a bad `master_seed`.  The echo dict
+    is the raw input with all defaults filled in.
     """
     try:
         with open(path) as fh:
@@ -53,6 +55,11 @@ def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if seed is not None:
+        try:
+            raw["master_seed"] = int(seed)
+        except ValueError:
+            raise ConfigError(f"bad SUPNORM_SEED {seed!r}") from None
     try:
         cfg = ExperimentConfig(**raw)
     except TypeError as e:
@@ -65,18 +72,10 @@ def parse_config(path: str) -> tuple[ExperimentConfig, dict]:
 
 def cmd_simulate(args) -> int:
     try:
-        cfg, echo = parse_config(args.config)
+        cfg, echo = parse_config(args.config, os.environ.get("SUPNORM_SEED"))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    env_seed = os.environ.get("SUPNORM_SEED")
-    if env_seed is not None:
-        try:
-            cfg.master_seed = int(env_seed)
-            echo["master_seed"] = cfg.master_seed
-        except ValueError:
-            print(f"config error: bad SUPNORM_SEED {env_seed!r}", file=sys.stderr)
-            return 2
     if args.threads is not None:
         cfg.threads = max(1, args.threads)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()

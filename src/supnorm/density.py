@@ -8,10 +8,19 @@ small-alpha Dirichlet parameters make common).
 The log-density model exp(T - c(T)), with T a truncated wavelet series, has
 no conjugate posterior; a Metropolis-Hastings sampler with per-level block
 moves is provided (prior-reversible pCN proposals in the Gaussian case,
-random-walk proposals with a prior ratio otherwise).
+random-walk proposals with a prior ratio otherwise).  Its kernel uses exact
+reductions only: each level's wavelets, scaled by sigma_l, are stored once
+as contiguous (2^l, N) rows R_l, and the data term sum_i T(X_i) = counts . T
+of a level move by d changes by d . s_l with s_l = R_l counts (that is,
+s = B^T counts, precomputed), so it costs O(2^l) instead of O(N).  Only the
+new field T + d R_l and its log-normaliser c run over the grid, in buffers
+reused across proposals.  The chain is the one the direct evaluation of
+counts . T - n c(T) gives, up to the rounding of the log ratio.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,6 +297,18 @@ def _heavy_tail_draws(rng: np.random.Generator, tau: float, size) -> np.ndarray:
     return (signs * mag).reshape(size)
 
 
+def check_number(name: str, value, integer: bool = False, minimum=None) -> None:
+    """Raise ValueError unless `value` is a finite real number (an integer if
+    `integer`), not a bool, and at least `minimum` when one is given."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, kind)
+            or not (integer or math.isfinite(value))):
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {what} (got {value!r})")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum} (got {value!r})")
+
+
 @dataclass
 class McmcConfig:
     iterations: int = 20000
@@ -297,14 +318,11 @@ class McmcConfig:
     adapt_every: int = 25
 
     def __post_init__(self):
-        if self.burn_in < 0:
-            raise ValueError("mcmc burn_in must be >= 0")
+        for name, minimum in (("iterations", 1), ("burn_in", 0), ("thin", 1), ("adapt_every", 1)):
+            check_number(f"mcmc {name}", getattr(self, name), integer=True, minimum=minimum)
         if self.iterations < self.burn_in + 100:
             raise ValueError("mcmc iterations must exceed burn_in + 100")
-        if self.thin < 1:
-            raise ValueError("mcmc thin must be >= 1")
-        if self.adapt_every < 1:
-            raise ValueError("mcmc adapt_every must be >= 1")
+        check_number("mcmc target_acceptance", self.target_acceptance)
         if not 0.0 < self.target_acceptance < 1.0:
             raise ValueError("mcmc target_acceptance must lie in (0, 1)")
 
@@ -345,6 +363,23 @@ def _wavelet_columns(basis: WaveletBasis, L: int) -> np.ndarray:
     return basis.columns[:, 1:2 ** (L + 1)]
 
 
+def _level_moves(prior: LogDensityPriorSpec, sample: Sample, basis: WaveletBasis) -> list:
+    """(l, slice, R_l, s_l) per level: a move of the level's standardized
+    coefficients by d changes T by d @ R_l, with R_l = sigma_l times the
+    level's wavelets as contiguous (2^l, N) rows, and sum_i T(X_i) by d @ s_l,
+    with s_l = R_l @ counts of the sample's grid cells."""
+    B = _wavelet_columns(basis, prior.cutoff_level)
+    counts = np.bincount(
+        basis.grid.cell_of(sample.values), minlength=basis.grid.size
+    ).astype(float) if sample.n else np.zeros(basis.grid.size)
+    moves = []
+    for l in range(prior.cutoff_level + 1):
+        sl = slice(2 ** l - 1, 2 ** (l + 1) - 1)
+        R = prior.sigma(l) * np.ascontiguousarray(B[:, sl].T)
+        moves.append((l, sl, R, R @ counts))
+    return moves
+
+
 def logdensity_mcmc(
     prior: LogDensityPriorSpec,
     sample: Sample,
@@ -361,6 +396,9 @@ def logdensity_mcmc(
     during burn-in and are frozen afterwards.  A chain whose post-burn-in
     acceptance leaves [0.1, 0.6] on any level is flagged (never silently
     returned as clean).
+
+    The log likelihood ratio of a level move by d is d . s_l - n (c(T') - c(T))
+    on the terms `_level_moves` precomputes (see the module docstring).
     """
     cfg = cfg or McmcConfig()
     L = prior.cutoff_level
@@ -370,81 +408,79 @@ def logdensity_mcmc(
     sigmas = np.concatenate(
         [np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)]
     )
-    slices = []
-    pos = 0
-    for l in range(L + 1):
-        slices.append(slice(pos, pos + 2 ** l))
-        pos += 2 ** l
-
-    counts = np.bincount(
-        basis.grid.cell_of(sample.values), minlength=N
-    ).astype(float) if sample.n else np.zeros(N)
+    levels = _level_moves(prior, sample, basis)
+    slices = [sl for _, sl, _, _ in levels]
     n = sample.n
 
-    def loglik(T: np.ndarray) -> float:
-        return float(counts @ T - n * log_mean_exp(T))
-
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
+    # the gaussian law's draw_standardized is rng.standard_normal itself, and
+    # rng.random() is rng.uniform() (0 + 1 * the same double) without its overhead
+    normal, uniform = rng.standard_normal, rng.random
     a = prior.draw_standardized(rng, K)
     T = B @ (sigmas * a)
-    ll = loglik(T)
+    T_new = np.empty(N)
+    scratch = np.empty(N)
+    c = log_mean_exp(T, scratch)
 
     gaussian = prior.law == "gaussian"
+    log_phi = prior.log_phi
+    # log prior of the current block of each level (random-walk ratio)
+    log_prior = [0.0 if gaussian else log_phi(a[sl]).sum() for sl in slices]
     scales = np.full(L + 1, 0.5)  # beta_l for pCN, step for random walk
-    acc_win = np.zeros(L + 1)
-    try_win = np.zeros(L + 1)
-    acc_post = np.zeros(L + 1)
-    try_post = np.zeros(L + 1)
-    kept = []
+
+    def step_sizes(scales):
+        """Per-level steps and pCN shrink factors sqrt(1 - beta^2)."""
+        steps = [min(s, 1.0) if gaussian else s for s in scales]
+        return steps, [np.sqrt(1.0 - b ** 2) for b in steps] if gaussian else None
+
+    steps, shrink = step_sizes(scales)
+    accepted = [0] * (L + 1)  # since the last adaptation, then after burn-in
+    burn_in, thin, adapt_every = cfg.burn_in, cfg.thin, cfg.adapt_every
+    states = np.empty((-(-(cfg.iterations - burn_in) // thin), K))
 
     for it in range(cfg.iterations):
-        in_burn = it < cfg.burn_in
-        for l in range(L + 1):
-            sl = slices[l]
+        if it == burn_in:
+            accepted = [0] * (L + 1)
+        for l, sl, R, s in levels:
             a_blk = a[sl]
             if gaussian:
-                beta = min(scales[l], 1.0)
-                xi = prior.draw_standardized(rng, a_blk.size)
-                a_new = np.sqrt(1.0 - beta ** 2) * a_blk + beta * xi
+                a_new = shrink[l] * a_blk + steps[l] * normal(a_blk.size)
                 log_prior_ratio = 0.0
             else:
-                step = scales[l]
-                a_new = a_blk + step * rng.standard_normal(a_blk.size)
-                log_prior_ratio = float(
-                    prior.log_phi(a_new).sum() - prior.log_phi(a_blk).sum()
-                )
-            T_new = T + B[:, sl] @ (sigmas[sl] * (a_new - a_blk))
-            ll_new = loglik(T_new)
-            log_ratio = ll_new - ll + log_prior_ratio
-            if np.log(rng.uniform()) < log_ratio:
+                a_new = a_blk + steps[l] * normal(a_blk.size)
+                lp_new = log_phi(a_new).sum()
+                log_prior_ratio = float(lp_new - log_prior[l])
+            d = a_new - a_blk
+            np.dot(d, R, out=T_new)
+            np.add(T, T_new, out=T_new)
+            c_new = log_mean_exp(T_new, scratch)
+            if np.log(uniform()) < float(d @ s) - n * (c_new - c) + log_prior_ratio:
                 a[sl] = a_new
-                T = T_new
-                ll = ll_new
-                acc_win[l] += 1
-                if not in_burn:
-                    acc_post[l] += 1
-            try_win[l] += 1
-            if not in_burn:
-                try_post[l] += 1
-        if in_burn and (it + 1) % cfg.adapt_every == 0:
-            rate = acc_win / np.maximum(try_win, 1)
-            scales *= np.exp(0.66 * (rate - cfg.target_acceptance))
-            scales = np.clip(scales, 1e-3, 1.0 if gaussian else 10.0)
-            acc_win[:] = 0
-            try_win[:] = 0
-        if not in_burn and (it - cfg.burn_in) % cfg.thin == 0:
-            kept.append(a.copy())
+                T, T_new = T_new, T
+                c = c_new
+                if not gaussian:
+                    log_prior[l] = lp_new
+                accepted[l] += 1
+        if it < burn_in:
+            if (it + 1) % adapt_every == 0:
+                rate = np.array(accepted, dtype=float) / adapt_every
+                scales *= np.exp(0.66 * (rate - cfg.target_acceptance))
+                scales = np.clip(scales, 1e-3, 1.0 if gaussian else 10.0)
+                steps, shrink = step_sizes(scales)
+                accepted = [0] * (L + 1)
+        elif (it - burn_in) % thin == 0:
+            states[(it - burn_in) // thin] = a
 
-    rates = acc_post / np.maximum(try_post, 1)
+    rates = np.array(accepted, dtype=float) / max(cfg.iterations - burn_in, 1)
     ok = bool(np.all((rates >= 0.1) & (rates <= 0.6)))
     return McmcChain(
-        states=np.array(kept),
+        states=states,
         sigmas=sigmas,
         level_slices=slices,
         acceptance=rates,
         step_scales=scales,
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
+        burn_in=burn_in,
+        thin=thin,
         converged=ok,
     )
 

@@ -129,14 +129,16 @@ def make_density_truth(spec: DensityTruthSpec, basis: WaveletBasis):
     return f0, filled
 
 
-def log_mean_exp(t: np.ndarray):
+def log_mean_exp(t: np.ndarray, out: np.ndarray | None = None):
     """c(T) = log integral e^T along the last axis (the grid), with a max shift.
 
     A 1-D input gives a scalar; a (rows, N) input gives one value per row.
+    `out`, shaped like `t`, is the scratch for the shifted exponentials; the
+    MCMC passes one reused buffer, so a normaliser allocates no grid array.
     """
     m = t.max(axis=-1)
-    e = t - m[..., None]
-    np.exp(e, out=e)  # one buffer and sum / N: this sits on the MCMC hot path
+    e = np.subtract(t, m[..., None], out=out)
+    np.exp(e, out=e)
     return m + np.log(e.sum(axis=-1) / t.shape[-1])
 
 

@@ -80,25 +80,21 @@ class ExperimentConfig:
         # specs, the mcmc settings and the basis plan the run will use
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        ns = tuple(int(v) for v in self.n_grid)
-        if not ns or any(v < 3 for v in ns):
-            raise ConfigError("n-grid entries must be >= 3")
-        if list(ns) != sorted(set(ns)):
-            raise ConfigError("n-grid must be strictly increasing")
-        self.n_grid = ns
-        if len(ns) < 3 or ns[-1] < 16 * ns[0]:
-            warnings.warn(
-                "n-grid smaller than 3 points spanning a factor 16; "
-                "rate fits on this run will be refused or unreliable",
-                stacklevel=2,
-            )
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.replications < 5:
-            warnings.warn("fewer than 5 replications per n", stacklevel=2)
-        if self.draws < 1:
-            raise ConfigError("draws must be >= 1")
         try:
+            for name, minimum in _INTEGER_FIELDS.items():
+                dens.check_number(name, getattr(self, name), integer=True, minimum=minimum)
+            if self.grid_resolution is not None:
+                dens.check_number("grid_resolution", self.grid_resolution, integer=True, minimum=1)
+            for name in _REAL_FIELDS:
+                dens.check_number(name, getattr(self, name))
+            if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
+                raise ValueError("n-grid must be a non-empty list of integers")
+            ns = tuple(self.n_grid)
+            for v in ns:
+                dens.check_number("n-grid entries", v, integer=True, minimum=3)
+            if list(ns) != sorted(set(ns)):
+                raise ValueError("n-grid must be strictly increasing")
+            self.n_grid = tuple(int(v) for v in ns)
             self.truth_spec(0)
             self.prior_spec(0)
             if isinstance(self.mcmc, dict):
@@ -113,6 +109,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"uniform prior needs B > R (got B={self.bound}, R={self.radius})"
             )
+        if len(ns) < 3 or ns[-1] < 16 * ns[0]:
+            warnings.warn(
+                "n-grid smaller than 3 points spanning a factor 16; "
+                "rate fits on this run will be refused or unreliable",
+                stacklevel=2,
+            )
+        if self.replications < 5:
+            warnings.warn("fewer than 5 replications per n", stacklevel=2)
 
     def truth_spec(self, rep: int) -> HolderTruthSpec | DensityTruthSpec:
         """Truth of replication `rep` (a density of one for density models)."""
@@ -139,6 +143,11 @@ class ExperimentConfig:
         if self.model == "density-histogram":
             return f"dirichlet({self.dirichlet_alpha:g})"
         return self.coefficient_law
+
+
+# integer field -> least value (grid_resolution, which may be None, apart)
+_INTEGER_FIELDS = {"replications": 1, "draws": 1, "master_seed": 0, "basis_order": 1, "threads": 1}
+_REAL_FIELDS = ("alpha", "radius", "bound", "delta", "dirichlet_alpha", "r", "tau", "prior_scale")
 
 
 CSV_HEADER = (
@@ -236,7 +245,7 @@ def _basis_args(cfg: ExperimentConfig) -> tuple[str, int, int]:
     else:
         L_max = L_top + 2
         kind = cfg.basis_kind or "boundary-smooth"
-    J = check_basis_args(kind, L_max, cfg.grid_resolution or None, cfg.basis_order)
+    J = check_basis_args(kind, L_max, cfg.grid_resolution, cfg.basis_order)
     return kind, L_max, J
 
 

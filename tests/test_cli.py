@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supnorm.cli import config_hash, main, parse_config
-from supnorm.rates import ConfigError
+from supnorm.cli import _CONFIG_KEYS, config_hash, main, parse_config
+from supnorm.rates import MODELS, ConfigError
 
 TINY = {
     "model": "density-histogram",
@@ -58,6 +63,17 @@ BAD_CONFIGS = {
         "model": "white-noise", "alpha": 1.0, "n_grid": [64, 256, 4096],
         "replications": 5, "grid_resolution": 5,
     },
+    # integer fields of a non-integer type
+    "replications-float": {**TINY, "replications": 2.5},
+    "draws-float": {**TINY, "draws": 2.5},
+    "threads-string": {**TINY, "threads": "x"},
+    "master-seed-bool": {**TINY, "master_seed": True},
+    "grid-resolution-float": {**TINY, "grid_resolution": 12.5},
+    "basis-order-string": {**TINY, "basis_order": "4"},
+    "mcmc-iterations-float": {**LOGD, "mcmc": {"iterations": 20000.5}},
+    "mcmc-burn-in-string": {**LOGD, "mcmc": {"burn_in": "5000"}},
+    "mcmc-thin-float": {**LOGD, "mcmc": {"thin": 1.5}},
+    "mcmc-adapt-every-bool": {**LOGD, "mcmc": {"adapt_every": True}},
 }
 
 
@@ -146,6 +162,16 @@ class TestSimulate:
         path.write_text(json.dumps(BAD_CONFIGS[name]))
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_env_seed_exit_2_before_work(self, seed, tiny_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SUPNORM_SEED", seed)
+        out = tmp_path / "o"
+        assert main(["simulate", tiny_config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err
         assert "Traceback" not in err
@@ -254,3 +280,46 @@ class TestReport:
         assert main(["report", str(csv)]) == 0
         out = capsys.readouterr().out
         assert "1 flagged row(s)" in out
+
+
+# one field of TINY, and values that must make it a config error
+_NOT_NUMBERS = st.text(max_size=3) | st.booleans() | st.none() | st.lists(st.integers(), max_size=2)
+_NOT_INTEGERS = _NOT_NUMBERS | st.floats()
+_NEGATIVE = st.integers(max_value=-1)
+CORRUPTIONS = {
+    "model": st.text(max_size=8).filter(lambda v: v not in MODELS) | _NOT_NUMBERS,
+    "alpha": (_NOT_NUMBERS | _NEGATIVE | st.just(0) | st.floats(max_value=0.0)
+              | st.sampled_from([float("nan"), float("inf")])),
+    "n_grid": (st.text(max_size=3) | st.booleans() | st.none() | st.integers()
+               | st.lists(_NEGATIVE | st.just(0) | st.text(max_size=2), min_size=1, max_size=3)),
+    "replications": _NOT_INTEGERS | _NEGATIVE | st.just(0),
+    "draws": _NOT_INTEGERS | _NEGATIVE | st.just(0),
+    "master_seed": _NOT_INTEGERS | _NEGATIVE,
+}
+
+
+@st.composite
+def corrupted_configs(draw):
+    field = draw(st.sampled_from(sorted(CORRUPTIONS) + ["<unknown key>"]))
+    if field == "<unknown key>":
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in _CONFIG_KEYS))
+        return {**TINY, key: draw(st.integers() | st.text(max_size=3))}
+    return {**TINY, field: draw(CORRUPTIONS[field])}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(corrupted_configs())
+def test_corrupted_config_exits_2_before_work(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["simulate", path, "--out", out])
+        assert rc == 2, raw
+        assert "config error:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not os.path.exists(os.path.join(out, "records.csv"))

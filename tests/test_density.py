@@ -8,6 +8,7 @@ from supnorm.functions import (
     DensityTruthSpec,
     HolderTruthSpec,
     hellinger_rows,
+    log_mean_exp,
     make_density_truth,
     normalize_log,
 )
@@ -427,3 +428,136 @@ class TestChainLosses:
         # blocks differ from the full product only by the BLAS kernel's rounding
         for field in ("sup", "l2", "hellinger", "q90_sup"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+
+
+def reference_mcmc(prior, sample, basis, cfg, seed):
+    """The slow reference: the MCMC loop before its exact reductions, which
+    evaluates loglik(T) = counts @ T - n c(T) over the whole grid each time."""
+    L = prior.cutoff_level
+    B = dens._wavelet_columns(basis, L)
+    N = basis.grid.size
+    K = B.shape[1]
+    sigmas = np.concatenate([np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)])
+    slices = []
+    pos = 0
+    for l in range(L + 1):
+        slices.append(slice(pos, pos + 2 ** l))
+        pos += 2 ** l
+    counts = np.bincount(
+        basis.grid.cell_of(sample.values), minlength=N
+    ).astype(float) if sample.n else np.zeros(N)
+    n = sample.n
+
+    def loglik(T):
+        return float(counts @ T - n * log_mean_exp(T))
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
+    a = prior.draw_standardized(rng, K)
+    T = B @ (sigmas * a)
+    ll = loglik(T)
+    gaussian = prior.law == "gaussian"
+    scales = np.full(L + 1, 0.5)
+    acc_win = np.zeros(L + 1)
+    try_win = np.zeros(L + 1)
+    acc_post = np.zeros(L + 1)
+    try_post = np.zeros(L + 1)
+    kept = []
+    for it in range(cfg.iterations):
+        in_burn = it < cfg.burn_in
+        for l in range(L + 1):
+            sl = slices[l]
+            a_blk = a[sl]
+            if gaussian:
+                beta = min(scales[l], 1.0)
+                xi = prior.draw_standardized(rng, a_blk.size)
+                a_new = np.sqrt(1.0 - beta ** 2) * a_blk + beta * xi
+                log_prior_ratio = 0.0
+            else:
+                step = scales[l]
+                a_new = a_blk + step * rng.standard_normal(a_blk.size)
+                log_prior_ratio = float(
+                    prior.log_phi(a_new).sum() - prior.log_phi(a_blk).sum()
+                )
+            T_new = T + B[:, sl] @ (sigmas[sl] * (a_new - a_blk))
+            ll_new = loglik(T_new)
+            if np.log(rng.uniform()) < ll_new - ll + log_prior_ratio:
+                a[sl] = a_new
+                T = T_new
+                ll = ll_new
+                acc_win[l] += 1
+                if not in_burn:
+                    acc_post[l] += 1
+            try_win[l] += 1
+            if not in_burn:
+                try_post[l] += 1
+        if in_burn and (it + 1) % cfg.adapt_every == 0:
+            rate = acc_win / np.maximum(try_win, 1)
+            scales *= np.exp(0.66 * (rate - cfg.target_acceptance))
+            scales = np.clip(scales, 1e-3, 1.0 if gaussian else 10.0)
+            acc_win[:] = 0
+            try_win[:] = 0
+        if not in_burn and (it - cfg.burn_in) % cfg.thin == 0:
+            kept.append(a.copy())
+    return np.array(kept), acc_post / np.maximum(try_post, 1), scales
+
+
+LAWS = ("gaussian", "laplace", "logistic", "heavy-tail")
+
+
+@pytest.fixture(scope="module", params=["haar", "boundary-smooth"])
+def kernel_case(request):
+    basis = build_basis(request.param, 3, 9)
+    f0, _ = make_density_truth(DensityTruthSpec(HolderTruthSpec(1.0, 1.0, seed=6)), basis)
+    return basis, dens.sample_data(f0, 2000, seed=6)
+
+
+class TestFastKernel:
+    @pytest.mark.parametrize("law", LAWS)
+    def test_log_ratio_matches_the_full_grid_likelihood(self, kernel_case, law):
+        basis, sample = kernel_case
+        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
+        B = dens._wavelet_columns(basis, 3)
+        counts = np.bincount(basis.grid.cell_of(sample.values), minlength=basis.grid.size)
+        sigmas = np.concatenate([np.full(2 ** l, prior.sigma(l)) for l in range(4)])
+
+        def loglik(a):
+            T = B @ (sigmas * a)
+            return counts @ T - sample.n * log_mean_exp(T)
+
+        rng = np.random.default_rng(len(law))
+        scratch = np.empty(basis.grid.size)
+        for _ in range(25):
+            a = rng.standard_normal(B.shape[1]) * rng.uniform(0.1, 3.0)
+            T = B @ (sigmas * a)
+            for l, sl, R, s in dens._level_moves(prior, sample, basis):
+                d = rng.standard_normal(sl.stop - sl.start) * rng.uniform(0.01, 1.0)
+                fast = d @ s - sample.n * (log_mean_exp(T + d @ R, scratch) - log_mean_exp(T))
+                a_new = a.copy()
+                a_new[sl] += d
+                want = loglik(a_new) - loglik(a)
+                # relative to the log likelihoods whose difference both sides take
+                assert abs(fast - want) <= 1e-10 * max(abs(loglik(a)), abs(want), 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("law", LAWS)
+    def test_chain_matches_the_reference_bit_for_bit(self, kernel_case, law, seed):
+        basis, sample = kernel_case
+        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=2)
+        cfg = dens.McmcConfig(iterations=400, burn_in=150, thin=3, adapt_every=10)
+        chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=seed)
+        states, acceptance, scales = reference_mcmc(prior, sample, basis, cfg, seed)
+        np.testing.assert_array_equal(chain.states, states)
+        np.testing.assert_array_equal(chain.acceptance, acceptance)
+        np.testing.assert_array_equal(chain.step_scales, scales)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_empty_sample_matches_the_reference(self, kernel_case, law):
+        basis, _ = kernel_case
+        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
+        cfg = dens.McmcConfig(iterations=300, burn_in=100, thin=1, adapt_every=20)
+        empty = dens.Sample(np.empty(0))
+        chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=9)
+        states, acceptance, scales = reference_mcmc(prior, empty, basis, cfg, 9)
+        np.testing.assert_array_equal(chain.states, states)
+        np.testing.assert_array_equal(chain.acceptance, acceptance)
+        np.testing.assert_array_equal(chain.step_scales, scales)
