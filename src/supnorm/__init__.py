@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 from .grids import DyadicGrid, GridFunction
 from .wavelets import (
-    CoefficientTree,
     WaveletBasis,
     WaveletIndex,
     build_basis,
     daubechies_filter,
     eval_haar,
+    level_slice,
 )
 from .functions import (
     DensityTruthSpec,
@@ -64,8 +64,8 @@ from .rates import (
 
 __all__ = [
     "DyadicGrid", "GridFunction",
-    "CoefficientTree", "WaveletBasis", "WaveletIndex", "build_basis",
-    "daubechies_filter", "eval_haar",
+    "WaveletBasis", "WaveletIndex", "build_basis",
+    "daubechies_filter", "eval_haar", "level_slice",
     "DensityTruthSpec", "HolderTruthSpec", "besov_norm", "hellinger",
     "l2_distance", "make_density_truth", "make_holder_truth", "sup_distance",
     "CoordPosterior", "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",

@@ -23,6 +23,7 @@ from .rates import (
     ExperimentConfig,
     fit_rate,
     read_records,
+    record_group,
     run_experiment,
     write_records,
 )
@@ -36,12 +37,15 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def parse_config(path: str, seed: str | None = None) -> tuple[ExperimentConfig, dict]:
+def parse_config(
+    path: str, seed: str | None = None, threads: int | None = None
+) -> tuple[ExperimentConfig, dict]:
     """Load and validate a JSON config; returns (config, echo dict).
 
-    `seed`, a SUPNORM_SEED value, replaces the master seed before validation,
-    so a bad one is a config error like a bad `master_seed`.  The echo dict
-    is the raw input with all defaults filled in.
+    `seed`, a SUPNORM_SEED value, replaces the master seed and `threads`, a
+    --threads value, the thread count before validation, so a bad one is a
+    config error like a bad `master_seed` or `threads`.  The echo dict is
+    the raw input with all defaults filled in.
     """
     try:
         with open(path) as fh:
@@ -60,6 +64,8 @@ def parse_config(path: str, seed: str | None = None) -> tuple[ExperimentConfig, 
             raw["master_seed"] = int(seed)
         except ValueError:
             raise ConfigError(f"bad SUPNORM_SEED {seed!r}") from None
+    if threads is not None:
+        raw["threads"] = threads
     try:
         cfg = ExperimentConfig(**raw)
     except TypeError as e:
@@ -72,12 +78,10 @@ def parse_config(path: str, seed: str | None = None) -> tuple[ExperimentConfig, 
 
 def cmd_simulate(args) -> int:
     try:
-        cfg, echo = parse_config(args.config, os.environ.get("SUPNORM_SEED"))
+        cfg, echo = parse_config(args.config, os.environ.get("SUPNORM_SEED"), args.threads)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.threads is not None:
-        cfg.threads = max(1, args.threads)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -125,6 +129,7 @@ def cmd_fit_rate(args) -> int:
 def cmd_report(args) -> int:
     try:
         records = read_records(args.csv)
+        record_group(records)
     except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, check_same_grid
-from .wavelets import WaveletBasis
+from .wavelets import WaveletBasis, level_slice
 
 
 class NegativeDensityError(ValueError):
@@ -26,10 +26,10 @@ def besov_norm(f: GridFunction, s: float, basis: WaveletBasis) -> float:
     """
     if s <= 0:
         raise ValueError("smoothness s must be > 0")
-    tree = basis.analyze(f)
+    c = basis.analyze(f)
     best = 0.0
-    for l, coeffs in enumerate(tree.levels):
-        level_sup = 2.0 ** (l * (0.5 + s)) * np.abs(coeffs).max()
+    for l in range(basis.L_max + 1):
+        level_sup = 2.0 ** (l * (0.5 + s)) * np.abs(c[level_slice(l)]).max()
         best = max(best, level_sup)
     return float(best)
 
@@ -89,10 +89,10 @@ class DensityTruthSpec:
     d0: float = field(default=float("nan"), compare=False)
 
 
-def truth_coefficients(spec: HolderTruthSpec, L_max: int) -> list[np.ndarray]:
-    """Per-level coefficient arrays R * s_lk * 2^{-l(1/2+alpha)}."""
+def truth_coefficients(spec: HolderTruthSpec, L_max: int) -> np.ndarray:
+    """Flat coefficients: scaling 0, then R * s_lk * 2^{-l(1/2+alpha)} at level l."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(71,)))
-    out = []
+    out = np.zeros(level_slice(L_max).stop)
     for l in range(L_max + 1):
         mag = spec.radius * 2.0 ** (-l * (0.5 + spec.alpha))
         if spec.kind == "signed-coefficient":
@@ -100,7 +100,7 @@ def truth_coefficients(spec: HolderTruthSpec, L_max: int) -> list[np.ndarray]:
         else:
             k = np.arange(2 ** l)
             signs = np.where((l + k) % 2 == 0, 1, -1)
-        out.append(mag * signs)
+        out[level_slice(l)] = mag * signs
     return out
 
 
@@ -109,11 +109,7 @@ def make_holder_truth(spec: HolderTruthSpec, basis: WaveletBasis) -> GridFunctio
 
     The scaling coefficient is zero, so besov_norm(result, alpha) = R.
     """
-    from .wavelets import CoefficientTree
-
-    levels = truth_coefficients(spec, basis.L_max)
-    tree = CoefficientTree(0.0, tuple(levels))
-    return basis.synthesize(tree)
+    return basis.synthesize(truth_coefficients(spec, basis.L_max))
 
 
 def make_density_truth(spec: DensityTruthSpec, basis: WaveletBasis):

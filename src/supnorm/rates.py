@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -104,6 +104,12 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from None
         if not isinstance(self.mcmc, dens.McmcConfig):
             raise ConfigError("mcmc must be an object of MCMC settings")
+        for model, keys in _MODEL_KEYS.items():
+            stray = [k for k in keys if model != self.model and getattr(self, k) != _DEFAULTS[k]]
+            if stray:
+                raise ConfigError(
+                    f"{', '.join(stray)}: read only by the {model} model, not by {self.model}"
+                )
         uniform = self.model == "white-noise" and self.prior_family == "uniform"
         if uniform and self.bound <= self.radius:
             raise ConfigError(
@@ -144,6 +150,19 @@ class ExperimentConfig:
             return f"dirichlet({self.dirichlet_alpha:g})"
         return self.coefficient_law
 
+
+# the keys only one model reads; another model's config must leave them at
+# their defaults, so a stray key is reported and never changes the hash
+_MODEL_KEYS = {
+    "white-noise": ("prior_family", "bound", "delta"),
+    "density-histogram": ("dirichlet_alpha",),
+    "density-logdensity": ("coefficient_law", "r", "tau", "prior_scale", "mcmc"),
+}
+_DEFAULTS = {
+    f.name: f.default_factory() if f.default is MISSING else f.default
+    for f in fields(ExperimentConfig)
+    if any(f.name in keys for keys in _MODEL_KEYS.values())
+}
 
 # integer field -> least value (grid_resolution, which may be None, apart)
 _INTEGER_FIELDS = {"replications": 1, "draws": 1, "master_seed": 0, "basis_order": 1, "threads": 1}
@@ -272,7 +291,7 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis, f0: GridFunction,
         L_trunc = min(L_n + 2, basis.L_max)
         prior = cfg.prior_spec(L_trunc)
         data = wn.simulate_wn(f0, n, basis, data_seed, truncation_level=L_trunc)
-        flat = wn.draw_posterior_coefficients(data, prior, basis, cfg.draws, draw_seed)
+        flat = wn.draw_posterior_coefficients(data, prior, cfg.draws, draw_seed)
         values = basis.synthesize_flat(flat)
         losses = dens.posterior_expected_losses(values, f0, densities=False)
         return LossRecord(
@@ -353,6 +372,21 @@ class InsufficientDataError(ValueError):
     """Fewer than 3 distinct n values available for the fit."""
 
 
+def record_group(records) -> tuple | None:
+    """The one (model, prior, alpha) all records share; None for no records.
+
+    Records of different groups are different experiments, with different
+    target rates: neither a fit nor a report may pool them.
+    """
+    groups = sorted({(r.model, r.prior, r.alpha) for r in records})
+    if len(groups) > 1:
+        raise ValueError(
+            f"records mix {len(groups)} (model, prior, alpha) groups {groups}; "
+            "fit each group separately"
+        )
+    return groups[0] if groups else None
+
+
 def fit_rate(records, regressor: str = "nlogn", loss: str = "sup") -> RateFit:
     """OLS of log(mean loss at n) on log(n/log n) or log n.
 
@@ -365,12 +399,7 @@ def fit_rate(records, regressor: str = "nlogn", loss: str = "sup") -> RateFit:
     if loss not in ("sup", "l2", "hellinger"):
         raise ValueError(f"unknown loss {loss!r}; use 'sup', 'l2' or 'hellinger'")
     records = list(records)
-    groups = sorted({(r.model, r.prior, r.alpha) for r in records})
-    if len(groups) > 1:
-        raise ValueError(
-            f"records mix {len(groups)} (model, prior, alpha) groups {groups}; "
-            "fit each group separately"
-        )
+    group = record_group(records)
     excluded = sum(1 for r in records if r.flag)
     clean = [r for r in records if not r.flag]
     by_n: dict[int, list[float]] = {}
@@ -406,5 +435,5 @@ def fit_rate(records, regressor: str = "nlogn", loss: str = "sup") -> RateFit:
         regressor=regressor,
         n_points=len(ns),
         excluded_rows=excluded,
-        target=-target_exponent(groups[0][2]),
+        target=-target_exponent(group[2]),
     )

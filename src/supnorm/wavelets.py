@@ -14,13 +14,12 @@ Two kinds are provided:
 
 The basis starts at a single scaling coefficient (the scaling function is
 the constant 1) and carries 2^l wavelets at each level l = 0..L_max.
+Coefficients are one flat vector in column order (see `level_slice`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -400,46 +399,13 @@ def _haar_columns(L_max: int, J: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-@dataclass(frozen=True)
-class CoefficientTree:
-    """Scaling coefficient plus wavelet coefficients for levels 0..L_max."""
+def level_slice(l: int) -> slice:
+    """Positions of the level-l wavelets in a flat coefficient vector.
 
-    scaling: float
-    levels: tuple = field(default_factory=tuple)  # tuple of arrays, level l has 2^l
-
-    def __post_init__(self):
-        lv = tuple(np.asarray(a, dtype=float) for a in self.levels)
-        for l, a in enumerate(lv):
-            if a.shape != (2 ** l,):
-                raise ValueError(f"level {l} must hold {2 ** l} coefficients")
-        object.__setattr__(self, "levels", lv)
-
-    @property
-    def max_level(self) -> int:
-        return len(self.levels) - 1
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([[self.scaling]] + [a for a in self.levels])
-
-    @staticmethod
-    def from_flat(flat: np.ndarray, L_max: int) -> "CoefficientTree":
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (2 ** (L_max + 1),):
-            raise ValueError("flat length must be 2^(L_max+1)")
-        levels = []
-        pos = 1
-        for l in range(L_max + 1):
-            levels.append(flat[pos:pos + 2 ** l])
-            pos += 2 ** l
-        return CoefficientTree(float(flat[0]), tuple(levels))
-
-    def coefficient(self, idx: WaveletIndex) -> float:
-        return float(self.levels[idx.level][idx.position])
-
-    def indices(self) -> Iterator[WaveletIndex]:
-        for l in range(len(self.levels)):
-            for k in range(2 ** l):
-                yield WaveletIndex(l, k)
+    The flat layout holds the scaling coefficient at 0 and wavelet (l, k) at
+    2^l + k, so levels 0..L fill the prefix [:2^(L+1)].
+    """
+    return slice(2 ** l, 2 ** (l + 1))
 
 
 @dataclass(frozen=True)
@@ -459,7 +425,7 @@ class WaveletBasis:
     def column_of(self, idx: WaveletIndex) -> int:
         if idx.level > self.L_max:
             raise IndexError(f"level {idx.level} beyond basis L_max={self.L_max}")
-        return 1 + (2 ** idx.level - 1) + idx.position
+        return level_slice(idx.level).start + idx.position
 
     def function(self, idx: WaveletIndex) -> GridFunction:
         return GridFunction(self.grid, self.columns[:, self.column_of(idx)])
@@ -472,48 +438,43 @@ class WaveletBasis:
         return float(np.abs(B.T @ B - np.eye(self.dim)).max())
 
     # --- analysis / synthesis -------------------------------------------
-    def analyze(self, f: GridFunction) -> CoefficientTree:
-        """Quadrature inner products of f with every basis function."""
+    def analyze(self, f: GridFunction) -> np.ndarray:
+        """Quadrature inner products of f with every basis function (flat layout)."""
         if f.grid.resolution != self.grid.resolution:
             raise GridMismatchError(
                 f"function grid J={f.grid.resolution} does not match basis grid "
                 f"J={self.grid.resolution}"
             )
-        flat = self.columns.T @ f.values / self.grid.size
-        return CoefficientTree.from_flat(flat, self.L_max)
+        return self.columns.T @ f.values / self.grid.size
 
-    def synthesize(self, coeffs: CoefficientTree) -> GridFunction:
-        if coeffs.max_level > self.L_max:
+    def _prefix_columns(self, width: int) -> np.ndarray:
+        if width > self.dim:
             raise IndexError(
-                f"coefficients reach level {coeffs.max_level} beyond basis "
-                f"L_max={self.L_max}"
+                f"{width} coefficients exceed the basis dimension {self.dim} "
+                f"(L_max={self.L_max})"
             )
-        flat = np.zeros(self.dim)
-        flat[0] = coeffs.scaling
-        pos = 1
-        for a in coeffs.levels:
-            flat[pos:pos + a.size] = a
-            pos += a.size
-        return GridFunction(self.grid, self.columns @ flat)
+        return self.columns[:, :width]
+
+    def synthesize(self, coeffs: np.ndarray) -> GridFunction:
+        """The function of a flat coefficient vector, or of a prefix of one."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        return GridFunction(self.grid, self._prefix_columns(coeffs.size) @ coeffs)
 
     def synthesize_flat(self, flat: np.ndarray) -> np.ndarray:
-        """Batch synthesis: rows of `flat` are coefficient vectors."""
-        return flat @ self.columns.T
+        """Batch synthesis: rows of `flat` are flat coefficient vectors, or
+        prefixes of one width; only the columns of that prefix are multiplied."""
+        return flat @ self._prefix_columns(flat.shape[1]).T
 
     def project_low(self, f: GridFunction, L: int) -> GridFunction:
         if not 0 <= L <= self.L_max:
             raise IndexError(f"projection level {L} out of range 0..{self.L_max}")
-        tree = self.analyze(f)
-        kept = CoefficientTree(tree.scaling, tree.levels[: L + 1])
-        return self.synthesize(kept)
+        return self.synthesize(self.analyze(f)[: level_slice(L).stop])
 
     def localisation_sum(self, l: int) -> float:
         """max over grid points of sum_k |psi_lk(x)|."""
         if not 0 <= l <= self.L_max:
             raise IndexError(f"level {l} out of range 0..{self.L_max}")
-        lo = 1 + (2 ** l - 1)
-        block = self.columns[:, lo:lo + 2 ** l]
-        return float(np.abs(block).sum(axis=1).max())
+        return float(np.abs(self.columns[:, level_slice(l)]).sum(axis=1).max())
 
 
 def check_basis_args(kind: str, L_max: int, J: int | None = None, order: int = 4) -> int:

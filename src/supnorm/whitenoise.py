@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction
-from .wavelets import WaveletBasis
+from .wavelets import WaveletBasis, level_slice
 
 QUADRATURE_POINTS = 4096
 LIKELIHOOD_HALF_WIDTH = 8.0  # in units of 1/sqrt(n); mass outside < 1e-14
@@ -75,21 +75,23 @@ class ProductPriorSpec:
 
 @dataclass(frozen=True)
 class WhiteNoiseData:
-    """Observed coefficients up to the truncation level."""
+    """Observed coefficients up to the truncation level, in the flat layout."""
 
     n: int
-    scaling: float
-    levels: tuple = field(repr=False)
+    x: np.ndarray = field(repr=False)  # length 2^(max_level + 1)
     seed: int = 0
 
     @property
     def max_level(self) -> int:
-        return len(self.levels) - 1
+        return self.x.size.bit_length() - 2
 
 
-def _coordinate_rng(seed: int, level: int, position: int) -> np.random.Generator:
-    # level slot 0 is the scaling coordinate, wavelet level l lives at l + 1
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(level, position)))
+def _coordinate_rng(seed: int, j: int) -> np.random.Generator:
+    # spawn key (l + 1, k) for wavelet (l, k) at flat index j and (0, 0) for
+    # the scaling coordinate, so a stream never depends on the truncation
+    l = j.bit_length() - 1
+    key = (l + 1, j - level_slice(l).start) if j else (0, 0)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def simulate_wn(
@@ -109,20 +111,12 @@ def simulate_wn(
     if n < 1:
         raise ValueError("n must be >= 1")
     L = basis.L_max if truncation_level is None else min(truncation_level, basis.L_max)
-    tree = basis.analyze(f0)
-    scale = 0.0 if zero_noise else 1.0 / np.sqrt(n)
-
-    def noise(level_slot, k):
-        if zero_noise:
-            return 0.0
-        return float(_coordinate_rng(seed, level_slot, k).standard_normal())
-
-    x0 = tree.scaling + scale * noise(0, 0)
-    levels = []
-    for l in range(L + 1):
-        eps = np.array([noise(l + 1, k) for k in range(2 ** l)])
-        levels.append(tree.levels[l] + scale * eps)
-    return WhiteNoiseData(n=n, scaling=x0, levels=tuple(levels), seed=seed)
+    x = basis.analyze(f0)[: level_slice(L).stop]
+    if not zero_noise:
+        scale = 1.0 / np.sqrt(n)
+        eps = np.array([_coordinate_rng(seed, j).standard_normal() for j in range(x.size)])
+        x = x + scale * eps
+    return WhiteNoiseData(n=n, x=x, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,6 @@ class CoordPosterior:
     """Quadrature table of one coordinate posterior."""
 
     thetas: np.ndarray = field(repr=False)
-    log_density: np.ndarray = field(repr=False)  # unnormalized
     pdf: np.ndarray = field(repr=False)
     cdf: np.ndarray = field(repr=False)
     mean: float
@@ -178,39 +171,30 @@ def coord_posterior(
     cdf = np.concatenate([[0.0], np.cumsum(inc)])
     cdf /= cdf[-1]
     mean = float(np.trapezoid(thetas * pdf, thetas))
-    return CoordPosterior(thetas, logd, pdf, cdf, mean)
-
-
-def _coordinate_slots(data: WhiteNoiseData, prior: ProductPriorSpec):
-    """(level_slot, position, level, x) for every modeled coordinate."""
-    L = min(data.max_level, prior.truncation_level)
-    yield 0, 0, 0, data.scaling  # scaling coordinate behaves like level 0
-    for l in range(L + 1):
-        for k in range(2 ** l):
-            yield l + 1, k, l, float(data.levels[l][k])
+    return CoordPosterior(thetas, pdf, cdf, mean)
 
 
 def draw_posterior_coefficients(
     data: WhiteNoiseData,
     prior: ProductPriorSpec,
-    basis: WaveletBasis,
     m: int,
     seed: int,
 ) -> np.ndarray:
-    """m independent coefficient vectors (flat basis order) from the posterior.
+    """m independent coefficient vectors from the posterior, one per row.
 
-    Coordinates are sampled by inverse CDF; the rows of
+    Coordinates are sampled by inverse CDF.  A row holds levels 0..L, L =
+    min(data.max_level, prior.truncation_level): the prefix of a flat vector
+    that the truncated prior leaves non-zero, so the rows of
     `basis.synthesize_flat(flat)` are the posterior function draws.
     """
     if m < 1:
         raise ValueError("draw count m must be >= 1")
-    flat = np.zeros((m, basis.dim))
-    for slot, k, l, x in _coordinate_slots(data, prior):
-        post = coord_posterior(x, l, prior, data.n)
-        rng = _coordinate_rng(seed, slot, k)
-        u = rng.uniform(size=m)
-        col = 0 if slot == 0 else 1 + (2 ** l - 1) + k
-        flat[:, col] = post.sample(u)
+    L = min(data.max_level, prior.truncation_level)
+    flat = np.empty((m, level_slice(L).stop))
+    for j in range(flat.shape[1]):
+        # the scaling coordinate (j = 0) behaves like level 0
+        post = coord_posterior(float(data.x[j]), max(j.bit_length() - 1, 0), prior, data.n)
+        flat[:, j] = post.sample(_coordinate_rng(seed, j).uniform(size=m))
     return flat
 
 
@@ -231,14 +215,14 @@ def laplace_check(
     datas = [data] if isinstance(data, WhiteNoiseData) else list(data)
     vals = []
     for d in datas:
-        x = float(d.levels[level][position])
+        x = float(d.x[level_slice(level)][position])
         post = coord_posterior(x, level, prior, d.n)
         root_n = np.sqrt(d.n)
         vals.append(post.expectation(lambda th: np.exp(t * root_n * (th - x))))
     return float(np.mean(vals))
 
 
-def truncation_bias_bound(prior: ProductPriorSpec, radius_scale: float | None = None) -> float:
+def truncation_bias_bound(prior: ProductPriorSpec) -> float:
     """Deterministic sup-norm bound of the neglected prior tail.
 
     sum_{l > L} 2^{l/2} sigma_l, scaled by the coefficient bound (B for the
@@ -248,6 +232,5 @@ def truncation_bias_bound(prior: ProductPriorSpec, radius_scale: float | None = 
     L = prior.truncation_level
     a = prior.alpha
     tail = 2.0 ** (-(L + 1) * a) / (1.0 - 2.0 ** (-a))
-    if radius_scale is None:
-        radius_scale = prior.bound if prior.family == "uniform" else 1.0
+    radius_scale = prior.bound if prior.family == "uniform" else 1.0
     return float(radius_scale * tail)

@@ -74,6 +74,15 @@ BAD_CONFIGS = {
     "mcmc-burn-in-string": {**LOGD, "mcmc": {"burn_in": "5000"}},
     "mcmc-thin-float": {**LOGD, "mcmc": {"thin": 1.5}},
     "mcmc-adapt-every-bool": {**LOGD, "mcmc": {"adapt_every": True}},
+    # keys another model reads, set away from their defaults
+    "histogram-prior-family": {**TINY, "prior_family": "nope"},
+    "histogram-coefficient-law": {**TINY, "coefficient_law": "polya"},
+    "histogram-tau": {**TINY, "tau": 0.25},
+    "histogram-mcmc": {**TINY, "mcmc": {"thin": 2}},
+    "logdensity-bound": {**LOGD, "bound": 3.0},
+    "logdensity-dirichlet-alpha": {**LOGD, "dirichlet_alpha": 0.5},
+    "white-noise-prior-scale": {**TINY, "model": "white-noise", "prior_scale": 2.0},
+    "white-noise-r": {**TINY, "model": "white-noise", "r": 0.25},
 }
 
 
@@ -177,6 +186,29 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-7"])
+    def test_bad_threads_flag_exit_2_before_work(self, threads, tiny_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", tiny_config, "--out", str(out), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+        assert not (out / "records.csv").exists()
+
+    def test_default_valued_foreign_keys_keep_the_hash(self, tiny_config, tmp_path):
+        # another model's keys at their defaults change neither run nor hash
+        explicit = tmp_path / "explicit.json"
+        explicit.write_text(json.dumps({
+            **TINY, "prior_family": "uniform", "bound": 2.0, "coefficient_law": "gaussian",
+            "mcmc": {"thin": 5},
+        }))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", tiny_config, "--out", str(out1)]) == 0
+        assert main(["simulate", str(explicit), "--out", str(out2)]) == 0
+        m1, m2 = (json.loads((o / "manifest.json").read_text()) for o in (out1, out2))
+        assert m1["config_hash"] == m2["config_hash"]
+        assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
     def test_unwritable_out_exit_3(self, tiny_config, tmp_path):
         # a regular file where the output directory should go (permission
         # tricks do not stop root)
@@ -254,6 +286,19 @@ class TestFitRate:
 
 
 class TestReport:
+    def test_mixed_groups_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "mixed.csv"
+        rows = ["model,prior,alpha,n,rep,sup_loss,l2_loss,hellinger_loss,"
+                "q90_sup,trunc_bias,seed,flag",
+                "white-noise,uniform,1.0,64,0,0.5,0.2,,0.6,0.01,0,0",
+                "density-histogram,dirichlet(1),1.0,64,0,0.5,0.2,0.1,0.6,,0,0"]
+        csv.write_text("\n".join(rows) + "\n")
+        assert main(["report", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error:" in captured.err
+        assert "(model, prior, alpha)" in captured.err
+
     def test_table_rows(self, tmp_path, capsys):
         csv = tmp_path / "synth.csv"
         write_synthetic_csv(csv, [64, 256], lambda n: 1.0 / n)
@@ -295,6 +340,15 @@ CORRUPTIONS = {
     "replications": _NOT_INTEGERS | _NEGATIVE | st.just(0),
     "draws": _NOT_INTEGERS | _NEGATIVE | st.just(0),
     "master_seed": _NOT_INTEGERS | _NEGATIVE,
+    # TINY is a histogram config: every other model's key, off its default
+    "prior_family": st.text(max_size=8).filter(lambda v: v != "uniform") | _NOT_NUMBERS,
+    "coefficient_law": st.text(max_size=8).filter(lambda v: v != "gaussian") | _NOT_NUMBERS,
+    "bound": st.floats().filter(lambda v: v != 2.0) | _NOT_NUMBERS,
+    "delta": st.floats().filter(lambda v: v != 1.0) | _NOT_NUMBERS,
+    "r": st.floats().filter(lambda v: v != 0.5) | _NOT_NUMBERS,
+    "tau": st.floats().filter(lambda v: v != 0.5) | _NOT_NUMBERS,
+    "prior_scale": st.floats().filter(lambda v: v != 1.0) | _NOT_NUMBERS,
+    "mcmc": st.integers(1, 4).map(lambda t: {"thin": t}) | _NOT_NUMBERS,
 }
 
 
@@ -308,7 +362,7 @@ def corrupted_configs(draw):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(corrupted_configs())
 def test_corrupted_config_exits_2_before_work(raw):
     with tempfile.TemporaryDirectory() as tmp:

@@ -17,7 +17,7 @@ from supnorm.functions import (
     normalize_log,
     sup_distance,
 )
-from supnorm.wavelets import WaveletIndex, build_basis
+from supnorm.wavelets import WaveletIndex, build_basis, level_slice
 
 
 @pytest.fixture(scope="module")
@@ -181,10 +181,10 @@ class TestHolderTruth:
     def test_coefficient_magnitudes(self, haar):
         spec = HolderTruthSpec(alpha=1.0, radius=1.0, seed=3)
         f0 = make_holder_truth(spec, haar)
-        tree = haar.analyze(f0)
-        assert tree.scaling == pytest.approx(0.0, abs=1e-12)
-        for l, coeffs in enumerate(tree.levels):
-            assert np.abs(coeffs) == pytest.approx(
+        c = haar.analyze(f0)
+        assert c[0] == pytest.approx(0.0, abs=1e-12)
+        for l in range(haar.L_max + 1):
+            assert np.abs(c[level_slice(l)]) == pytest.approx(
                 np.full(2 ** l, 2.0 ** (-1.5 * l)), rel=1e-10
             )
 

@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from supnorm.grids import DyadicGrid, GridFunction, GridMismatchError
 from supnorm.wavelets import (
-    CoefficientTree,
     ResolutionError,
     WaveletIndex,
     build_basis,
     daubechies_filter,
     eval_haar,
+    level_slice,
 )
 
 
@@ -128,29 +128,26 @@ class TestBuildBasis:
 class TestAnalyzeSynthesize:
     def test_analyze_single_wavelet(self, haar):
         f = haar.function(WaveletIndex(2, 1))
-        tree = haar.analyze(f)
-        assert tree.coefficient(WaveletIndex(2, 1)) == pytest.approx(1.0, abs=1e-12)
-        assert tree.scaling == pytest.approx(0.0, abs=1e-12)
-        others = [
-            tree.coefficient(i)
-            for i in tree.indices()
-            if (i.level, i.position) != (2, 1)
-        ]
+        c = haar.analyze(f)
+        col = haar.column_of(WaveletIndex(2, 1))
+        assert c[col] == pytest.approx(1.0, abs=1e-12)
+        assert c[0] == pytest.approx(0.0, abs=1e-12)
+        others = np.delete(c[1:], col - 1)
         assert np.abs(others).max() < 1e-12
 
     def test_analyze_constant(self, haar):
         f = GridFunction(haar.grid, np.ones(haar.grid.size))
-        tree = haar.analyze(f)
-        assert tree.scaling == pytest.approx(1.0, abs=1e-14)
-        assert max(np.abs(a).max() for a in tree.levels) < 1e-14
+        c = haar.analyze(f)
+        assert c[0] == pytest.approx(1.0, abs=1e-14)
+        assert max(np.abs(c[level_slice(l)]).max() for l in range(haar.L_max + 1)) < 1e-14
 
     def test_analyze_linearity(self, haar):
         f = 3.0 * haar.function(WaveletIndex(1, 0)) + GridFunction(
             haar.grid, np.ones(haar.grid.size)
         )
-        tree = haar.analyze(f)
-        assert tree.coefficient(WaveletIndex(1, 0)) == pytest.approx(3.0, abs=1e-12)
-        assert tree.scaling == pytest.approx(1.0, abs=1e-12)
+        c = haar.analyze(f)
+        assert c[haar.column_of(WaveletIndex(1, 0))] == pytest.approx(3.0, abs=1e-12)
+        assert c[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_mismatch(self, haar):
         f = GridFunction(DyadicGrid(8), np.ones(256))
@@ -158,17 +155,18 @@ class TestAnalyzeSynthesize:
             haar.analyze(f)
 
     def test_synthesize_zero(self, haar):
-        tree = CoefficientTree(0.0, tuple(np.zeros(2 ** l) for l in range(3)))
-        assert np.all(haar.synthesize(tree).values == 0.0)
+        c = np.zeros(level_slice(2).stop)
+        assert np.all(haar.synthesize(c).values == 0.0)
 
     def test_synthesize_constant(self, haar):
-        tree = CoefficientTree(1.0)
-        assert np.allclose(haar.synthesize(tree).values, 1.0)
+        assert np.allclose(haar.synthesize([1.0]).values, 1.0)
 
     def test_out_of_range_levels(self, haar):
-        tree = CoefficientTree(0.0, tuple(np.zeros(2 ** l) for l in range(6)))
+        c = np.zeros(level_slice(5).stop)
         with pytest.raises(IndexError):
-            haar.synthesize(tree)
+            haar.synthesize(c)
+        with pytest.raises(IndexError):
+            haar.synthesize_flat(c[None, :])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -176,21 +174,32 @@ class TestAnalyzeSynthesize:
         basis = build_basis("haar", 4, 10)
         rng = np.random.default_rng(seed)
         flat = rng.normal(size=basis.dim)
-        tree = CoefficientTree.from_flat(flat, basis.L_max)
-        back = basis.analyze(basis.synthesize(tree))
-        assert np.abs(back.flatten() - flat).max() < 1e-8
+        back = basis.analyze(basis.synthesize(flat))
+        assert np.abs(back - flat).max() < 1e-8
 
     def test_round_trip_smooth(self, smooth):
         rng = np.random.default_rng(3)
         flat = rng.normal(size=smooth.dim)
-        tree = CoefficientTree.from_flat(flat, smooth.L_max)
-        back = smooth.analyze(smooth.synthesize(tree))
-        assert np.abs(back.flatten() - flat).max() < 1e-6
+        back = smooth.analyze(smooth.synthesize(flat))
+        assert np.abs(back - flat).max() < 1e-6
+
+    @pytest.mark.parametrize("kind", ["haar", "smooth"])
+    def test_synthesize_flat_prefix_matches_padded_product(self, kind, request):
+        # rows of width 2^(L+1) multiply only the first 2^(L+1) columns; the
+        # reference is the full-width product of the zero-padded rows, and
+        # the zero tail adds nothing, so the two agree bit for bit
+        basis = request.getfixturevalue(kind)
+        rng = np.random.default_rng(11)
+        for L in range(basis.L_max + 1):
+            flat = rng.normal(size=(200, level_slice(L).stop))
+            padded = np.zeros((200, basis.dim))
+            padded[:, :flat.shape[1]] = flat
+            assert np.array_equal(basis.synthesize_flat(flat), padded @ basis.columns.T)
 
     def test_parseval(self, smooth):
         rng = np.random.default_rng(4)
         flat = rng.normal(size=smooth.dim)
-        f = smooth.synthesize(CoefficientTree.from_flat(flat, smooth.L_max))
+        f = smooth.synthesize(flat)
         assert (f.values ** 2).mean() == pytest.approx((flat ** 2).sum(), abs=1e-8)
 
 

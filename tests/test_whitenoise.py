@@ -4,7 +4,7 @@ from scipy import stats
 
 from supnorm.functions import HolderTruthSpec, make_holder_truth
 from supnorm.grids import GridFunction
-from supnorm.wavelets import build_basis
+from supnorm.wavelets import build_basis, level_slice
 from supnorm.whitenoise import (
     ProductPriorSpec,
     coord_posterior,
@@ -33,6 +33,10 @@ def ep_prior(L=4, alpha=1.0, delta=1.0):
     return ProductPriorSpec("exp-power", alpha, truncation_level=L, delta=delta)
 
 
+# flat index -> spawn key of its coordinate stream
+STREAM_KEYS = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (2, 1), 5: (3, 1), 31: (5, 15)}
+
+
 class TestPriorSpec:
     def test_uniform_sigma_rule(self):
         p = uniform_prior(alpha=1.0)
@@ -55,34 +59,45 @@ class TestPriorSpec:
 class TestSimulate:
     def test_zero_noise_recovers_truth_coefficients(self, haar, truth):
         data = simulate_wn(truth, 100, haar, seed=0, zero_noise=True)
-        tree = haar.analyze(truth)
-        assert data.scaling == tree.scaling
+        c = haar.analyze(truth)
+        assert data.x[0] == c[0]
         for l in range(5):
-            assert np.array_equal(data.levels[l], tree.levels[l])
+            assert np.array_equal(data.x[level_slice(l)], c[level_slice(l)])
 
     def test_noise_variance(self, haar, truth):
         n = 64
-        tree = haar.analyze(truth)
+        c = haar.analyze(truth)
         reps = 10_000
         devs = np.empty(reps)
         for r in range(reps):
             d = simulate_wn(truth, n, haar, seed=r, truncation_level=0)
-            devs[r] = d.levels[0][0] - tree.levels[0][0]
+            devs[r] = d.x[level_slice(0)][0] - c[level_slice(0)][0]
         assert devs.var() == pytest.approx(1.0 / n, rel=0.05)
 
     def test_seed_contract(self, haar, truth):
         a = simulate_wn(truth, 50, haar, seed=7)
         b = simulate_wn(truth, 50, haar, seed=7)
         c = simulate_wn(truth, 50, haar, seed=8)
-        assert a.scaling == b.scaling
-        assert all(np.array_equal(x, y) for x, y in zip(a.levels, b.levels))
-        assert any(not np.array_equal(x, y) for x, y in zip(a.levels, c.levels))
+        assert np.array_equal(a.x, b.x)
+        assert any(
+            not np.array_equal(a.x[level_slice(l)], c.x[level_slice(l)]) for l in range(5)
+        )
 
     def test_coordinate_streams_survive_truncation_change(self, haar, truth):
         full = simulate_wn(truth, 50, haar, seed=7, truncation_level=4)
         part = simulate_wn(truth, 50, haar, seed=7, truncation_level=2)
         for l in range(3):
-            assert np.array_equal(full.levels[l], part.levels[l])
+            assert np.array_equal(full.x[level_slice(l)], part.x[level_slice(l)])
+
+    def test_noise_streams_keep_their_level_position_keys(self, haar, truth):
+        # flat index j draws from SeedSequence(seed, spawn_key=(l + 1, k)),
+        # the key of wavelet (l, k), and the scaling coordinate from (0, 0)
+        n, seed = 50, 7
+        data = simulate_wn(truth, n, haar, seed=seed)
+        c = haar.analyze(truth)
+        for j, key in STREAM_KEYS.items():
+            eps = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).standard_normal()
+            assert data.x[j] == c[j] + (1.0 / np.sqrt(n)) * eps
 
 
 class TestCoordPosterior:
@@ -165,36 +180,48 @@ class TestDraws:
     def test_deterministic(self, haar, truth):
         data = simulate_wn(truth, 200, haar, seed=3)
         prior = uniform_prior()
-        a = draw_posterior_coefficients(data, prior, haar, 5, seed=9)
-        b = draw_posterior_coefficients(data, prior, haar, 5, seed=9)
+        a = draw_posterior_coefficients(data, prior, 5, seed=9)
+        b = draw_posterior_coefficients(data, prior, 5, seed=9)
         assert np.array_equal(a, b)
+
+    def test_uniform_streams_keep_their_level_position_keys(self, haar, truth):
+        data = simulate_wn(truth, 200, haar, seed=3)
+        prior = uniform_prior()
+        flat = draw_posterior_coefficients(data, prior, 6, seed=9)
+        for j, key in STREAM_KEYS.items():
+            u = np.random.default_rng(np.random.SeedSequence(9, spawn_key=key)).uniform(size=6)
+            level = max(key[0] - 1, 0)
+            post = coord_posterior(float(data.x[j]), level, prior, data.n)
+            assert np.array_equal(flat[:, j], post.sample(u))
+
+    def test_width_follows_truncation_rule(self, haar, truth):
+        # 2^(L + 1) columns, L = min(data truncation, prior truncation)
+        full = simulate_wn(truth, 200, haar, seed=3)
+        part = simulate_wn(truth, 200, haar, seed=3, truncation_level=1)
+        for data, L_prior, width in ((full, 4, 32), (full, 2, 8), (part, 4, 4), (part, 0, 2)):
+            flat = draw_posterior_coefficients(data, uniform_prior(L=L_prior), 3, seed=1)
+            assert flat.shape == (3, width)
 
     def test_prior_collapse_draws_near_zero(self, haar):
         # tiny n with a fast-decaying prior: draws at high levels are ~ 0
         f0 = make_holder_truth(HolderTruthSpec(alpha=3.0, radius=0.5, seed=1), haar)
         prior = ProductPriorSpec("uniform", 3.0, truncation_level=4, bound=1.0)
         data = simulate_wn(f0, 4, haar, seed=0)
-        flat = draw_posterior_coefficients(data, prior, haar, 3, seed=1)
+        flat = draw_posterior_coefficients(data, prior, 3, seed=1)
         for row in haar.synthesize_flat(flat):
-            tree = haar.analyze(GridFunction(haar.grid, row))
-            assert np.abs(tree.levels[4]).max() <= prior.bound * prior.sigma(4) + 1e-12
+            c = haar.analyze(GridFunction(haar.grid, row))
+            assert np.abs(c[level_slice(4)]).max() <= prior.bound * prior.sigma(4) + 1e-12
 
     def test_hard_support_constraint(self, haar, truth):
         data = simulate_wn(truth, 100, haar, seed=4)
         prior = uniform_prior()
-        flat = draw_posterior_coefficients(data, prior, haar, 50, seed=5)
-        tree_cols = {}
-        pos = 1
+        flat = draw_posterior_coefficients(data, prior, 50, seed=5)
         for l in range(5):
-            for k in range(2 ** l):
-                tree_cols[(l, k)] = pos
-                pos += 1
-        for (l, k), col in tree_cols.items():
-            assert np.abs(flat[:, col]).max() <= prior.bound * prior.sigma(l) + 1e-12
+            assert np.abs(flat[:, level_slice(l)]).max() <= prior.bound * prior.sigma(l) + 1e-12
 
     def test_coordinate_independence(self, haar, truth):
         data = simulate_wn(truth, 100, haar, seed=4)
-        flat = draw_posterior_coefficients(data, uniform_prior(), haar, 4000, seed=6)
+        flat = draw_posterior_coefficients(data, uniform_prior(), 4000, seed=6)
         a, b = flat[:, 2], flat[:, 5]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(4000)
@@ -206,7 +233,7 @@ class TestDraws:
             losses = []
             for rep in range(10):
                 data = simulate_wn(truth, n, haar, seed=100 + rep)
-                draws = draw_posterior_coefficients(data, prior, haar, 40, seed=rep)
+                draws = draw_posterior_coefficients(data, prior, 40, seed=rep)
                 values = haar.synthesize_flat(draws)
                 losses.append(np.abs(values - truth.values).max(axis=1).mean())
             med[n] = np.median(losses)
@@ -228,7 +255,7 @@ class TestLaplace:
         # of the same expectation; they must agree within MC error
         tree_spec = HolderTruthSpec(alpha=1.0, radius=1.0, seed=21)
         f0 = make_holder_truth(tree_spec, haar)
-        tree = haar.analyze(f0)
+        c = haar.analyze(f0)
         n, l, k, t = 256, 1, 0, 1.0
         prior = uniform_prior()
         rng = np.random.default_rng(17)
@@ -236,7 +263,7 @@ class TestLaplace:
         for _ in range(200):
             eps = rng.standard_normal()
             for sign, bucket in ((1.0, plus), (-1.0, minus)):
-                x = tree.levels[l][k] + sign * eps / np.sqrt(n)
+                x = c[level_slice(l)][k] + sign * eps / np.sqrt(n)
                 post = coord_posterior(x, l, prior, n)
                 rn = np.sqrt(n)
                 bucket.append(
