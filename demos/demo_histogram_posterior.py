@@ -36,8 +36,9 @@ post = histogram_posterior(prior, counts)
 print(f"level L = {L}: counts head {counts[:4]}, posterior params head "
       f"{post.params[:4]}")
 
-values = draw_histogram_values(post, m=500, seed=3, grid=basis.grid)
-draws = [GridFunction(basis.grid, row) for row in values]
+values = draw_histogram_values(post, m=500, seed=3)  # (500, 2^L) bin values
+grid_values = np.repeat(values, basis.grid.size // 2 ** L, axis=1)
+draws = [GridFunction(basis.grid, row) for row in grid_values]
 sup_losses = [np.abs(d.values - truth.values).max() for d in draws]
 print(f"posterior-expected sup loss  : {np.mean(sup_losses):.4f}")
 print(f"0.9 posterior quantile (sup) : {np.quantile(sup_losses, 0.9):.4f}")

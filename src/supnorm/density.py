@@ -3,7 +3,11 @@
 The histogram model is conjugate: a Dirichlet prior on the 2^L bin masses
 updates by bin counts, and posterior draws are normalized independent Gamma
 variates (with a log-space boost for small shapes, which the allowed
-small-alpha Dirichlet parameters make common).
+small-alpha Dirichlet parameters make common).  A draw is kept as its 2^L
+bin values, never expanded to the grid: its sup, L2 and Hellinger losses
+are exact finite sums over bins, from the minimum, maximum, mean and
+centred sum of squares of f0 (and of sqrt f0) on each bin
+(`posterior_expected_losses`).
 
 The log-density model exp(T - c(T)), with T a truncated wavelet series, has
 no conjugate posterior; a Metropolis-Hastings sampler with per-level block
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import DyadicGrid, GridFunction
-from .functions import hellinger_rows, log_mean_exp
+from .functions import block_moments, hellinger_rows, log_mean_exp, step_blocks, step_rms
 from .wavelets import WaveletBasis
 
 
@@ -184,16 +188,13 @@ def dirichlet_draws(rng: np.random.Generator, params: np.ndarray, m: int) -> np.
     return w
 
 
-def draw_histogram_values(
-    post: HistogramPosterior, m: int, seed: int, grid: DyadicGrid
-) -> np.ndarray:
-    """(m, N) posterior density draws as step functions on the grid."""
+def draw_histogram_values(post: HistogramPosterior, m: int, seed: int) -> np.ndarray:
+    """(m, 2^L) posterior density draws: the bin values omega_k 2^L of each
+    draw, a step function on the 2^L dyadic bins."""
     if m < 1:
         raise ValueError("draw count m must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(13,)))
-    om = dirichlet_draws(rng, post.params, m)
-    rep = grid.size // 2 ** post.level
-    return np.repeat(om * 2 ** post.level, rep, axis=1)
+    return dirichlet_draws(rng, post.params, m) * 2 ** post.level
 
 
 def log_likelihood(f: GridFunction, sample: Sample) -> float:
@@ -515,7 +516,11 @@ class LossSummary:
 def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -> LossSummary:
     """Monte Carlo average of sup/L2(/Hellinger) losses over posterior draws.
 
-    `draws` is a list of GridFunctions or an array of draw values (rows).
+    `draws` is a list of GridFunctions or an array of draw rows.  A row of K
+    values is a step function on K dyadic blocks of f0's grid (K = N: grid
+    values; K must be a power-of-two divisor of N), and its losses are exact,
+    from per-block statistics of f0 taken once per call: the sup loss is
+    max_k max(c_k - min_k f0, max_k f0 - c_k) and the L2 loss `step_rms`.
     Also reports the 0.9 quantile of the sup loss over draws.  Density draws
     below -1e-12 raise `functions.NegativeDensityError`.  The draws are
     reduced a block of rows at a time, with the same result per draw.
@@ -527,10 +532,16 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
         if not draws:
             raise ValueError("need at least one draw")
         values = np.vstack([d.values for d in draws])
+    blocks = step_blocks(f0.values, values.shape[1])
+    lo, hi = blocks.min(axis=1), blocks.max(axis=1)
+    mean, css = block_moments(blocks)
 
-    def losses(v):
-        diff = v - f0.values
-        rows = [np.abs(diff).max(axis=1), np.sqrt((diff ** 2).mean(axis=1))]
-        return np.array(rows + [hellinger_rows(v, f0.values)] if densities else rows)
+    def losses(c):
+        below = c - lo
+        # one grid point per block: min, max and mean are f0 itself
+        above, centred = (below, below) if blocks.shape[1] == 1 else (c - hi, c - mean)
+        sup = np.maximum(below.max(axis=1), -above.min(axis=1))
+        rows = [sup, step_rms(centred, css, f0.grid.size)]
+        return np.array(rows + [hellinger_rows(c, f0.values)] if densities else rows)
 
     return LossSummary.of_draws(*(losses(values[rows]) for rows in _row_blocks(*values.shape)))

@@ -51,15 +51,47 @@ def hellinger(f: GridFunction, g: GridFunction) -> float:
 
 
 def hellinger_rows(values: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Hellinger distance of each row of `values` (last axis: the grid) to g.
+    """Hellinger distance of each row of `values` to the grid vector g.
 
-    Values down to -1e-12 are rounding dust and are clamped to zero; anything
-    more negative is not a density.
+    A row of K values is a step function on K dyadic blocks of g's grid
+    (K = N: grid values); the distance is exact, from the per-block mean and
+    centred sum of squares of sqrt(g) (`step_rms`).  Values down to -1e-12
+    are rounding dust and are clamped to zero; anything more negative is not
+    a density.
     """
+    root = step_blocks(np.sqrt(np.clip(g, 0.0, None)), values.shape[-1])
+    root_mean, root_css = block_moments(root)
     if values.min() < -1e-12 or g.min() < -1e-12:
         raise NegativeDensityError("density values below -1e-12")
-    rt = np.sqrt(np.clip(values, 0.0, None)) - np.sqrt(np.clip(g, 0.0, None))
-    return np.sqrt((rt ** 2).mean(axis=-1))
+    return step_rms(np.sqrt(np.clip(values, 0.0, None)) - root_mean, root_css, g.size)
+
+
+def step_blocks(g: np.ndarray, width: int) -> np.ndarray:
+    """The grid vector g (N points) as `width` dyadic blocks: (width, N / width).
+
+    Raises ValueError unless `width` is a power-of-two divisor of N.
+    """
+    N = g.shape[-1]
+    if width < 1 or width & (width - 1) or N % width:
+        raise ValueError(f"row width {width} is not a power-of-two divisor of the grid size {N}")
+    return g.reshape(width, N // width)
+
+
+def block_moments(blocks: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean of each block, and the centred sum of squares over all blocks."""
+    mean = blocks.mean(axis=1)
+    return mean, float(((blocks - mean[:, None]) ** 2).sum())
+
+
+def step_rms(centred: np.ndarray, css: float, size: int) -> np.ndarray:
+    """Root mean square over a `size`-point grid of step rows minus g.
+
+    `centred` holds each row's K values minus g's block means (last axis)
+    and `css` g's centred sum of squares, so that the sum over the grid is
+    (size / K) sum_k centred_k^2 + css.  With K = size, css is 0 and this is
+    the grid mean of the squared differences, rounded the same way.
+    """
+    return np.sqrt(((size // centred.shape[-1]) * (centred ** 2).sum(axis=-1) + css) / size)
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis, f0: GridFunction,
         prior = cfg.prior_spec(L_n)
         sample = dens.sample_data(f0, n, data_seed)
         post = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
-        values = dens.draw_histogram_values(post, cfg.draws, draw_seed, basis.grid)
+        values = dens.draw_histogram_values(post, cfg.draws, draw_seed)
         losses = dens.posterior_expected_losses(values, f0, densities=True)
         return LossRecord(
             cfg.model, cfg.prior_label, cfg.alpha, n, rep,

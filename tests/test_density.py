@@ -7,6 +7,7 @@ from supnorm.grids import DyadicGrid, GridFunction, constant
 from supnorm.functions import (
     DensityTruthSpec,
     HolderTruthSpec,
+    NegativeDensityError,
     hellinger_rows,
     log_mean_exp,
     make_density_truth,
@@ -125,8 +126,10 @@ class TestDirichletDraws:
     def test_unit_integral(self, grid):
         prior = dens.HistogramPriorSpec.flat(3, 0.3)
         post = dens.histogram_posterior(prior, np.arange(8))
-        values = dens.draw_histogram_values(post, 20, seed=0, grid=grid)
-        for d in (GridFunction(grid, row) for row in values):
+        values = dens.draw_histogram_values(post, 20, seed=0)
+        assert values.shape == (20, 8)
+        grid_values = np.repeat(values, grid.size // 8, axis=1)
+        for d in (GridFunction(grid, row) for row in grid_values):
             assert d.quad() == pytest.approx(1.0, abs=1e-10)
             assert d.values.min() > 0.0
 
@@ -134,20 +137,19 @@ class TestDirichletDraws:
         prior = dens.HistogramPriorSpec.flat(2, 1.0)
         post = dens.histogram_posterior(prior, np.array([5, 10, 3, 2]))
         m = 20_000
-        vals = dens.draw_histogram_values(post, m, seed=1, grid=grid)
-        rep = grid.size // 4
-        emp = vals[:, ::rep].mean(axis=0) / 4.0
+        vals = dens.draw_histogram_values(post, m, seed=1)
+        emp = vals.mean(axis=0) / 4.0
         mean = post.mean_masses()
         a0 = post.params.sum()
         sd = np.sqrt(mean * (1 - mean) / (a0 + 1))
         assert np.all(np.abs(emp - mean) <= 3.0 * sd / np.sqrt(m))
 
-    def test_concentration_at_huge_alpha(self, grid):
+    def test_concentration_at_huge_alpha(self):
         prior = dens.HistogramPriorSpec(
             2, np.full(4, 1e6), a=0.0, c1=1e6, c2=1e6
         )
         post = dens.histogram_posterior(prior, np.zeros(4, dtype=int))
-        vals = dens.draw_histogram_values(post, 50, seed=2, grid=grid)
+        vals = dens.draw_histogram_values(post, 50, seed=2)
         assert np.abs(vals - 1.0).max() < 1e-2
 
     def test_tiny_shapes_stay_on_simplex(self):
@@ -372,7 +374,7 @@ class TestLossSummary:
         f0 = post.mean_density(grid)
         outs = []
         for seed in (0, 1):
-            vals = dens.draw_histogram_values(post, 10_000, seed=seed, grid=grid)
+            vals = dens.draw_histogram_values(post, 10_000, seed=seed)
             outs.append(dens.posterior_expected_losses(vals, f0).sup)
         assert abs(outs[0] - outs[1]) / outs[0] < 0.02
 
@@ -381,7 +383,7 @@ class TestLossSummary:
         prior = dens.HistogramPriorSpec.flat(3, 1.0)
         post = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
         f0 = post.mean_density(grid)
-        vals = dens.draw_histogram_values(post, 1000, seed=2, grid=grid)
+        vals = np.repeat(dens.draw_histogram_values(post, 1000, seed=2), grid.size // 8, axis=1)
         assert len(dens._row_blocks(*vals.shape)) > 1
         out = dens.posterior_expected_losses(vals, f0)
         diff = vals - f0.values
@@ -408,6 +410,56 @@ class TestLossSummary:
         sizes = {s.stop - s.start for s in blocks}
         assert max(sizes) - min(sizes) <= 1
         assert max(sizes) * width <= max(dens._BLOCK_VALUES, width) + width
+
+
+class TestStepLosses:
+    """Losses of step rows (K bin values) against those of their grid expansion."""
+
+    @pytest.fixture
+    def f0(self):
+        grid = DyadicGrid(8)
+        vals = np.random.default_rng(7).uniform(0.0, 2.0, grid.size)
+        vals[::5] = 0.0
+        return GridFunction(grid, vals)
+
+    @pytest.mark.parametrize("K", [1, 2, 32, 256])
+    def test_match_the_grid_expansion(self, monkeypatch, f0, K):
+        # smaller row blocks, so that every K spans several of them
+        monkeypatch.setattr(dens, "_BLOCK_VALUES", 2 ** 10)
+        N = f0.grid.size
+        blocks = f0.values.reshape(K, -1)
+        lo, hi = blocks.min(axis=1), blocks.max(axis=1)
+        rng = np.random.default_rng(K)
+        m = 1500
+        # each bin value below, at either end of, inside or above f0's range on its block
+        t = rng.choice([-0.3, 0.0, 0.5, 1.0, 1.3], size=(m, K))
+        t[t == 0.5] = rng.uniform(size=np.count_nonzero(t == 0.5))
+        c = np.clip(lo + t * (hi - lo), 0.0, None)
+        assert len(dens._row_blocks(m, K)) > 1
+        step = dens.posterior_expected_losses(c, f0)
+        grid = dens.posterior_expected_losses(np.repeat(c, N // K, axis=1), f0)
+        assert (step.sup, step.q90_sup) == (grid.sup, grid.q90_sup)
+        np.testing.assert_array_equal(step.per_draw[0], grid.per_draw[0])
+        np.testing.assert_allclose(step.per_draw[1:], grid.per_draw[1:], rtol=1e-12, atol=0)
+        assert step.l2 == pytest.approx(grid.l2, rel=1e-12)
+        assert step.hellinger == pytest.approx(grid.hellinger, rel=1e-12)
+
+    def test_negative_entries_raise(self, f0):
+        c = np.ones((4, 32))
+        c[2, 5] = -1e-9
+        with pytest.raises(NegativeDensityError):
+            dens.posterior_expected_losses(c, f0)
+        bad = GridFunction(f0.grid, np.where(np.arange(f0.grid.size) == 9, -1e-9, f0.values))
+        with pytest.raises(NegativeDensityError):
+            dens.posterior_expected_losses(np.ones((4, 32)), bad)
+
+    @pytest.mark.parametrize("width", [0, 3, 512])
+    def test_width_must_divide_the_grid(self, f0, width):
+        rows = np.ones((5, width))
+        with pytest.raises(ValueError, match=f"width {width} .* grid size 256"):
+            dens.posterior_expected_losses(rows, f0)
+        with pytest.raises(ValueError, match=f"width {width} .* grid size 256"):
+            hellinger_rows(rows, f0.values)
 
 
 class TestChainLosses:
