@@ -15,7 +15,6 @@ from .wavelets import (
     WaveletIndex,
     build_basis,
     daubechies_filter,
-    eval_haar,
     level_slice,
 )
 from .functions import (
@@ -65,7 +64,7 @@ from .rates import (
 __all__ = [
     "DyadicGrid", "GridFunction",
     "WaveletBasis", "WaveletIndex", "build_basis",
-    "daubechies_filter", "eval_haar", "level_slice",
+    "daubechies_filter", "level_slice",
     "DensityTruthSpec", "HolderTruthSpec", "besov_norm", "hellinger",
     "l2_distance", "make_density_truth", "make_holder_truth", "sup_distance",
     "CoordPosterior", "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",

@@ -10,7 +10,11 @@ Two kinds are provided:
   construction is orthonormal on the grid by design, keeps polynomials of
   degree < p in every scaling space (so all wavelets have exactly vanishing
   grid means), and its interior functions converge to the classical smooth
-  compactly supported wavelets.
+  compactly supported wavelets.  Each two-scale matrix is kept as its two
+  edge blocks and the filter taps between them (the fast wavelet transform
+  on the interval, Cohen, Daubechies and Vial 1993), and the grid samples
+  come from applying these operators level by level; no matrix is stored
+  in full except the wavelet blocks that become basis columns.
 
 The basis starts at a single scaling coefficient (the scaling function is
 the constant 1) and carries 2^l wavelets at each level l = 0..L_max.
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import DyadicGrid, GridFunction, GridMismatchError
 
@@ -49,24 +52,6 @@ class WaveletIndex:
             raise ValueError(
                 f"position {self.position} out of range at level {self.level}"
             )
-
-
-def eval_haar(idx: WaveletIndex, x):
-    """Haar wavelet 2^{l/2} psi(2^l x - k) at points x in [0, 1].
-
-    psi = -1 on [0, 1/2], +1 on (1/2, 1]; the support interval is closed to
-    the left only when k = 0, so the supports at a level tile [0, 1].
-    """
-    x = np.asarray(x, dtype=float)
-    l, k = idx.level, idx.position
-    y = np.ldexp(x, l) - k
-    if k == 0:
-        inside = (y >= 0.0) & (y <= 1.0)
-    else:
-        inside = (y > 0.0) & (y <= 1.0)
-    sign = np.where(y <= 0.5, -1.0, 1.0)
-    out = np.where(inside, sign * 2.0 ** (l / 2.0), 0.0)
-    return out if out.ndim else float(out)
 
 
 def daubechies_filter(p: int) -> np.ndarray:
@@ -145,10 +130,81 @@ def _pivoted_complement(C: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
     return picked
 
 
+_NO_EDGE = np.empty((0, 0))
+
+
+@dataclass(frozen=True)
+class _TwoScale:
+    """A (rows x n) two-scale matrix kept as its non-zero parts.
+
+    Columns, left to right: the edge block `left`, which fills the first rows
+    of its columns; `count` interior columns, column i holding the taps
+    `filt` from row offset + 2i; the edge block `right`, which fills the last
+    rows of its columns.  A coarse level keeps its whole matrix as `left`.
+
+    `apply` and `tapply` add their terms in the order of scipy's CSC
+    products (`csc_matvecs`, and `csr_matvecs` for the transpose), so each
+    result is bit for bit that of a CSC matrix holding the same entries.
+    """
+
+    rows: int
+    left: np.ndarray
+    filt: np.ndarray
+    offset: int
+    count: int
+    right: np.ndarray
+
+    @property
+    def cols(self) -> int:
+        return self.left.shape[1] + self.count + self.right.shape[1]
+
+    def _interior_rows(self, t: int) -> slice:
+        """Rows that tap t of interior columns 0..count-1 lands on."""
+        return slice(self.offset + t, self.offset + t + 2 * self.count, 2)
+
+    def apply(self, C: np.ndarray) -> np.ndarray:
+        """M @ C; each output row adds its columns in ascending order."""
+        (a, pl), (b, pr), k = self.left.shape, self.right.shape, self.count
+        Y = np.zeros((self.rows, C.shape[1]))
+        for r in range(pl):
+            Y[:a] += np.outer(self.left[:, r], C[r])
+        mid = C[pl:pl + k]
+        # descending taps: a row meets interior column i through tap
+        # row - offset - 2i, so later columns come through smaller taps
+        for t in range(len(self.filt) - 1, -1, -1):
+            Y[self._interior_rows(t)] += self.filt[t] * mid
+        for r in range(pr):
+            Y[self.rows - b:] += np.outer(self.right[:, r], C[pl + k + r])
+        return Y
+
+    def tapply(self, U: np.ndarray) -> np.ndarray:
+        """M.T @ U; each output row adds its rows of U in ascending order."""
+        (a, pl), (b, pr), k = self.left.shape, self.right.shape, self.count
+        Y = np.zeros((self.cols, U.shape[1]))
+        for w in range(a):
+            Y[:pl] += np.outer(self.left[w], U[w])
+        for t in range(len(self.filt)):
+            Y[pl:pl + k] += self.filt[t] * U[self._interior_rows(t)]
+        for w in range(b):
+            Y[pl + k:] += np.outer(self.right[w], U[self.rows - b + w])
+        return Y
+
+    def dense(self) -> np.ndarray:
+        (a, pl), (b, pr), k = self.left.shape, self.right.shape, self.count
+        D = np.zeros((self.rows, self.cols))
+        D[:a, :pl] = self.left
+        i = np.arange(k)
+        for t in range(len(self.filt)):
+            D[self.offset + t + 2 * i, pl + i] = self.filt[t]
+        D[self.rows - b:, pl + k:] = self.right
+        return D
+
+
 def _edge_candidates(h: np.ndarray, g: np.ndarray, n2: int, width: int, side: str):
     """Clipped filter patterns plus unit vectors near one boundary.
 
-    Returns (rows, cols) lists for sparse-style assembly on a local window.
+    Returns one (rows, values) pair per candidate column: its non-zero
+    entries on the full 2n-row range.
     """
     F = len(h)
     cands = []
@@ -168,7 +224,7 @@ def _edge_candidates(h: np.ndarray, g: np.ndarray, n2: int, width: int, side: st
 def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
     """One refinement level of the boundary-corrected filter bank.
 
-    Returns sparse two-scale matrices M (scaling) and Q (wavelet), both
+    Returns the two-scale operators M (scaling) and Q (wavelet), both
     2n x n with jointly orthonormal columns, plus the monomial coefficient
     matrices carried to level j.  UL/UR are the level-(j+1) coefficients of
     the polynomial families x^r and (1-x)^r, r < p, used to pin the edge
@@ -211,6 +267,8 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
         left_blk = _qr_columns(RL)    # W x p
         right_blk = _qr_columns(RR)   # W x p
 
+        M = _TwoScale(n2, left_blk, h, o, nint, right_blk)
+
         def interior_cols_dense(rows, filt):
             """Interior columns restricted to a contiguous row range."""
             out = []
@@ -238,9 +296,7 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
                 + interior_cols_dense(range(0, win), h)
                 + interior_cols_dense(range(0, win), g)
             )
-            wleft_loc = _pivoted_complement(CL, AL, p)
-            wleft = np.zeros((n2, p))
-            wleft[:win] = wleft_loc
+            wleft = _pivoted_complement(CL, AL, p)
 
             cands = _edge_candidates(h, g, n2, W, "right")
             CR = np.zeros((win, len(cands)))
@@ -253,9 +309,7 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
                 + [c for c in interior_cols_dense(range(n2 - win, n2), h)]
                 + [c for c in interior_cols_dense(range(n2 - win, n2), g)]
             )
-            wright_loc = _pivoted_complement(CR, AR, p)
-            wright = np.zeros((n2, p))
-            wright[n2 - win:] = wright_loc
+            wright = _pivoted_complement(CR, AR, p)
         else:
             # n == 4p (or close): windows would overlap; complete densely
             cands = _edge_candidates(h, g, n2, W, "left") + _edge_candidates(
@@ -264,17 +318,8 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
             C = np.zeros((n2, len(cands)))
             for idx, (rws, vals) in enumerate(cands):
                 C[rws, idx] = vals
-            Mdense = np.zeros((n2, n))
-            Mdense[:W, :p] = left_blk
-            for i in range(nint):
-                lo = o + 2 * i
-                Mdense[lo:lo + F, p + i] = h
-            Mdense[n2 - W:, p + nint:] = right_blk
-            Wint = np.zeros((n2, nint))
-            for i in range(nint):
-                lo = o + 2 * i
-                Wint[lo:lo + F, i] = g
-            both = _pivoted_complement(C, np.concatenate([Mdense, Wint], axis=1), 2 * p)
+            Wint = _TwoScale(n2, _NO_EDGE, g, o, nint, _NO_EDGE).dense()
+            both = _pivoted_complement(C, np.concatenate([M.dense(), Wint], axis=1), 2 * p)
             # order the completed vectors by support midpoint for determinism
             centers = [
                 float(np.average(np.arange(n2), weights=both[:, i] ** 2))
@@ -283,41 +328,7 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
             order = np.argsort(centers, kind="stable")
             wleft = both[:, order[:p]]
             wright = both[:, order[p:]]
-
-        # assemble sparse M and Q
-        rows_m, cols_m, vals_m = [], [], []
-        for r in range(p):
-            rows_m.extend(range(W))
-            cols_m.extend([r] * W)
-            vals_m.extend(left_blk[:, r])
-        for i in range(nint):
-            lo = o + 2 * i
-            rows_m.extend(range(lo, lo + F))
-            cols_m.extend([p + i] * F)
-            vals_m.extend(h)
-        for r in range(p):
-            rows_m.extend(range(n2 - W, n2))
-            cols_m.extend([p + nint + r] * W)
-            vals_m.extend(right_blk[:, r])
-        M = sp.csc_matrix((vals_m, (rows_m, cols_m)), shape=(n2, n))
-
-        rows_q, cols_q, vals_q = [], [], []
-        for r in range(p):
-            nz = np.nonzero(wleft[:, r])[0]
-            rows_q.extend(nz)
-            cols_q.extend([r] * len(nz))
-            vals_q.extend(wleft[nz, r])
-        for i in range(nint):
-            lo = o + 2 * i
-            rows_q.extend(range(lo, lo + F))
-            cols_q.extend([p + i] * F)
-            vals_q.extend(g)
-        for r in range(p):
-            nz = np.nonzero(wright[:, r])[0]
-            rows_q.extend(nz)
-            cols_q.extend([p + nint + r] * len(nz))
-            vals_q.extend(wright[nz, r])
-        Q = sp.csc_matrix((vals_q, (rows_q, cols_q)), shape=(n2, n))
+        Q = _TwoScale(n2, wleft, g, o, nint, wright)
     else:
         # coarse level: polynomial columns first; complete from clipped filter
         # patterns (for shape) with unit vectors as a rank safety net
@@ -343,14 +354,14 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
         Md = np.concatenate([first, rest], axis=1)
         wcands = np.column_stack(clipped(g) + clipped(h) + [eye[:, i] for i in range(n2)])
         Qd = _pivoted_complement(wcands, Md, n)
-        M = sp.csc_matrix(Md)
-        Q = sp.csc_matrix(Qd)
+        M = _TwoScale(n2, Md, h[:0], 0, 0, _NO_EDGE)
+        Q = _TwoScale(n2, Qd, h[:0], 0, 0, _NO_EDGE)
 
-    UL2 = M.T @ UL
-    UR2 = M.T @ UR
+    UL2 = M.tapply(UL)
+    UR2 = M.tapply(UR)
     res = max(
-        np.linalg.norm(UL - M @ UL2, axis=0)[: min(p, n)].max(),
-        np.linalg.norm(UR - M @ UR2, axis=0)[: min(p, n)].max(),
+        np.linalg.norm(UL - M.apply(UL2), axis=0)[: min(p, n)].max(),
+        np.linalg.norm(UR - M.apply(UR2), axis=0)[: min(p, n)].max(),
     )
     if 2 ** j >= p and res > 1e-8:
         raise BasisConstructionError(
@@ -362,7 +373,10 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
 def _boundary_smooth_columns(p: int, L_max: int, J: int) -> np.ndarray:
     """Grid samples of the boundary-corrected basis, one column per function.
 
-    Column order: scaling function, then wavelets level by level.
+    Column order: scaling function, then wavelets level by level.  A
+    level-l block is Q_l pushed through M_{l+1}, ..., M_{J-1}, so the blocks
+    ride down the cascade side by side, each joining it at its own level;
+    only Q_l for l <= L_max is ever made dense.
     """
     h = daubechies_filter(p)
     N = 2 ** J
@@ -371,32 +385,33 @@ def _boundary_smooth_columns(p: int, L_max: int, J: int) -> np.ndarray:
     UR = np.column_stack([(1.0 - x) ** r for r in range(p)]) / np.sqrt(N)
     Ms, Qs = {}, {}
     for j in range(J - 1, -1, -1):
-        M, Q, UL, UR = _build_level(h, p, j, UL, UR)
-        Ms[j], Qs[j] = M, Q
-    cols = []
-    S = Ms[0]
+        Ms[j], Qs[j], UL, UR = _build_level(h, p, j, UL, UR)
+    B = Ms[0].dense()
     for j in range(1, J):
-        S = Ms[j] @ S
-    cols.append(np.asarray(S.todense()).ravel())
-    for l in range(L_max + 1):
-        C = Qs[l].toarray()
-        for j in range(l + 1, J):
-            C = Ms[j] @ C
-        cols.append(np.asarray(C))
-    B = np.column_stack([cols[0]] + [cols[1 + l] for l in range(L_max + 1)])
-    return B * np.sqrt(N)
+        if j - 1 <= L_max:
+            B = np.concatenate([B, Qs[j - 1].dense()], axis=1)
+        B = Ms[j].apply(B)
+    B *= np.sqrt(N)
+    return B
 
 
 def _haar_columns(L_max: int, J: int) -> np.ndarray:
+    """Grid samples of the Haar basis, filled in place one level at a time.
+
+    At level l, grid point i lies in the support of wavelet k = i // b, with
+    b = 2^(J-l) points per support; the wavelet there is -2^(l/2) on the
+    first half of the support and +2^(l/2) on the second (J >= l + 2, so no
+    midpoint falls on a half boundary).
+    """
     N = 2 ** J
-    mids = (np.arange(N) + 0.5) / N
-    cols = [np.ones(N)]
+    B = np.zeros((N, 2 ** (L_max + 1)))
+    B[:, 0] = 1.0
+    i = np.arange(N)
     for l in range(L_max + 1):
-        block = np.zeros((N, 2 ** l))
-        for k in range(2 ** l):
-            block[:, k] = eval_haar(WaveletIndex(l, k), mids)
-        cols.append(block)
-    return np.column_stack(cols)
+        b = N >> l
+        amp = 2.0 ** (l / 2.0)
+        B[i, level_slice(l).start + i // b] = np.where(i % b < b // 2, -amp, amp)
+    return B
 
 
 def level_slice(l: int) -> slice:
@@ -434,8 +449,10 @@ class WaveletBasis:
         return GridFunction(self.grid, self.columns[:, 0])
 
     def gram_deviation(self) -> float:
-        B = self.columns / np.sqrt(self.grid.size)
-        return float(np.abs(B.T @ B - np.eye(self.dim)).max())
+        G = self.columns.T @ self.columns
+        G /= self.grid.size
+        G -= np.eye(self.dim)
+        return float(np.abs(G).max())
 
     # --- analysis / synthesis -------------------------------------------
     def analyze(self, f: GridFunction) -> np.ndarray:
