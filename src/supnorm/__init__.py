@@ -46,7 +46,6 @@ from .density import (
     bin_counts,
     draw_histogram_values,
     histogram_posterior,
-    log_likelihood,
     logdensity_mcmc,
     posterior_expected_losses,
     sample_data,
@@ -71,7 +70,7 @@ __all__ = [
     "draw_posterior_coefficients", "laplace_check", "simulate_wn",
     "HistogramPosterior", "HistogramPriorSpec", "LogDensityPriorSpec",
     "McmcChain", "McmcConfig", "Sample", "bin_counts",
-    "draw_histogram_values", "histogram_posterior", "log_likelihood",
+    "draw_histogram_values", "histogram_posterior",
     "logdensity_mcmc", "posterior_expected_losses",
     "sample_data",
     "ExperimentConfig", "LossRecord", "RateFit", "cutoff", "fit_rate",

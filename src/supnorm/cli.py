@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("config", help="JSON experiment config")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--threads", type=int, default=None,
-                     help="parallelism cap; never affects results")
+                     help="thread ceiling: only histogram cells run on threads; "
+                          "never affects results")
     sim.set_defaults(func=cmd_simulate)
 
     fit = sub.add_parser("fit-rate", help="fit a log-log slope to a records CSV")

@@ -29,17 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import DyadicGrid, GridFunction
+from .grids import GridFunction
 from .functions import block_moments, hellinger_rows, log_mean_exp, step_blocks, step_rms
 from .wavelets import WaveletBasis
 
 
 class NonDensityError(ValueError):
     """Input function is not a probability density on the grid."""
-
-
-class NonPositiveDensityError(ValueError):
-    """Likelihood evaluation needs a strictly positive density."""
 
 
 @dataclass(frozen=True)
@@ -133,9 +129,6 @@ class HistogramPosterior:
     def mean_masses(self) -> np.ndarray:
         return self.params / self.params.sum()
 
-    def mean_density(self, grid: DyadicGrid) -> GridFunction:
-        return step_density(self.mean_masses(), self.level, grid)
-
 
 def histogram_posterior(prior: HistogramPriorSpec, counts) -> HistogramPosterior:
     counts = np.asarray(counts)
@@ -146,14 +139,6 @@ def histogram_posterior(prior: HistogramPriorSpec, counts) -> HistogramPosterior
     if counts.min() < 0:
         raise ValueError("counts must be nonnegative")
     return HistogramPosterior(prior.level, prior.alphas + counts, counts.copy())
-
-
-def step_density(masses: np.ndarray, level: int, grid: DyadicGrid) -> GridFunction:
-    """Histogram density 2^L sum_k omega_k 1_{I_k} expanded to the grid."""
-    if grid.resolution < level:
-        raise ValueError("grid finer than histogram level required")
-    rep = grid.size // 2 ** level
-    return GridFunction(grid, np.repeat(masses * 2 ** level, rep))
 
 
 def _log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: int) -> np.ndarray:
@@ -195,16 +180,6 @@ def draw_histogram_values(post: HistogramPosterior, m: int, seed: int) -> np.nda
         raise ValueError("draw count m must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(13,)))
     return dirichlet_draws(rng, post.params, m) * 2 ** post.level
-
-
-def log_likelihood(f: GridFunction, sample: Sample) -> float:
-    """sum_i log f(X_i), with f looked up by grid cell."""
-    if f.values.min() <= 0.0:
-        raise NonPositiveDensityError("density must be strictly positive")
-    if sample.n == 0:
-        return 0.0
-    cells = f.grid.cell_of(sample.values)
-    return float(np.log(f.values[cells]).sum())
 
 
 # --------------------------------------------------------------------------

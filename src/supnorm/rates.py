@@ -22,6 +22,10 @@ from . import density as dens
 from . import whitenoise as wn
 
 MODELS = ("white-noise", "density-histogram", "density-logdensity")
+# models whose cells run on threads: histogram cells spend their time in
+# GIL-free numpy, while the MCMC and white-noise quadrature hold the GIL
+# between short numpy calls, so two of their cells side by side run slower
+THREADED_MODELS = ("density-histogram",)
 
 _TAG_TRUTH = 1
 _TAG_DATA = 2
@@ -273,6 +277,20 @@ def plan_basis(cfg: ExperimentConfig) -> WaveletBasis:
     return build_basis(kind, L_max, J, order=cfg.basis_order)
 
 
+def _check_basis(cfg: ExperimentConfig, basis: WaveletBasis) -> None:
+    """Refuse a basis other than the plan's: it would change the records."""
+
+    def key(kind, L_max, J, order):
+        return (kind, L_max, J) + ((order,) if kind == "boundary-smooth" else ())
+
+    plan = key(*_basis_args(cfg), cfg.basis_order)
+    got = key(basis.kind, basis.L_max, basis.grid.resolution, basis.order)
+    if got != plan:
+        raise ValueError(
+            f"basis (kind, L_max, J[, order]) {got} is not the config's plan {plan}"
+        )
+
+
 def _truth_for_rep(cfg: ExperimentConfig, basis: WaveletBasis, rep: int) -> GridFunction:
     spec = cfg.truth_spec(rep)
     if cfg.model == "white-noise":
@@ -327,10 +345,17 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis, f0: GridFunction,
 def run_experiment(cfg: ExperimentConfig, basis: WaveletBasis | None = None) -> list[LossRecord]:
     """All (n, replication) cells, deterministic given (config, master seed).
 
-    Cells are independent with derived seeds, so thread scheduling cannot
-    change any record; records are returned in (n, rep) order.
+    `basis` defaults to `plan_basis(cfg)`; any other basis raises ValueError.
+    `cfg.threads` is a ceiling: only the cells of `THREADED_MODELS` run on
+    that many threads, largest n first; the cells of other models run one
+    after another in the calling thread.  Cells are independent with
+    derived seeds, so the dispatch cannot change any record; records are
+    returned in (n, rep) order.
     """
-    basis = basis or plan_basis(cfg)
+    if basis is None:
+        basis = plan_basis(cfg)
+    else:
+        _check_basis(cfg, basis)
     truths = {rep: _truth_for_rep(cfg, basis, rep) for rep in range(cfg.replications)}
     cells = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
 
@@ -338,12 +363,13 @@ def run_experiment(cfg: ExperimentConfig, basis: WaveletBasis | None = None) -> 
         n, rep = cell
         return _run_cell(cfg, basis, truths[rep], n, rep)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(work, cells))
-    else:
-        records = [work(c) for c in cells]
-    return records
+    if cfg.threads == 1 or cfg.model not in THREADED_MODELS:
+        return [work(c) for c in cells]
+    # a cell's cost grows with n: start the costliest first, so that the
+    # cells left for the end of the run are short ones
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        futures = {c: pool.submit(work, c) for c in sorted(cells, key=lambda c: -c[0])}
+        return [futures[c].result() for c in cells]
 
 
 @dataclass(frozen=True)

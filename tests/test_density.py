@@ -76,9 +76,9 @@ class TestConjugacy:
         prior = dens.HistogramPriorSpec.flat(1, 1.0)
         post = dens.histogram_posterior(prior, np.array([3, 1]))
         assert post.params.tolist() == [4.0, 2.0]
-        md = post.mean_density(DyadicGrid(4))
-        assert md.values[0] == pytest.approx(4.0 / 3.0)
-        assert md.values[-1] == pytest.approx(2.0 / 3.0)
+        md = np.repeat(post.mean_masses() * 2 ** 1, 16 // 2 ** 1)
+        assert md[0] == pytest.approx(4.0 / 3.0)
+        assert md[-1] == pytest.approx(2.0 / 3.0)
 
     def test_zero_counts_returns_prior(self):
         prior = dens.HistogramPriorSpec.flat(2, 0.7)
@@ -172,29 +172,6 @@ class TestDirichletDraws:
             delta, lambda t: ref.cdf(np.exp(np.clip(t, -700.0, 700.0)))
         ).statistic
         assert ks < 1.63 / np.sqrt(m)
-
-
-class TestLogLikelihood:
-    def test_uniform_zero(self, grid):
-        s = dens.sample_data(constant(grid), 50, seed=0)
-        assert dens.log_likelihood(constant(grid), s) == 0.0
-
-    def test_two_bin_value(self, two_bin):
-        s = dens.Sample(np.array([0.1, 0.6]))
-        expected = np.log(4.0 / 3.0) + np.log(2.0 / 3.0)
-        assert dens.log_likelihood(two_bin, s) == pytest.approx(expected, abs=1e-12)
-
-    def test_ratio_antisymmetry(self, grid, two_bin):
-        s = dens.sample_data(two_bin, 100, seed=1)
-        f, g = two_bin, constant(grid)
-        d1 = dens.log_likelihood(f, s) - dens.log_likelihood(g, s)
-        d2 = dens.log_likelihood(g, s) - dens.log_likelihood(f, s)
-        assert d1 == pytest.approx(-d2, abs=1e-12)
-
-    def test_nonpositive_error(self, grid):
-        s = dens.Sample(np.array([0.5]))
-        with pytest.raises(dens.NonPositiveDensityError):
-            dens.log_likelihood(constant(grid, 0.0), s)
 
 
 class TestNormalizeLogDensity:
@@ -371,7 +348,7 @@ class TestLossSummary:
     def test_mc_stability_across_seeds(self, grid):
         prior = dens.HistogramPriorSpec.flat(3, 1.0)
         post = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
-        f0 = post.mean_density(grid)
+        f0 = GridFunction(grid, np.repeat(post.mean_masses() * 2 ** 3, grid.size // 2 ** 3))
         outs = []
         for seed in (0, 1):
             vals = dens.draw_histogram_values(post, 10_000, seed=seed)
@@ -382,7 +359,7 @@ class TestLossSummary:
         # 1000 draws on a 1024-cell grid span eight blocks of rows
         prior = dens.HistogramPriorSpec.flat(3, 1.0)
         post = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
-        f0 = post.mean_density(grid)
+        f0 = GridFunction(grid, np.repeat(post.mean_masses() * 2 ** 3, grid.size // 2 ** 3))
         vals = np.repeat(dens.draw_histogram_values(post, 1000, seed=2), grid.size // 8, axis=1)
         assert len(dens._row_blocks(*vals.shape)) > 1
         out = dens.posterior_expected_losses(vals, f0)

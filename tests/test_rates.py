@@ -1,7 +1,11 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 import supnorm
+from supnorm import rates
+from supnorm.wavelets import build_basis
 from supnorm.rates import (
     ConfigError,
     ExperimentConfig,
@@ -31,6 +35,24 @@ def synthetic_records(ns, loss_fn, model="white-noise", reps=1, flag_fn=None,
                 )
             )
     return out
+
+
+# one tiny config per model
+TINY = {
+    "density-histogram": dict(
+        model="density-histogram", alpha=0.75, n_grid=(64, 256, 1024),
+        replications=4, draws=25, master_seed=9,
+    ),
+    "white-noise": dict(
+        model="white-noise", alpha=1.0, n_grid=(64, 256, 1024),
+        replications=2, draws=10, master_seed=9,
+    ),
+    "density-logdensity": dict(
+        model="density-logdensity", alpha=1.0, n_grid=(100, 400, 1600),
+        replications=2, grid_resolution=10, master_seed=9,
+        mcmc=dict(iterations=400, burn_in=200, thin=5),
+    ),
+}
 
 
 class TestTargetExponent:
@@ -223,19 +245,70 @@ class TestRunExperiment:
             (n, rep) for n in cfg.n_grid for rep in range(5)
         }
 
-    def test_determinism_and_thread_invariance(self, tmp_path):
-        kw = dict(
-            model="density-histogram", alpha=0.75, n_grid=(64, 256, 1024),
-            replications=4, draws=25, master_seed=9,
-        )
-        recs1 = run_experiment(ExperimentConfig(**kw))
-        recs2 = run_experiment(ExperimentConfig(**kw))
-        recs3 = run_experiment(ExperimentConfig(**kw, threads=4))
-        p1, p2, p3 = (tmp_path / f"r{i}.csv" for i in range(3))
-        write_records(p1, recs1)
-        write_records(p2, recs2)
-        write_records(p3, recs3)
-        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+    @pytest.mark.parametrize("model", sorted(TINY))
+    def test_determinism_and_thread_invariance(self, model, tmp_path):
+        out = []
+        for i, threads in enumerate((1, 1, 3, 4)):
+            path = tmp_path / f"r{i}.csv"
+            write_records(path, run_experiment(ExperimentConfig(**TINY[model], threads=threads)))
+            out.append(path.read_bytes())
+        assert out[0] == out[1] == out[2] == out[3]
+
+    @pytest.mark.parametrize("model", ["white-noise", "density-logdensity"])
+    def test_gil_bound_models_never_use_threads(self, model, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool constructed")
+
+        monkeypatch.setattr(rates, "ThreadPoolExecutor", no_pool)
+        cfg = ExperimentConfig(**TINY[model], threads=3)
+        recs = run_experiment(cfg)
+        assert [(r.n, r.rep) for r in recs] == [
+            (n, rep) for n in cfg.n_grid for rep in range(cfg.replications)
+        ]
+
+    def test_histogram_pool_starts_largest_n_first(self, monkeypatch):
+        submitted = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                assert max_workers == 3
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, cell):
+                submitted.append(cell)
+                future = Future()
+                future.set_result(fn(cell))
+                return future
+
+        cfg = ExperimentConfig(**TINY["density-histogram"], threads=3)
+        serial = run_experiment(ExperimentConfig(**TINY["density-histogram"]))
+        monkeypatch.setattr(rates, "ThreadPoolExecutor", Recording)
+        recs = run_experiment(cfg)
+        cells = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
+        assert submitted == sorted(cells, key=lambda c: (-c[0], c[1]))
+        assert [(r.n, r.rep) for r in recs] == cells
+        assert recs == serial
+
+    @pytest.mark.parametrize("model, args", [
+        ("white-noise", ("haar", 5, 12)),  # wrong L_max
+        ("white-noise", ("haar", 6, 11)),  # wrong J
+        ("white-noise", ("boundary-smooth", 6, 12)),  # wrong kind
+        ("white-noise", ("haar", 3, 8)),  # wrong L_max and J
+        ("density-histogram", ("boundary-smooth", 5, 9)),  # wrong everything
+        ("density-logdensity", ("boundary-smooth", 4, 10, 5)),  # wrong order
+    ])
+    def test_basis_other_than_the_plan_refused(self, model, args):
+        # plans: white noise ("haar", 6, 12) at n up to 4096, histogram
+        # ("haar", 4, 12), log density ("boundary-smooth", 4, 10) of order 4
+        kw = dict(TINY[model], n_grid=(256, 1024, 4096)) if model == "white-noise" else TINY[model]
+        cfg = ExperimentConfig(**kw)
+        with pytest.raises(ValueError, match="is not the config's plan"):
+            run_experiment(cfg, build_basis(*args))
 
     def test_histogram_median_sup_decreasing(self):
         cfg = ExperimentConfig(
