@@ -22,10 +22,8 @@ from .functions import (
     HolderTruthSpec,
     besov_norm,
     hellinger,
-    l2_distance,
     make_density_truth,
     make_holder_truth,
-    sup_distance,
 )
 from .whitenoise import (
     CoordPosterior,
@@ -65,7 +63,7 @@ __all__ = [
     "WaveletBasis", "WaveletIndex", "build_basis",
     "daubechies_filter", "level_slice",
     "DensityTruthSpec", "HolderTruthSpec", "besov_norm", "hellinger",
-    "l2_distance", "make_density_truth", "make_holder_truth", "sup_distance",
+    "make_density_truth", "make_holder_truth",
     "CoordPosterior", "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",
     "draw_posterior_coefficients", "laplace_check", "simulate_wn",
     "HistogramPosterior", "HistogramPriorSpec", "LogDensityPriorSpec",

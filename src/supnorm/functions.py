@@ -34,16 +34,6 @@ def besov_norm(f: GridFunction, s: float, basis: WaveletBasis) -> float:
     return float(best)
 
 
-def sup_distance(f: GridFunction, g: GridFunction) -> float:
-    check_same_grid(f, g)
-    return float(np.abs(f.values - g.values).max())
-
-
-def l2_distance(f: GridFunction, g: GridFunction) -> float:
-    check_same_grid(f, g)
-    return float(np.sqrt(((f.values - g.values) ** 2).mean()))
-
-
 def hellinger(f: GridFunction, g: GridFunction) -> float:
     """Unnormalized Hellinger distance: h^2 = integral (sqrt f - sqrt g)^2."""
     check_same_grid(f, g)

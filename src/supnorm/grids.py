@@ -64,10 +64,6 @@ class GridFunction:
         """Midpoint-rule integral over [0, 1]."""
         return float(self.values.mean())
 
-    def inner(self, other: "GridFunction") -> float:
-        check_same_grid(self, other)
-        return float((self.values * other.values).mean())
-
     def __add__(self, other):
         if isinstance(other, GridFunction):
             check_same_grid(self, other)
@@ -92,15 +88,6 @@ class GridFunction:
             fh.write("midpoint,value\n")
             for m, v in zip(mids, self.values):
                 fh.write(f"{float(m)!r},{float(v)!r}\n")
-
-    @staticmethod
-    def from_csv(path) -> "GridFunction":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        n = rows.shape[0]
-        j = int(round(np.log2(n)))
-        if 2 ** j != n:
-            raise ValueError("csv does not hold a dyadic grid function")
-        return GridFunction(DyadicGrid(j), rows[:, 1])
 
 
 def check_same_grid(f: GridFunction, g: GridFunction) -> None:

@@ -291,16 +291,25 @@ def _check_basis(cfg: ExperimentConfig, basis: WaveletBasis) -> None:
         )
 
 
-def _truth_for_rep(cfg: ExperimentConfig, basis: WaveletBasis, rep: int) -> GridFunction:
+def _truth_for_rep(
+    cfg: ExperimentConfig, basis: WaveletBasis, rep: int
+) -> tuple[GridFunction, np.ndarray | None]:
+    """(f0, coefficients): the replication's truth, shared by its n-grid.
+
+    A white-noise truth comes with its analysed coefficients, computed once
+    here rather than in every cell; other models carry None.
+    """
     spec = cfg.truth_spec(rep)
     if cfg.model == "white-noise":
-        return make_holder_truth(spec, basis)
+        f0 = make_holder_truth(spec, basis)
+        return f0, basis.analyze(f0)
     f0, _ = make_density_truth(spec, basis)
-    return f0
+    return f0, None
 
 
-def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis, f0: GridFunction,
-              n: int, rep: int) -> LossRecord:
+def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis,
+              truth: tuple[GridFunction, np.ndarray | None], n: int, rep: int) -> LossRecord:
+    f0, coeffs = truth
     data_seed = _derived_seed(cfg.master_seed, _TAG_DATA, n, rep)
     draw_seed = _derived_seed(cfg.master_seed, _TAG_DRAWS, n, rep)
     _, L_n = cutoff(n, cfg.alpha)
@@ -308,8 +317,9 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis, f0: GridFunction,
     if cfg.model == "white-noise":
         L_trunc = min(L_n + 2, basis.L_max)
         prior = cfg.prior_spec(L_trunc)
-        data = wn.simulate_wn(f0, n, basis, data_seed, truncation_level=L_trunc)
+        data = wn.simulate_wn(coeffs, n, data_seed, truncation_level=L_trunc)
         flat = wn.draw_posterior_coefficients(data, prior, cfg.draws, draw_seed)
+        # Haar rows stay step functions on 2^(L_trunc+1) bins, reduced exactly per bin
         values = basis.synthesize_flat(flat)
         losses = dens.posterior_expected_losses(values, f0, densities=False)
         return LossRecord(

@@ -47,7 +47,7 @@ class WaveletIndex:
 
     def __post_init__(self):
         if self.level < 0:
-            raise ValueError("level must be >= 0")
+            raise ValueError(f"level must be >= 0, got {self.level}")
         if not 0 <= self.position <= 2 ** self.level - 1:
             raise ValueError(
                 f"position {self.position} out of range at level {self.level}"
@@ -445,9 +445,6 @@ class WaveletBasis:
     def function(self, idx: WaveletIndex) -> GridFunction:
         return GridFunction(self.grid, self.columns[:, self.column_of(idx)])
 
-    def scaling_function(self) -> GridFunction:
-        return GridFunction(self.grid, self.columns[:, 0])
-
     def gram_deviation(self) -> float:
         G = self.columns.T @ self.columns
         G /= self.grid.size
@@ -479,13 +476,21 @@ class WaveletBasis:
 
     def synthesize_flat(self, flat: np.ndarray) -> np.ndarray:
         """Batch synthesis: rows of `flat` are flat coefficient vectors, or
-        prefixes of one width; only the columns of that prefix are multiplied."""
-        return flat @ self._prefix_columns(flat.shape[1]).T
+        prefixes of one width; only the columns of that prefix are multiplied.
 
-    def project_low(self, f: GridFunction, L: int) -> GridFunction:
-        if not 0 <= L <= self.L_max:
-            raise IndexError(f"projection level {L} out of range 0..{self.L_max}")
-        return self.synthesize(self.analyze(f)[: level_slice(L).stop])
+        Each row comes back on the coarsest dyadic grid on which the prefix
+        is exact.  Boundary-smooth rows hold the N grid values.  Haar levels
+        0..L are constant on 2^(L+1) dyadic blocks, so a Haar row holds
+        K = 2^ceil(log2 width) values, one per block of N / K grid points:
+        the grid row sampled once per block, bit for bit, and
+        `np.repeat(rows, N // K, axis=1)` is the grid row.
+        `density.posterior_expected_losses` reduces K-wide rows exactly.
+        """
+        width = flat.shape[1]
+        cols = self._prefix_columns(width)
+        if self.kind == "haar":
+            cols = cols[:: self.grid.size >> (width - 1).bit_length()]
+        return flat @ cols.T
 
     def localisation_sum(self, l: int) -> float:
         """max over grid points of sum_k |psi_lk(x)|."""

@@ -8,6 +8,13 @@ density proportional to exp(-n (x - theta)^2 / 2) * phi(theta / sigma_l).
 Priors are truncated at a cutoff level: coefficients above it are fixed to
 zero (the deterministic sup-norm bound of the neglected tail is reported by
 the experiment harness).
+
+Everything here works on flat coefficient vectors (`wavelets.level_slice`):
+the truth enters as its analysed coefficients, and posterior draws leave as
+coefficient rows of width 2^(L+1).  `WaveletBasis.synthesize_flat` turns
+them into functions; for Haar a row stays a step function on 2^(L+1)
+dyadic bins, whose losses `density.posterior_expected_losses` reduces
+exactly per bin.
 """
 from __future__ import annotations
 
@@ -15,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridFunction
-from .wavelets import WaveletBasis, level_slice
+from .wavelets import WaveletIndex, level_slice
 
 QUADRATURE_POINTS = 4096
 LIKELIHOOD_HALF_WIDTH = 8.0  # in units of 1/sqrt(n); mass outside < 1e-14
@@ -95,27 +101,38 @@ def _coordinate_rng(seed: int, j: int) -> np.random.Generator:
 
 
 def simulate_wn(
-    f0: GridFunction,
+    coeffs: np.ndarray,
     n: int,
-    basis: WaveletBasis,
     seed: int,
     truncation_level: int | None = None,
     zero_noise: bool = False,
 ) -> WhiteNoiseData:
-    """x_lk = <f0, psi_lk> + eps_lk / sqrt(n), independent across (l, k).
+    """x_lk = f_lk + eps_lk / sqrt(n), independent across (l, k).
 
-    One RNG stream per coordinate, derived from (seed, level, position), so
-    the observation of a coordinate does not depend on the truncation level
-    or on evaluation order.  `zero_noise` is a test hook.
+    `coeffs` is the truth's flat coefficient vector (`basis.analyze(f0)`),
+    of width 2^(L_max + 1); observations stop at `truncation_level`
+    (>= 0; default L_max, at most L_max).  One RNG stream per coordinate, derived
+    from (seed, level, position), so the observation of a coordinate does
+    not depend on the truncation level or on evaluation order.
+    `zero_noise` is a test hook.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
-    L = basis.L_max if truncation_level is None else min(truncation_level, basis.L_max)
-    x = basis.analyze(f0)[: level_slice(L).stop]
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    coeffs = np.asarray(coeffs, dtype=float)
+    width = coeffs.size
+    if coeffs.ndim != 1 or width < 2 or width & (width - 1):
+        raise ValueError(
+            f"coefficients of shape {coeffs.shape} are not one flat vector of width 2^(L+1)"
+        )
+    L = width.bit_length() - 2
+    if truncation_level is not None:
+        if truncation_level < 0:
+            raise ValueError(f"truncation level must be >= 0, got {truncation_level!r}")
+        L = min(truncation_level, L)
+    x = coeffs[: level_slice(L).stop].copy()
     if not zero_noise:
         scale = 1.0 / np.sqrt(n)
-        eps = np.array([_coordinate_rng(seed, j).standard_normal() for j in range(x.size)])
-        x = x + scale * eps
+        x += scale * np.array([_coordinate_rng(seed, j).standard_normal() for j in range(x.size)])
     return WhiteNoiseData(n=n, x=x, seed=seed)
 
 
@@ -126,7 +143,11 @@ class CoordPosterior:
     thetas: np.ndarray = field(repr=False)
     pdf: np.ndarray = field(repr=False)
     cdf: np.ndarray = field(repr=False)
-    mean: float
+
+    @property
+    def mean(self) -> float:
+        """Posterior mean by the trapezoid rule on the table."""
+        return float(np.trapezoid(self.thetas * self.pdf, self.thetas))
 
     def sample(self, uniforms: np.ndarray) -> np.ndarray:
         """Inverse-CDF draws with linear interpolation on the table."""
@@ -144,8 +165,13 @@ def coord_posterior(
 
     The theta window is the likelihood interval x +- 8/sqrt(n) intersected
     with the prior's effective support; when that intersection is empty the
-    full prior support is used instead.
+    full prior support is used instead.  The normaliser and the cdf are
+    trapezoid sums on the table, written out with the spacing computed once
+    (`np.trapezoid`'s own expression, so the same bits).  n < 1 raises
+    ValueError.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     sigma = prior.sigma(level)
     half = LIKELIHOOD_HALF_WIDTH / np.sqrt(n)
     radius = prior.standardized_radius() * sigma
@@ -161,17 +187,18 @@ def coord_posterior(
             f"posterior mass underflows at level {level} (x={x!r})"
         )
     w = np.exp(logd - m)
-    total = np.trapezoid(w, thetas)
+    d = np.diff(thetas)
+    total = (d * (w[1:] + w[:-1]) / 2.0).sum()
     if total <= 0.0:
         raise PosteriorUnderflowError(
             f"posterior mass underflows at level {level} (x={x!r})"
         )
     pdf = w / total
-    inc = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(thetas)
-    cdf = np.concatenate([[0.0], np.cumsum(inc)])
+    cdf = np.empty_like(pdf)
+    cdf[0] = 0.0
+    np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * d, out=cdf[1:])
     cdf /= cdf[-1]
-    mean = float(np.trapezoid(thetas * pdf, thetas))
-    return CoordPosterior(thetas, pdf, cdf, mean)
+    return CoordPosterior(thetas, pdf, cdf)
 
 
 def draw_posterior_coefficients(
@@ -208,14 +235,22 @@ def laplace_check(
     """E^pi[exp(t sqrt(n) (theta - x_lk)) | data], averaged over replications.
 
     `data` may be one WhiteNoiseData or a sequence of them; each term is a
-    quadrature on the coordinate posterior.
+    quadrature on the coordinate posterior.  A level outside the observed
+    levels or a position outside 0..2^level - 1 raises ValueError.
     """
     if abs(t) > 3.0 + 1e-12:
         raise ValueError("|t| <= 3 required")
     datas = [data] if isinstance(data, WhiteNoiseData) else list(data)
+    if not datas:
+        raise ValueError("need at least one WhiteNoiseData")
+    WaveletIndex(level, position)  # ValueError for a negative level or a bad position
+    j = level_slice(level).start + position
+    top = min(d.max_level for d in datas)
+    if level > top:
+        raise ValueError(f"level {level} is beyond the observed levels 0..{top}")
     vals = []
     for d in datas:
-        x = float(d.x[level_slice(level)][position])
+        x = float(d.x[j])
         post = coord_posterior(x, level, prior, d.n)
         root_n = np.sqrt(d.n)
         vals.append(post.expectation(lambda th: np.exp(t * root_n * (th - x))))

@@ -148,7 +148,7 @@ def test_criterion_5_laplace_transform_bound():
         for rep in range(reps):
             f0 = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=rep), basis)
             datas.append(
-                wn.simulate_wn(f0, n, basis, seed=10_000 + rep,
+                wn.simulate_wn(basis.analyze(f0), n, seed=10_000 + rep,
                                truncation_level=L_n + 2)
             )
         worst = 0.0

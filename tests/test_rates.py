@@ -266,6 +266,20 @@ class TestRunExperiment:
             (n, rep) for n in cfg.n_grid for rep in range(cfg.replications)
         ]
 
+    def test_white_noise_truth_analysed_once_per_replication(self, monkeypatch):
+        calls = []
+        analyze = supnorm.WaveletBasis.analyze
+
+        def counting(basis, f):
+            calls.append(f)
+            return analyze(basis, f)
+
+        monkeypatch.setattr(supnorm.WaveletBasis, "analyze", counting)
+        cfg = ExperimentConfig(**TINY["white-noise"])
+        recs = run_experiment(cfg)
+        assert len(recs) == len(cfg.n_grid) * cfg.replications
+        assert len(calls) == cfg.replications
+
     def test_histogram_pool_starts_largest_n_first(self, monkeypatch):
         submitted = []
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from supnorm.density import posterior_expected_losses
 from supnorm.functions import HolderTruthSpec, make_holder_truth
 from supnorm.grids import GridFunction
 from supnorm.wavelets import build_basis, level_slice
 from supnorm.whitenoise import (
+    LIKELIHOOD_HALF_WIDTH,
+    QUADRATURE_POINTS,
     ProductPriorSpec,
     coord_posterior,
     draw_posterior_coefficients,
@@ -33,6 +36,26 @@ def ep_prior(L=4, alpha=1.0, delta=1.0):
     return ProductPriorSpec("exp-power", alpha, truncation_level=L, delta=delta)
 
 
+def reference_coord_posterior(x, level, prior, n):
+    """(thetas, pdf, cdf, mean) by the plain quadrature `coord_posterior` must match."""
+    sigma = prior.sigma(level)
+    half = LIKELIHOOD_HALF_WIDTH / np.sqrt(n)
+    radius = prior.standardized_radius() * sigma
+    lo = max(-radius, x - half)
+    hi = min(radius, x + half)
+    if not lo < hi:
+        lo, hi = -radius, radius
+    thetas = np.linspace(lo, hi, QUADRATURE_POINTS)
+    logd = -0.5 * n * (thetas - x) ** 2 + prior.log_phi(thetas / sigma)
+    w = np.exp(logd - logd.max())
+    pdf = w / np.trapezoid(w, thetas)
+    inc = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(thetas)
+    cdf = np.concatenate([[0.0], np.cumsum(inc)])
+    cdf /= cdf[-1]
+    mean = float(np.trapezoid(thetas * pdf, thetas))
+    return thetas, pdf, cdf, mean
+
+
 # flat index -> spawn key of its coordinate stream
 STREAM_KEYS = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (2, 1), 5: (3, 1), 31: (5, 15)}
 
@@ -58,7 +81,7 @@ class TestPriorSpec:
 
 class TestSimulate:
     def test_zero_noise_recovers_truth_coefficients(self, haar, truth):
-        data = simulate_wn(truth, 100, haar, seed=0, zero_noise=True)
+        data = simulate_wn(haar.analyze(truth), 100, seed=0, zero_noise=True)
         c = haar.analyze(truth)
         assert data.x[0] == c[0]
         for l in range(5):
@@ -70,30 +93,39 @@ class TestSimulate:
         reps = 10_000
         devs = np.empty(reps)
         for r in range(reps):
-            d = simulate_wn(truth, n, haar, seed=r, truncation_level=0)
+            d = simulate_wn(c, n, seed=r, truncation_level=0)
             devs[r] = d.x[level_slice(0)][0] - c[level_slice(0)][0]
         assert devs.var() == pytest.approx(1.0 / n, rel=0.05)
 
     def test_seed_contract(self, haar, truth):
-        a = simulate_wn(truth, 50, haar, seed=7)
-        b = simulate_wn(truth, 50, haar, seed=7)
-        c = simulate_wn(truth, 50, haar, seed=8)
+        a = simulate_wn(haar.analyze(truth), 50, seed=7)
+        b = simulate_wn(haar.analyze(truth), 50, seed=7)
+        c = simulate_wn(haar.analyze(truth), 50, seed=8)
         assert np.array_equal(a.x, b.x)
         assert any(
             not np.array_equal(a.x[level_slice(l)], c.x[level_slice(l)]) for l in range(5)
         )
 
     def test_coordinate_streams_survive_truncation_change(self, haar, truth):
-        full = simulate_wn(truth, 50, haar, seed=7, truncation_level=4)
-        part = simulate_wn(truth, 50, haar, seed=7, truncation_level=2)
+        full = simulate_wn(haar.analyze(truth), 50, seed=7, truncation_level=4)
+        part = simulate_wn(haar.analyze(truth), 50, seed=7, truncation_level=2)
         for l in range(3):
             assert np.array_equal(full.x[level_slice(l)], part.x[level_slice(l)])
+
+    def test_negative_truncation_level_refused(self, haar, truth):
+        with pytest.raises(ValueError, match="-1"):
+            simulate_wn(haar.analyze(truth), 50, seed=7, truncation_level=-1)
+
+    @pytest.mark.parametrize("width", [1, 3, 24])
+    def test_non_flat_coefficients_refused(self, width):
+        with pytest.raises(ValueError, match="flat vector"):
+            simulate_wn(np.zeros(width), 50, seed=7)
 
     def test_noise_streams_keep_their_level_position_keys(self, haar, truth):
         # flat index j draws from SeedSequence(seed, spawn_key=(l + 1, k)),
         # the key of wavelet (l, k), and the scaling coordinate from (0, 0)
         n, seed = 50, 7
-        data = simulate_wn(truth, n, haar, seed=seed)
+        data = simulate_wn(haar.analyze(truth), n, seed=seed)
         c = haar.analyze(truth)
         for j, key in STREAM_KEYS.items():
             eps = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).standard_normal()
@@ -175,17 +207,37 @@ class TestCoordPosterior:
         assert post.thetas[-1] == pytest.approx(2.0 * s)
         assert np.isfinite(post.mean)
 
+    @pytest.mark.parametrize("n", [4, 256, 65536])
+    @pytest.mark.parametrize("prior", [uniform_prior(L=6), ep_prior(L=6)], ids=["uniform", "exp-power"])
+    def test_table_matches_the_reference_bit_for_bit(self, prior, n):
+        for level in range(7):
+            radius = prior.standardized_radius() * prior.sigma(level)
+            # inside the window, at the edge of the prior support, and
+            # disjoint from it (the window falls back to the full support)
+            for x in (0.3 * radius, radius, 5.0):
+                post = coord_posterior(x, level, prior, n)
+                thetas, pdf, cdf, mean = reference_coord_posterior(x, level, prior, n)
+                assert np.array_equal(post.thetas, thetas)
+                assert np.array_equal(post.pdf, pdf)
+                assert np.array_equal(post.cdf, cdf)
+                assert post.mean == mean
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_nonpositive_n_refused(self, n):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            coord_posterior(0.1, 1, uniform_prior(), n)
+
 
 class TestDraws:
     def test_deterministic(self, haar, truth):
-        data = simulate_wn(truth, 200, haar, seed=3)
+        data = simulate_wn(haar.analyze(truth), 200, seed=3)
         prior = uniform_prior()
         a = draw_posterior_coefficients(data, prior, 5, seed=9)
         b = draw_posterior_coefficients(data, prior, 5, seed=9)
         assert np.array_equal(a, b)
 
     def test_uniform_streams_keep_their_level_position_keys(self, haar, truth):
-        data = simulate_wn(truth, 200, haar, seed=3)
+        data = simulate_wn(haar.analyze(truth), 200, seed=3)
         prior = uniform_prior()
         flat = draw_posterior_coefficients(data, prior, 6, seed=9)
         for j, key in STREAM_KEYS.items():
@@ -196,8 +248,8 @@ class TestDraws:
 
     def test_width_follows_truncation_rule(self, haar, truth):
         # 2^(L + 1) columns, L = min(data truncation, prior truncation)
-        full = simulate_wn(truth, 200, haar, seed=3)
-        part = simulate_wn(truth, 200, haar, seed=3, truncation_level=1)
+        full = simulate_wn(haar.analyze(truth), 200, seed=3)
+        part = simulate_wn(haar.analyze(truth), 200, seed=3, truncation_level=1)
         for data, L_prior, width in ((full, 4, 32), (full, 2, 8), (part, 4, 4), (part, 0, 2)):
             flat = draw_posterior_coefficients(data, uniform_prior(L=L_prior), 3, seed=1)
             assert flat.shape == (3, width)
@@ -206,25 +258,41 @@ class TestDraws:
         # tiny n with a fast-decaying prior: draws at high levels are ~ 0
         f0 = make_holder_truth(HolderTruthSpec(alpha=3.0, radius=0.5, seed=1), haar)
         prior = ProductPriorSpec("uniform", 3.0, truncation_level=4, bound=1.0)
-        data = simulate_wn(f0, 4, haar, seed=0)
+        data = simulate_wn(haar.analyze(f0), 4, seed=0)
         flat = draw_posterior_coefficients(data, prior, 3, seed=1)
-        for row in haar.synthesize_flat(flat):
+        rows = haar.synthesize_flat(flat)
+        for row in np.repeat(rows, haar.grid.size // rows.shape[1], axis=1):
             c = haar.analyze(GridFunction(haar.grid, row))
             assert np.abs(c[level_slice(4)]).max() <= prior.bound * prior.sigma(4) + 1e-12
 
     def test_hard_support_constraint(self, haar, truth):
-        data = simulate_wn(truth, 100, haar, seed=4)
+        data = simulate_wn(haar.analyze(truth), 100, seed=4)
         prior = uniform_prior()
         flat = draw_posterior_coefficients(data, prior, 50, seed=5)
         for l in range(5):
             assert np.abs(flat[:, level_slice(l)]).max() <= prior.bound * prior.sigma(l) + 1e-12
 
     def test_coordinate_independence(self, haar, truth):
-        data = simulate_wn(truth, 100, haar, seed=4)
+        data = simulate_wn(haar.analyze(truth), 100, seed=4)
         flat = draw_posterior_coefficients(data, uniform_prior(), 4000, seed=6)
         a, b = flat[:, 2], flat[:, 5]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(4000)
+
+    def test_step_rows_give_the_grid_losses(self, haar, truth):
+        # Haar draws stay step rows on 2^(L+1) bins; their losses are those of
+        # the grid rows, sup and q90 bit for bit, L2 up to summation order
+        data = simulate_wn(haar.analyze(truth), 1024, seed=3)
+        for L in range(5):
+            flat = draw_posterior_coefficients(data, uniform_prior(L=L), 200, seed=9)
+            rows = haar.synthesize_flat(flat)
+            assert rows.shape == (200, 2 ** (L + 1))
+            grid = np.repeat(rows, haar.grid.size // rows.shape[1], axis=1)
+            step = posterior_expected_losses(rows, truth, densities=False)
+            ref = posterior_expected_losses(grid, truth, densities=False)
+            assert step.sup == ref.sup and step.q90_sup == ref.q90_sup
+            assert np.array_equal(step.per_draw[0], ref.per_draw[0])
+            assert step.l2 == pytest.approx(ref.l2, rel=1e-12, abs=0)
 
     def test_sup_loss_decreases_with_n(self, haar, truth):
         prior = uniform_prior()
@@ -232,9 +300,10 @@ class TestDraws:
         for n in (64, 1024):
             losses = []
             for rep in range(10):
-                data = simulate_wn(truth, n, haar, seed=100 + rep)
+                data = simulate_wn(haar.analyze(truth), n, seed=100 + rep)
                 draws = draw_posterior_coefficients(data, prior, 40, seed=rep)
-                values = haar.synthesize_flat(draws)
+                rows = haar.synthesize_flat(draws)
+                values = np.repeat(rows, haar.grid.size // rows.shape[1], axis=1)
                 losses.append(np.abs(values - truth.values).max(axis=1).mean())
             med[n] = np.median(losses)
         assert med[1024] < med[64]
@@ -242,13 +311,23 @@ class TestDraws:
 
 class TestLaplace:
     def test_t_zero_is_one(self, haar, truth):
-        data = simulate_wn(truth, 256, haar, seed=0)
+        data = simulate_wn(haar.analyze(truth), 256, seed=0)
         assert laplace_check(data, uniform_prior(), 1, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_range_guard(self, haar, truth):
-        data = simulate_wn(truth, 256, haar, seed=0)
+        data = simulate_wn(haar.analyze(truth), 256, seed=0)
         with pytest.raises(ValueError):
             laplace_check(data, uniform_prior(), 1, 0, 4.0)
+
+    @pytest.mark.parametrize("level, position, bad", [
+        (1, -1, "position -1"), (1, 2, "position 2"), (-1, 0, "got -1"), (5, 0, "level 5"),
+    ])
+    def test_bad_coordinate_refused(self, haar, truth, level, position, bad):
+        # data observed up to level 4; a negative position used to wrap around
+        data = simulate_wn(haar.analyze(truth), 256, seed=0)
+        assert data.max_level == 4
+        with pytest.raises(ValueError, match=bad):
+            laplace_check(data, uniform_prior(), level, position, 1.0)
 
     def test_sign_flip_symmetry(self, haar):
         # averaging over noise-flipped replication pairs gives two estimates
@@ -277,7 +356,7 @@ class TestLaplace:
         worst = 0.0
         for rep in range(50):
             f0 = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=rep), haar)
-            data = simulate_wn(f0, 256, haar, seed=500 + rep)
+            data = simulate_wn(haar.analyze(f0), 256, seed=500 + rep)
             for t in (-2.0, 2.0):
                 v = laplace_check(data, prior, 1, 1, t)
                 worst = max(worst, v / np.exp(t * t / 2.0))
