@@ -47,8 +47,8 @@ class Sample:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
-            raise ValueError("observations must lie in [0, 1]")
+        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # a NaN min or max fails
+            raise ValueError("observations must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", v)
 
     @property
@@ -57,7 +57,12 @@ class Sample:
 
 
 def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
-    """Inverse-CDF draws from the grid density with uniform in-cell placement."""
+    """Inverse-CDF draws from the grid density with uniform in-cell placement.
+
+    The cell of a uniform key u is the number of CDF entries below u, found
+    exactly by `_guided_search`; keys above cum[-1] get cell N and land at 1.
+    """
+    check_number("n", n, integer=True, minimum=0)
     vals = f0.values
     if vals.min() < -1e-12 or abs(vals.mean() - 1.0) > 1e-6:
         raise NonDensityError("f0 must be nonnegative with unit integral")
@@ -66,11 +71,36 @@ def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     probs = np.clip(vals, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
-    u = rng.uniform(size=n)
-    cells = np.searchsorted(cum, u, side="left")
-    inner = rng.uniform(size=n)
-    x = (cells + inner) * f0.grid.cell_width
-    return Sample(np.clip(x, 0.0, 1.0), seed)
+    # rng.random is rng.uniform(size=n) bit for bit, without its affine pass
+    u = rng.random(n)
+    cells = _guided_search(cum, u)
+    x = rng.random(n)
+    x += cells
+    x *= f0.grid.cell_width
+    return Sample(np.clip(x, 0.0, 1.0, out=x), seed)
+
+
+def _guided_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cum, u, side="left")`, bit for bit, for a
+    non-decreasing table whose size is a power of two and keys in [0, 1).
+
+    Guide table (Chen and Asau 1974): M = 4 cum.size buckets of width 1/M,
+    so that u M and b / M are exact.  Bucket b = floor(u M) holds the number
+    of entries below its left edge b / M, a lower bound on the answer for
+    every key in it; the few keys with more entries below them step forward
+    one entry at a time.  Where f0 is small a bucket spans many entries:
+    with one bucket per entry the scan takes about 1 / min f0 passes (22
+    on the criterion-8 truth), with four buckets about a quarter of that.
+    """
+    M = 4 * cum.size
+    start = np.searchsorted(cum, np.arange(M) / M)
+    cells = start[(u * M).astype(np.intp)]
+    ext = np.append(cum, np.inf)
+    todo = np.flatnonzero(ext[cells] < u)
+    while todo.size:
+        cells[todo] += 1
+        todo = todo[ext[cells[todo]] < u[todo]]
+    return cells
 
 
 def bin_counts(sample: Sample, L: int) -> np.ndarray:

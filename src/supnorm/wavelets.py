@@ -476,21 +476,38 @@ class WaveletBasis:
 
     def synthesize_flat(self, flat: np.ndarray) -> np.ndarray:
         """Batch synthesis: rows of `flat` are flat coefficient vectors, or
-        prefixes of one width; only the columns of that prefix are multiplied.
+        prefixes of one width; only the coefficients of that prefix are used.
 
         Each row comes back on the coarsest dyadic grid on which the prefix
-        is exact.  Boundary-smooth rows hold the N grid values.  Haar levels
-        0..L are constant on 2^(L+1) dyadic blocks, so a Haar row holds
-        K = 2^ceil(log2 width) values, one per block of N / K grid points:
-        the grid row sampled once per block, bit for bit, and
-        `np.repeat(rows, N // K, axis=1)` is the grid row.
+        is exact.  Boundary-smooth rows hold the N grid values, `flat @
+        columns.T`.  Haar levels 0..L are constant on 2^(L+1) dyadic blocks,
+        so a Haar row holds K = 2^ceil(log2 width) values, one per block of
+        N / K grid points, and `np.repeat(rows, N // K, axis=1)` is the grid
+        row.  Each block value is summed in one fixed order, the scaling
+        term first and then the single live wavelet of each level in
+        ascending level order, so a row's bits depend only on its own
+        coefficients, not on the BLAS kernel or on the rows beside it.
+        The sums are built by the Haar cascade: level l splits each of the
+        2^l blocks in two, subtracting c_lk 2^(l/2) on the left half and
+        adding it on the right (the sign pattern of `_haar_columns`).
         `density.posterior_expected_losses` reduces K-wide rows exactly.
         """
         width = flat.shape[1]
         cols = self._prefix_columns(width)
-        if self.kind == "haar":
-            cols = cols[:: self.grid.size >> (width - 1).bit_length()]
-        return flat @ cols.T
+        if self.kind != "haar":
+            return flat @ cols.T
+        K = 1 << (width - 1).bit_length()
+        rows = flat[:, :1] * 1.0  # the scaling function is 1
+        for l in range(K.bit_length() - 1):
+            sl = level_slice(l)
+            t = flat[:, sl.start:min(sl.stop, width)] * 2.0 ** (l / 2.0)
+            c = t.shape[1]  # a partial last level has fewer than 2^l wavelets
+            finer = np.empty((flat.shape[0], 2 * rows.shape[1]))
+            np.subtract(rows[:, :c], t, out=finer[:, 0:2 * c:2])
+            np.add(rows[:, :c], t, out=finer[:, 1:2 * c:2])
+            finer[:, 2 * c::2] = finer[:, 2 * c + 1::2] = rows[:, c:]
+            rows = finer
+        return rows
 
     def localisation_sum(self, l: int) -> float:
         """max over grid points of sum_k |psi_lk(x)|."""

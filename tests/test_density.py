@@ -15,6 +15,7 @@ from supnorm.functions import (
 )
 from supnorm.wavelets import build_basis
 from supnorm import density as dens
+from supnorm.rates import ExperimentConfig, plan_basis
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,101 @@ def two_bin(grid):
     return GridFunction(grid, vals)
 
 
+def reference_sample_data(f0, n, seed):
+    """`sample_data` with a binary search for the cell of each key."""
+    vals = f0.values
+    if vals.min() < -1e-12 or abs(vals.mean() - 1.0) > 1e-6:
+        raise dens.NonDensityError("f0 must be nonnegative with unit integral")
+    if n == 0:
+        return dens.Sample(np.empty(0), seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
+    probs = np.clip(vals, 0.0, None)
+    cum = np.cumsum(probs / probs.sum())
+    u = rng.uniform(size=n)
+    cells = np.searchsorted(cum, u, side="left")
+    inner = rng.uniform(size=n)
+    x = (cells + inner) * f0.grid.cell_width
+    return dens.Sample(np.clip(x, 0.0, 1.0), seed)
+
+
+# bin weights with zero runs, zero heads and tails; small integers and their
+# tiny perturbations put table entries on bucket edges and let cum[-1] round
+# either side of 1
+weights = st.integers(1, 7).flatmap(
+    lambda J: st.lists(
+        st.one_of(st.just(0.0), st.integers(1, 3).map(float),
+                  st.floats(1e-300, 1e3), st.just(1.0 + 2 ** -52)),
+        min_size=2 ** J, max_size=2 ** J,
+    ).filter(lambda w: sum(w) > 0)
+)
+
+
+class TestGuidedSearch:
+    @staticmethod
+    def keys(cum, rng):
+        """0, the last key below 1, every table entry below 1 and the key one
+        ulp below each, and uniform keys."""
+        edges = cum[cum < 1.0]
+        return np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges, 0.0),
+            rng.uniform(size=200),
+        ])
+
+    def check(self, w, seed=0):
+        w = np.asarray(w, dtype=float)
+        cum = np.cumsum(w / w.sum())
+        u = self.keys(cum, np.random.default_rng(seed))
+        assert np.array_equal(dens._guided_search(cum, u), np.searchsorted(cum, u, side="left"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights, st.integers(0, 2 ** 32 - 1))
+    def test_matches_binary_search(self, w, seed):
+        self.check(w, seed)
+
+    @pytest.mark.parametrize("w", [
+        [1.0] * 8,                      # every entry on a bucket edge
+        [0.0, 0.0, 1.0, 1.0],           # zero head
+        [1.0, 1.0, 0.0, 0.0],           # zero tail
+        [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],  # zero runs
+        [0.1] * 10 + [0.0] * 6,         # cum[-1] rounds below 1, then a flat tail
+        [0.3] * 7 + [0.0] * 9,          # cum[-1] rounds above 1
+        [1.0] * 2048 + [0.0] * 2048,    # f0 zero on half the grid
+    ])
+    def test_edge_tables(self, w):
+        self.check(w)
+
+    def test_tables_rounding_both_sides_of_one(self):
+        sides = set()
+        for seed in range(50):
+            w = np.random.default_rng(seed).uniform(size=16)
+            cum = np.cumsum(w / w.sum())
+            sides.add(np.sign(cum[-1] - 1.0))
+            self.check(w, seed)
+        assert {-1.0, 1.0} <= sides
+
+
 class TestSampleData:
+    @pytest.mark.parametrize("seed", [2024, 7])
+    @pytest.mark.parametrize("model", ["density-histogram", "density-logdensity"])
+    def test_matches_the_binary_search_reference(self, model, seed):
+        cfg = ExperimentConfig(
+            model=model, alpha=0.75 if model == "density-histogram" else 1.0,
+            n_grid=(2 ** 10, 2 ** 14, 2 ** 18), master_seed=seed,
+            basis_kind="haar" if model == "density-histogram" else "boundary-smooth",
+            grid_resolution=12,
+        )
+        f0, _ = make_density_truth(cfg.truth_spec(0), plan_basis(cfg))
+        got = dens.sample_data(f0, 2 ** 18, seed)
+        assert np.array_equal(got.values, reference_sample_data(f0, 2 ** 18, seed).values)
+
+    @pytest.mark.parametrize("n", [-3, 2.5, True, "4"])
+    def test_bad_n_refused(self, grid, n):
+        with pytest.raises(ValueError, match="n must be"):
+            dens.sample_data(constant(grid), n, seed=0)
+
+    def test_zero_n_gives_an_empty_sample(self, grid):
+        assert dens.sample_data(constant(grid), 0, seed=0).n == 0
+
     def test_uniform_ks(self, grid):
         n = 10_000
         s = dens.sample_data(constant(grid), n, seed=0)
@@ -52,6 +147,11 @@ class TestSampleData:
 
 
 class TestBinCounts:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_observation_outside_unit_interval_refused(self, bad):
+        with pytest.raises(ValueError, match="observations"):
+            dens.Sample(np.array([0.5, bad]))
+
     def test_spec_example(self):
         s = dens.Sample(np.array([0.1, 0.6, 0.7]))
         assert dens.bin_counts(s, 1).tolist() == [1, 2]
