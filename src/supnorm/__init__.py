@@ -14,19 +14,16 @@ from .wavelets import (
     WaveletBasis,
     WaveletIndex,
     build_basis,
-    daubechies_filter,
     level_slice,
 )
 from .functions import (
     DensityTruthSpec,
     HolderTruthSpec,
-    besov_norm,
     hellinger,
     make_density_truth,
     make_holder_truth,
 )
 from .whitenoise import (
-    CoordPosterior,
     ProductPriorSpec,
     WhiteNoiseData,
     coord_posterior,
@@ -60,11 +57,10 @@ from .rates import (
 
 __all__ = [
     "DyadicGrid", "GridFunction",
-    "WaveletBasis", "WaveletIndex", "build_basis",
-    "daubechies_filter", "level_slice",
-    "DensityTruthSpec", "HolderTruthSpec", "besov_norm", "hellinger",
+    "WaveletBasis", "WaveletIndex", "build_basis", "level_slice",
+    "DensityTruthSpec", "HolderTruthSpec", "hellinger",
     "make_density_truth", "make_holder_truth",
-    "CoordPosterior", "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",
+    "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",
     "draw_posterior_coefficients", "laplace_check", "simulate_wn",
     "HistogramPosterior", "HistogramPriorSpec", "LogDensityPriorSpec",
     "McmcChain", "McmcConfig", "Sample", "bin_counts",

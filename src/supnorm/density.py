@@ -156,9 +156,6 @@ class HistogramPosterior:
     params: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
 
-    def mean_masses(self) -> np.ndarray:
-        return self.params / self.params.sum()
-
 
 def histogram_posterior(prior: HistogramPriorSpec, counts) -> HistogramPosterior:
     counts = np.asarray(counts)

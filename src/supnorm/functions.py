@@ -1,9 +1,8 @@
-"""Norms, distances and generators of Holder-ball truths.
+"""Distances and generators of Holder-ball truths.
 
-Distances are grid quadratures; the Besov norm is computed from wavelet
-coefficients and is a truncated surrogate of the true norm (the supremum
-runs over the computed levels l <= L_max only).  Truths are built directly
-from wavelet coefficients so that they saturate the Besov ball exactly.
+Distances are grid quadratures.  Truths are built directly from wavelet
+coefficients, so that they saturate the Besov ball of the computed levels
+l <= L_max exactly.
 """
 from __future__ import annotations
 
@@ -17,21 +16,6 @@ from .wavelets import WaveletBasis, level_slice
 
 class NegativeDensityError(ValueError):
     """A claimed density has significantly negative values."""
-
-
-def besov_norm(f: GridFunction, s: float, basis: WaveletBasis) -> float:
-    """sup over computed levels of 2^{l(1/2+s)} |<f, psi_lk>|.
-
-    Truncated at the basis L_max; exact for functions built inside the span.
-    """
-    if s <= 0:
-        raise ValueError("smoothness s must be > 0")
-    c = basis.analyze(f)
-    best = 0.0
-    for l in range(basis.L_max + 1):
-        level_sup = 2.0 ** (l * (0.5 + s)) * np.abs(c[level_slice(l)]).max()
-        best = max(best, level_sup)
-    return float(best)
 
 
 def hellinger(f: GridFunction, g: GridFunction) -> float:
@@ -129,7 +113,8 @@ def truth_coefficients(spec: HolderTruthSpec, L_max: int) -> np.ndarray:
 def make_holder_truth(spec: HolderTruthSpec, basis: WaveletBasis) -> GridFunction:
     """Truth with |<f0, psi_lk>| = R 2^{-l(1/2+alpha)} at every computed level.
 
-    The scaling coefficient is zero, so besov_norm(result, alpha) = R.
+    The scaling coefficient is zero, so the sup over levels of
+    2^{l(1/2+alpha)} |<f0, psi_lk>| is R.
     """
     return basis.synthesize(truth_coefficients(spec, basis.L_max))
 

@@ -64,23 +64,6 @@ class GridFunction:
         """Midpoint-rule integral over [0, 1]."""
         return float(self.values.mean())
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            check_same_grid(self, other)
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            check_same_grid(self, other)
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - other)
-
-    def __mul__(self, c):
-        return GridFunction(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
     def to_csv(self, path) -> None:
         """Write two columns (midpoint, value) for plotting."""
         mids = self.grid.midpoints
@@ -96,6 +79,3 @@ def check_same_grid(f: GridFunction, g: GridFunction) -> None:
             f"grids differ: J={f.grid.resolution} vs J={g.grid.resolution}"
         )
 
-
-def constant(grid: DyadicGrid, c: float = 1.0) -> GridFunction:
-    return GridFunction(grid, np.full(grid.size, float(c)))

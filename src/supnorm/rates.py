@@ -213,33 +213,56 @@ def write_records(path, records) -> None:
 
 
 def read_records(path) -> list[LossRecord]:
+    """The records of a CSV written by `write_records`.
+
+    ValueError, naming the line, for a row that cannot be pooled honestly:
+    an alpha that is not a finite positive number, n < 1, a loss that is
+    not finite or is negative, a flag other than 0 and 1, a negative rep,
+    or a second row for the same (n, rep) cell of one (model, prior,
+    alpha) group.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized loss-record CSV header")
     out = []
-    for ln in lines[1:]:
+    cells = set()
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         parts = ln.split(",")
         if len(parts) != 12:
             raise ValueError(f"malformed CSV row: {ln!r}")
-        out.append(
-            LossRecord(
-                model=parts[0],
-                prior=parts[1],
-                alpha=float(parts[2]),
-                n=int(parts[3]),
-                rep=int(parts[4]),
-                sup_loss=float(parts[5]),
-                l2_loss=float(parts[6]),
-                hellinger_loss=float(parts[7]) if parts[7] else None,
-                q90_sup=float(parts[8]),
-                trunc_bias=float(parts[9]) if parts[9] else None,
-                seed=int(parts[10]),
-                flag=int(parts[11]),
-            )
+        rec = LossRecord(
+            model=parts[0],
+            prior=parts[1],
+            alpha=float(parts[2]),
+            n=int(parts[3]),
+            rep=int(parts[4]),
+            sup_loss=float(parts[5]),
+            l2_loss=float(parts[6]),
+            hellinger_loss=float(parts[7]) if parts[7] else None,
+            q90_sup=float(parts[8]),
+            trunc_bias=float(parts[9]) if parts[9] else None,
+            seed=int(parts[10]),
+            flag=int(parts[11]),
         )
+        if not (np.isfinite(rec.alpha) and rec.alpha > 0.0):
+            raise ValueError(f"line {lineno}: alpha must be finite and > 0, got {rec.alpha}")
+        if rec.n < 1:
+            raise ValueError(f"line {lineno}: n must be >= 1, got {rec.n}")
+        losses = (rec.sup_loss, rec.l2_loss, rec.hellinger_loss, rec.q90_sup, rec.trunc_bias)
+        if not all(np.isfinite(v) and v >= 0.0 for v in losses if v is not None):
+            raise ValueError(f"line {lineno}: losses must be finite and >= 0: {ln!r}")
+        if rec.flag not in (0, 1):
+            raise ValueError(f"line {lineno}: flag must be 0 or 1, got {rec.flag}")
+        if rec.rep < 0:
+            raise ValueError(f"line {lineno}: rep must be >= 0, got {rec.rep}")
+        cell = (rec.model, rec.prior, rec.alpha, rec.n, rec.rep)
+        if cell in cells:
+            raise ValueError(f"line {lineno}: a second record of cell (n={rec.n}, rep={rec.rep})")
+        cells.add(cell)
+        out.append(rec)
     return out
 
 

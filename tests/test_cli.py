@@ -285,6 +285,45 @@ class TestFitRate:
         assert "| 64 |" in capsys.readouterr().out
 
 
+HEADER = ("model,prior,alpha,n,rep,sup_loss,l2_loss,hellinger_loss,"
+          "q90_sup,trunc_bias,seed,flag")
+# two replications at three n: a CSV that both commands accept
+CLEAN_ROWS = [f"white-noise,uniform,1.0,{n},{rep},{0.5 / n ** 0.3!r},0.2,,0.6,0.01,0,0"
+              for n in (64, 256, 1024) for rep in (0, 1)]
+# each makes the second row one that cannot be pooled honestly
+BAD_ROWS = {
+    "nan-alpha": "white-noise,uniform,nan,64,1,0.3,0.2,,0.6,0.01,0,0",
+    "n-zero": "white-noise,uniform,1.0,0,1,0.3,0.2,,0.6,0.01,0,0",
+    "nan-sup-loss": "white-noise,uniform,1.0,64,1,nan,0.2,,0.6,0.01,0,0",
+    "inf-l2-loss": "white-noise,uniform,1.0,64,1,0.3,inf,,0.6,0.01,0,0",
+    "negative-sup-loss": "white-noise,uniform,1.0,64,1,-0.3,0.2,,0.6,0.01,0,0",
+    "negative-trunc-bias": "white-noise,uniform,1.0,64,1,0.3,0.2,,0.6,-0.01,0,0",
+    "flag-7": "white-noise,uniform,1.0,64,1,0.3,0.2,,0.6,0.01,0,7",
+    "flag-minus-1": "white-noise,uniform,1.0,64,1,0.3,0.2,,0.6,0.01,0,-1",
+    "rep-minus-4": "white-noise,uniform,1.0,64,-4,0.3,0.2,,0.6,0.01,0,0",
+    "duplicate-cell": "white-noise,uniform,1.0,64,0,0.3,0.2,,0.6,0.01,0,0",
+}
+
+
+class TestStrictRecords:
+    @pytest.mark.parametrize("command", ["report", "fit-rate"])
+    def test_clean_records_accepted(self, command, tmp_path, capsys):
+        csv = tmp_path / "clean.csv"
+        csv.write_text("\n".join([HEADER] + CLEAN_ROWS) + "\n")
+        assert main([command, str(csv)]) == 0
+
+    @pytest.mark.parametrize("probe", sorted(BAD_ROWS))
+    @pytest.mark.parametrize("command", ["report", "fit-rate"])
+    def test_bad_row_exit_2(self, command, probe, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        rows = CLEAN_ROWS[:1] + [BAD_ROWS[probe]] + CLEAN_ROWS[2:]
+        csv.write_text("\n".join([HEADER] + rows) + "\n")
+        assert main([command, str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: line 3:" in captured.err
+
+
 class TestReport:
     def test_mixed_groups_exit_2(self, tmp_path, capsys):
         csv = tmp_path / "mixed.csv"

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from supnorm.density import posterior_expected_losses
 from supnorm.functions import HolderTruthSpec, make_holder_truth
 from supnorm.grids import GridFunction
+from supnorm import whitenoise as wn
 from supnorm.wavelets import build_basis, level_slice
 from supnorm.whitenoise import (
     LIKELIHOOD_HALF_WIDTH,
     QUADRATURE_POINTS,
+    PosteriorUnderflowError,
     ProductPriorSpec,
+    WhiteNoiseData,
     coord_posterior,
     draw_posterior_coefficients,
     laplace_check,
@@ -58,6 +62,17 @@ def reference_coord_posterior(x, level, prior, n):
 
 # flat index -> spawn key of its coordinate stream
 STREAM_KEYS = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (2, 1), 5: (3, 1), 31: (5, 15)}
+
+# a draw may differ from the table sampler's by this fraction of the window width
+DRAW_RTOL = 1e-10
+
+
+def assert_draws_match_the_table(draws, x, level, prior, n, u):
+    """Draws of one coordinate against `coord_posterior(...).sample(u)`."""
+    post = coord_posterior(float(x), level, prior, n)
+    lo, hi = post.thetas[0], post.thetas[-1]
+    assert np.all((lo <= draws) & (draws <= hi))
+    assert np.abs(draws - post.sample(u)).max() <= DRAW_RTOL * (hi - lo)
 
 
 class TestPriorSpec:
@@ -222,6 +237,25 @@ class TestCoordPosterior:
                 assert np.array_equal(post.cdf, cdf)
                 assert post.mean == mean
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-12, 10.0), st.floats(1e-3, 100.0), st.floats(-3.0, 3.0),
+        st.integers(1, 2 ** 30), st.integers(-3, 3),
+    )
+    def test_uniform_end_point_shortcut_is_exact(self, sigma, B, t, n, ulps):
+        # the uniform prior's log phi read at four points per row equals the
+        # full evaluation, for windows inside, at the edge of and outside the
+        # support; `ulps` moves x so that a window may be only a few ulps wide
+        prior = ProductPriorSpec("uniform", 1.0, truncation_level=0, bound=B)
+        half = LIKELIHOOD_HALF_WIDTH / np.sqrt(n)
+        radius = B * sigma
+        for x in (t * radius, radius + half, -radius - half, t * (radius + half)):
+            for _ in range(abs(ulps)):
+                x = np.nextafter(x, np.copysign(np.inf, ulps))
+            thetas = wn._thetas(*wn._window(x, sigma, prior, n))
+            full = -0.5 * n * (thetas - x) ** 2 + prior.log_phi(thetas / sigma)
+            assert np.array_equal(wn._log_weights(thetas, x, sigma, prior, n), full)
+
     @pytest.mark.parametrize("n", [0, -5])
     def test_nonpositive_n_refused(self, n):
         with pytest.raises(ValueError, match=f"got {n}"):
@@ -243,8 +277,29 @@ class TestDraws:
         for j, key in STREAM_KEYS.items():
             u = np.random.default_rng(np.random.SeedSequence(9, spawn_key=key)).uniform(size=6)
             level = max(key[0] - 1, 0)
-            post = coord_posterior(float(data.x[j]), level, prior, data.n)
-            assert np.array_equal(flat[:, j], post.sample(u))
+            assert_draws_match_the_table(flat[:, j], data.x[j], level, prior, data.n, u)
+
+    @pytest.mark.parametrize("n", [1, 4, 200, 2 ** 16, 2 ** 20])
+    @pytest.mark.parametrize("prior", [uniform_prior(L=6), ep_prior(L=6)], ids=["uniform", "exp-power"])
+    def test_draws_match_the_table_sampler(self, prior, n):
+        # every coordinate of levels 0..6 inside the window, at the edge of
+        # the prior support, and disjoint from it (the full-support fallback)
+        levels = [max(j.bit_length() - 1, 0) for j in range(2 ** 7)]
+        radius = np.array([prior.standardized_radius() * prior.sigma(l) for l in levels])
+        sign = np.where(np.arange(2 ** 7) % 2, -1.0, 1.0)
+        half = LIKELIHOOD_HALF_WIDTH / np.sqrt(n)
+        for x in (0.3 * sign * radius, sign * radius, sign * (radius + 2.0 * half)):
+            flat = draw_posterior_coefficients(WhiteNoiseData(n=n, x=x), prior, 200, seed=4)
+            for j, level in enumerate(levels):
+                u = wn._coordinate_rng(4, j).uniform(size=200)
+                assert_draws_match_the_table(flat[:, j], x[j], level, prior, n, u)
+
+    @pytest.mark.parametrize("j, level", [(0, 0), (1, 0), (9, 3), (127, 6)])
+    def test_underflow_names_the_level(self, j, level):
+        x = np.zeros(2 ** 7)
+        x[j] = np.inf
+        with pytest.raises(PosteriorUnderflowError, match=f"level {level} "):
+            draw_posterior_coefficients(WhiteNoiseData(n=100, x=x), uniform_prior(L=6), 3, seed=0)
 
     def test_width_follows_truncation_rule(self, haar, truth):
         # 2^(L + 1) columns, L = min(data truncation, prior truncation)
