@@ -18,6 +18,7 @@ exactly per bin.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +27,7 @@ from .wavelets import WaveletIndex, level_slice
 
 QUADRATURE_POINTS = 4096
 LIKELIHOOD_HALF_WIDTH = 8.0  # in units of 1/sqrt(n); mass outside < 1e-14
-# coordinates tabulated at once by `draw_posterior_coefficients`: its two
-# 16 x 4096 float64 buffers (512 KiB each) stay in a core's L2 cache
-_TABLE_ROWS = 16
+_GRID_INDEX = np.arange(QUADRATURE_POINTS, dtype=float)
 
 
 class PosteriorUnderflowError(RuntimeError):
@@ -141,11 +140,37 @@ def simulate_wn(
 
 @dataclass(frozen=True)
 class CoordPosterior:
-    """Quadrature table of one coordinate posterior."""
+    """Quadrature table of one coordinate posterior.
+
+    `weights` is the posterior density on the grid `thetas` up to a
+    constant factor (its largest value is 1), and `cum[i]` is the sum of
+    the trapezoid pair sums weights[k] + weights[k + 1] over k < i: the
+    cdf before normalising, with the constant spacing cancelled.
+    """
 
     thetas: np.ndarray = field(repr=False)
-    pdf: np.ndarray = field(repr=False)
-    cdf: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    cum: np.ndarray = field(repr=False)
+
+    @property
+    def pdf(self) -> np.ndarray:
+        """The weights over their trapezoid sum.
+
+        The sum is written out with the spacing computed once
+        (`np.trapezoid`'s own expression, so the same bits).
+        """
+        w = self.weights
+        return w / (np.diff(self.thetas) * (w[1:] + w[:-1]) / 2.0).sum()
+
+    @property
+    def cdf(self) -> np.ndarray:
+        """Trapezoid integral of `pdf` up to each grid point, scaled to end at 1."""
+        pdf = self.pdf
+        cdf = np.empty_like(pdf)
+        cdf[0] = 0.0
+        np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(self.thetas), out=cdf[1:])
+        cdf /= cdf[-1]
+        return cdf
 
     @property
     def mean(self) -> float:
@@ -153,65 +178,21 @@ class CoordPosterior:
         return float(np.trapezoid(self.thetas * self.pdf, self.thetas))
 
     def sample(self, uniforms: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draws with linear interpolation on the table."""
-        return np.interp(uniforms, self.cdf, self.thetas)
+        """Inverse-CDF draws with linear interpolation on the table.
+
+        A uniform u is located at u cum[-1] among the unnormalised `cum`,
+        so no normalised cdf is formed.  The draws agree with
+        `np.interp(u, self.cdf, self.thetas)` to within 1e-10 of the window
+        width: the two differ only in how the cdf is summed and scaled.  A
+        draw in the last cell may round past hi, so draws are clipped to
+        [lo, hi].
+        """
+        draws = np.interp(np.multiply(uniforms, self.cum[-1]), self.cum, self.thetas)
+        return np.clip(draws, self.thetas[0], self.thetas[-1], out=draws)
 
     def expectation(self, fn) -> float:
         w = self.pdf
         return float(np.trapezoid(fn(self.thetas) * w, self.thetas))
-
-
-def _window(x, sigma, prior: ProductPriorSpec, n: int):
-    """(lo, hi) of the quadrature window, elementwise over x and sigma.
-
-    The likelihood interval x +- 8/sqrt(n) cut to the prior's effective
-    support; where the two miss each other, the full support instead.
-    """
-    half = LIKELIHOOD_HALF_WIDTH / np.sqrt(n)
-    radius = prior.standardized_radius() * np.asarray(sigma)
-    lo = np.maximum(-radius, x - half)
-    hi = np.minimum(radius, x + half)
-    miss = ~(lo < hi)
-    return np.where(miss, -radius, lo), np.where(miss, radius, hi)
-
-
-def _thetas(lo, hi, out=None) -> np.ndarray:
-    """`np.linspace(lo, hi, QUADRATURE_POINTS)` along the last axis, one row per window.
-
-    The same bits as linspace (lo + step * i, then hi as the last point),
-    so the grid is arithmetic: theta_i = lo + step * i for i < N - 1.
-    """
-    step = (hi - lo) / (QUADRATURE_POINTS - 1)
-    thetas = np.multiply(np.arange(QUADRATURE_POINTS, dtype=float), step[..., None], out=out)
-    thetas += lo[..., None]
-    thetas[..., -1] = hi
-    return thetas
-
-
-def _log_weights(thetas, x, sigma, prior: ProductPriorSpec, n: int, out=None) -> np.ndarray:
-    """-n (theta - x)^2 / 2 + log phi(theta / sigma) on a table (rows along the last axis).
-
-    For the uniform family log phi is evaluated at four points per row.
-    The grid rises with i and division by sigma is monotone, so when log
-    phi is 0 at theta_1 and theta_{N-2} it is 0 at every point between
-    them, and only the two end points can round outside [-B, B]; only a
-    window a few ulps wide takes the full evaluation.  `out` may be
-    `thetas` itself.
-    """
-    ends = None
-    if prior.family == "uniform":
-        probe = prior.log_phi(thetas[..., [0, 1, -2, -1]] / sigma)
-        if not probe[..., 1:3].any():
-            ends = probe[..., ::3]
-    log_phi = prior.log_phi(thetas / sigma) if ends is None else None
-    logw = np.subtract(thetas, x, out=out)
-    np.square(logw, out=logw)
-    logw *= -0.5 * n
-    if ends is None:
-        logw += log_phi
-    else:
-        logw[..., :: QUADRATURE_POINTS - 1] += ends
-    return logw
 
 
 def coord_posterior(
@@ -221,34 +202,47 @@ def coord_posterior(
 
     The theta window is the likelihood interval x +- 8/sqrt(n) intersected
     with the prior's effective support; when that intersection is empty the
-    full prior support is used instead.  The normaliser and the cdf are
-    trapezoid sums on the table, written out with the spacing computed once
-    (`np.trapezoid`'s own expression, so the same bits).  n < 1 raises
-    ValueError.
+    full prior support is used instead.  The grid has the bits of
+    `np.linspace(lo, hi, QUADRATURE_POINTS)`.  Only the weights and their
+    cumulative pair sums are formed here; `pdf` and `cdf` are derived from
+    them when read.  n < 1 raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     sigma = prior.sigma(level)
-    thetas = _thetas(*_window(x, sigma, prior, n))
-    logd = _log_weights(thetas, x, sigma, prior, n)
-    m = logd.max()
-    if not np.isfinite(m):
+    half = LIKELIHOOD_HALF_WIDTH / math.sqrt(n)
+    radius = prior.standardized_radius() * sigma
+    lo = max(-radius, x - half)
+    hi = min(radius, x + half)
+    if not lo < hi:
+        lo, hi = -radius, radius
+    # linspace's own arithmetic: lo + step * i, with hi as the last point
+    thetas = _GRID_INDEX * ((hi - lo) / (QUADRATURE_POINTS - 1))
+    thetas += lo
+    thetas[-1] = hi
+    w = thetas - x
+    np.square(w, out=w)
+    w *= -0.5 * n
+    u = thetas / sigma
+    if prior.family == "uniform":
+        # u rises with the grid, so log phi(u) is 0 on one run of points,
+        # -B <= u <= B, and -inf on either side of it
+        w[: u.searchsorted(-prior.bound, side="left")] = -np.inf
+        w[u.searchsorted(prior.bound, side="right") :] = -np.inf
+    else:
+        w += prior.log_phi(u)
+    top = w.max()
+    if not np.isfinite(top):
         raise PosteriorUnderflowError(
             f"posterior mass underflows at level {level} (x={x!r})"
         )
-    w = np.exp(logd - m)
-    d = np.diff(thetas)
-    total = (d * (w[1:] + w[:-1]) / 2.0).sum()
-    if total <= 0.0:
-        raise PosteriorUnderflowError(
-            f"posterior mass underflows at level {level} (x={x!r})"
-        )
-    pdf = w / total
-    cdf = np.empty_like(pdf)
-    cdf[0] = 0.0
-    np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * d, out=cdf[1:])
-    cdf /= cdf[-1]
-    return CoordPosterior(thetas, pdf, cdf)
+    w -= top
+    np.exp(w, out=w)
+    cum = np.empty_like(w)
+    cum[0] = 0.0
+    np.add(w[1:], w[:-1], out=cum[1:])
+    np.cumsum(cum[1:], out=cum[1:])
+    return CoordPosterior(thetas, w, cum)
 
 
 def draw_posterior_coefficients(
@@ -262,65 +256,19 @@ def draw_posterior_coefficients(
     A row holds levels 0..L, L = min(data.max_level,
     prior.truncation_level): the prefix of a flat vector that the truncated
     prior leaves non-zero, so the rows of `basis.synthesize_flat(flat)` are
-    the posterior function draws.
-
-    Coordinates are sampled by inverse CDF on the quadrature table of
-    `coord_posterior`: the same window, theta grid and log weights, built
-    for _TABLE_ROWS (16) coordinates at a time as one array.  A row's cdf is
-    the cumulative sum of its trapezoid pair sums (the constant step
-    cancels); each uniform u of coordinate j, drawn from j's own stream
-    (`_coordinate_rng(seed, j)`), is scaled by the row total and located
-    with `searchsorted`, and since the grid is arithmetic the draw is
-    lo + step (i + frac) for cell i, clipped to [lo, hi].  A draw agrees
-    with `coord_posterior(...).sample(u)` to within 1e-10 of the window
-    width: the two differ only in how the cdf is summed and scaled.
+    the posterior function draws.  Coordinate j is sampled by inverse CDF
+    (`CoordPosterior.sample`) on its own table, from its own stream
+    (`_coordinate_rng(seed, j)`).
     """
     if m < 1:
         raise ValueError("draw count m must be >= 1")
     L = min(data.max_level, prior.truncation_level)
-    C = level_slice(L).stop
-    N = QUADRATURE_POINTS
-    # level of each flat index; the scaling coordinate (j = 0) behaves like level 0
-    levels = np.concatenate([[0], np.repeat(np.arange(L + 1), 2 ** np.arange(L + 1))])
-    sigma = np.array([prior.sigma(l) for l in range(L + 1)])[levels]
-    x = data.x[:C]
-    lo, hi = _window(x, sigma, prior, data.n)
-    u = np.empty((C, m))
-    for j in range(C):
-        u[j] = _coordinate_rng(seed, j).random(m)
-    cells = np.empty((C, m))  # cell index plus the fraction of the cell, per draw
-    table = np.empty((min(C, _TABLE_ROWS), N))
-    cdf = np.empty_like(table)
-    cdf[:, 0] = 0.0
-    for s in range(0, C, _TABLE_ROWS):
-        rows = slice(s, min(s + _TABLE_ROWS, C))
-        w = _thetas(lo[rows], hi[rows], out=table[: rows.stop - s])
-        _log_weights(w, x[rows, None], sigma[rows, None], prior, data.n, out=w)
-        top = w.max(axis=1)
-        if not np.isfinite(top).all():
-            j = s + int(np.argmin(np.isfinite(top)))
-            raise PosteriorUnderflowError(
-                f"posterior mass underflows at level {levels[j]} (x={float(x[j])!r})"
-            )
-        w -= top[:, None]
-        np.exp(w, out=w)
-        c = cdf[: w.shape[0]]  # the trapezoid pair sums up to each knot
-        np.add(w[:, 1:], w[:, :-1], out=c[:, 1:])
-        np.cumsum(c[:, 1:], axis=1, out=c[:, 1:])
-        q = u[rows] * c[:, -1:]
-        i = np.array([row.searchsorted(qr, side="right") for row, qr in zip(c, q)]) - 1
-        np.clip(i, 0, N - 2, out=i)
-        left = np.take_along_axis(c, i, axis=1)
-        mass = np.take_along_axis(c, i + 1, axis=1) - left
-        q -= left
-        # u * total may round up to the total; then the last cell is taken,
-        # and it may hold no mass
-        frac = np.divide(q, mass, out=np.zeros_like(q), where=mass > 0.0)
-        np.add(i, frac, out=cells[rows])
-    draws = cells * ((hi - lo) / (N - 1))[:, None]
-    draws += lo[:, None]
-    np.clip(draws, lo[:, None], hi[:, None], out=draws)
-    return np.ascontiguousarray(draws.T)
+    flat = np.empty((m, level_slice(L).stop))
+    for j in range(flat.shape[1]):
+        # the scaling coordinate (j = 0) behaves like level 0
+        post = coord_posterior(float(data.x[j]), max(j.bit_length() - 1, 0), prior, data.n)
+        flat[:, j] = post.sample(_coordinate_rng(seed, j).random(m))
+    return flat
 
 
 def laplace_check(

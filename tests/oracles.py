@@ -27,3 +27,8 @@ def besov_norm(f: GridFunction, s: float, basis: WaveletBasis) -> float:
 def mean_masses(post) -> np.ndarray:
     """Posterior mean bin masses of a `HistogramPosterior`."""
     return post.params / post.params.sum()
+
+
+def interpolated_draws(post, u) -> np.ndarray:
+    """Inverse-CDF draws of a `CoordPosterior` by interpolation on its normalised cdf."""
+    return np.interp(u, post.cdf, post.thetas)

@@ -21,6 +21,8 @@ from supnorm.whitenoise import (
     truncation_bias_bound,
 )
 
+from oracles import interpolated_draws
+
 
 @pytest.fixture(scope="module")
 def haar():
@@ -68,11 +70,11 @@ DRAW_RTOL = 1e-10
 
 
 def assert_draws_match_the_table(draws, x, level, prior, n, u):
-    """Draws of one coordinate against `coord_posterior(...).sample(u)`."""
+    """Draws of one coordinate against interpolation on the normalised cdf."""
     post = coord_posterior(float(x), level, prior, n)
     lo, hi = post.thetas[0], post.thetas[-1]
     assert np.all((lo <= draws) & (draws <= hi))
-    assert np.abs(draws - post.sample(u)).max() <= DRAW_RTOL * (hi - lo)
+    assert np.abs(draws - interpolated_draws(post, u)).max() <= DRAW_RTOL * (hi - lo)
 
 
 class TestPriorSpec:
@@ -239,22 +241,23 @@ class TestCoordPosterior:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.floats(1e-12, 10.0), st.floats(1e-3, 100.0), st.floats(-3.0, 3.0),
+        st.floats(0.1, 20.0), st.integers(0, 20), st.floats(1e-3, 100.0), st.floats(-3.0, 3.0),
         st.integers(1, 2 ** 30), st.integers(-3, 3),
     )
-    def test_uniform_end_point_shortcut_is_exact(self, sigma, B, t, n, ulps):
-        # the uniform prior's log phi read at four points per row equals the
-        # full evaluation, for windows inside, at the edge of and outside the
-        # support; `ulps` moves x so that a window may be only a few ulps wide
-        prior = ProductPriorSpec("uniform", 1.0, truncation_level=0, bound=B)
+    def test_uniform_support_run_is_exact(self, alpha, level, B, t, n, ulps):
+        # the uniform prior's log phi, set as one run of grid points, against
+        # the full evaluation, for windows inside, at the edge of and outside
+        # the support; `ulps` moves x so that a window may be a few ulps wide
+        prior = ProductPriorSpec("uniform", alpha, truncation_level=level, bound=B)
         half = LIKELIHOOD_HALF_WIDTH / np.sqrt(n)
-        radius = B * sigma
+        radius = B * prior.sigma(level)
         for x in (t * radius, radius + half, -radius - half, t * (radius + half)):
             for _ in range(abs(ulps)):
                 x = np.nextafter(x, np.copysign(np.inf, ulps))
-            thetas = wn._thetas(*wn._window(x, sigma, prior, n))
-            full = -0.5 * n * (thetas - x) ** 2 + prior.log_phi(thetas / sigma)
-            assert np.array_equal(wn._log_weights(thetas, x, sigma, prior, n), full)
+            thetas, pdf, _, _ = reference_coord_posterior(x, level, prior, n)
+            post = coord_posterior(x, level, prior, n)
+            assert np.array_equal(post.thetas, thetas)
+            assert np.array_equal(post.pdf, pdf)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_nonpositive_n_refused(self, n):
