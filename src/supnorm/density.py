@@ -16,9 +16,18 @@ random-walk proposals with a prior ratio otherwise).  Its kernel uses exact
 reductions only: each level's wavelets, scaled by sigma_l, are stored once
 as contiguous (2^l, N) rows R_l, and the data term sum_i T(X_i) = counts . T
 of a level move by d changes by d . s_l with s_l = R_l counts (that is,
-s = B^T counts, precomputed), so it costs O(2^l) instead of O(N).  Only the
-new field T + d R_l and its log-normaliser c run over the grid, in buffers
-reused across proposals.  The chain is the one the direct evaluation of
+s = B^T counts, precomputed), so it costs O(2^l) instead of O(N).  The
+normaliser term needs only c(T + X) - c(T) for X = d R_l, and with kept
+weights E = e^(T - max T) that difference is exact:
+
+    c(T + X) - c(T) = log(sum_i E_i e^(X_i) / sum_i E_i),
+
+so a proposal costs one grid exp and one grid dot, and an accept multiplies
+E by e^X in place; T itself is never formed in the loop.  Each accept's
+product adds rounding to E, so every `_REFRESH` iterations E and its sum
+are recomputed exactly from the coefficients (`log_mean_exp` writes
+e^(T - max T) into its scratch), which keeps the log ratio within about
+n 1e-14 of the direct one.  The chain is the one the direct evaluation of
 counts . T - n c(T) gives, up to the rounding of the log ratio.
 """
 from __future__ import annotations
@@ -383,6 +392,10 @@ def _level_moves(prior: LogDensityPriorSpec, sample: Sample, basis: WaveletBasis
     return moves
 
 
+# MCMC iterations between exact recomputations of the kept weights E
+_REFRESH = 25
+
+
 def logdensity_mcmc(
     prior: LogDensityPriorSpec,
     sample: Sample,
@@ -400,8 +413,13 @@ def logdensity_mcmc(
     acceptance leaves [0.1, 0.6] on any level is flagged (never silently
     returned as clean).
 
-    The log likelihood ratio of a level move by d is d . s_l - n (c(T') - c(T))
-    on the terms `_level_moves` precomputes (see the module docstring).
+    The log likelihood ratio of a level move by d, with X = d R_l, is
+    d . s_l - n log(E . e^X / sum E), on the terms `_level_moves`
+    precomputes and the kept weights E = e^(T - max T): the log term is
+    c(T + X) - c(T) exactly (see the module docstring).  That is one grid
+    exp and one grid dot per proposal, and one grid product E *= e^X per
+    accept.  E is recomputed from the coefficients every `_REFRESH`
+    iterations, so the rounding of those products does not build up.
     """
     cfg = cfg or McmcConfig()
     L = prior.cutoff_level
@@ -420,10 +438,16 @@ def logdensity_mcmc(
     # rng.random() is rng.uniform() (0 + 1 * the same double) without its overhead
     normal, uniform = rng.standard_normal, rng.random
     a = prior.draw_standardized(rng, K)
-    T = B @ (sigmas * a)
-    T_new = np.empty(N)
-    scratch = np.empty(N)
-    c = log_mean_exp(T, scratch)
+    # E = e^(T - max T) at the last refresh, times the e^X of each accept
+    # since; F = e^X of the current proposal
+    E, F = np.empty(N), np.empty(N)
+
+    def refresh() -> float:
+        """Recompute E exactly from a, in place, and return S = sum E."""
+        log_mean_exp(B @ (sigmas * a), E)
+        return float(E.sum())
+
+    S = refresh()
 
     gaussian = prior.law == "gaussian"
     log_phi = prior.log_phi
@@ -440,30 +464,34 @@ def logdensity_mcmc(
     accepted = [0] * (L + 1)  # since the last adaptation, then after burn-in
     burn_in, thin, adapt_every = cfg.burn_in, cfg.thin, cfg.adapt_every
     states = np.empty((-(-(cfg.iterations - burn_in) // thin), K))
+    # (level, view of its block of a, block size, R_l, s_l)
+    moves = [(l, a[sl], sl.stop - sl.start, R, s) for l, sl, R, s in levels]
+    dot, exp, log = np.dot, np.exp, math.log
 
     for it in range(cfg.iterations):
         if it == burn_in:
             accepted = [0] * (L + 1)
-        for l, sl, R, s in levels:
-            a_blk = a[sl]
+        for l, a_blk, size, R, s in moves:
             if gaussian:
-                a_new = shrink[l] * a_blk + steps[l] * normal(a_blk.size)
+                a_new = shrink[l] * a_blk + steps[l] * normal(size)
                 log_prior_ratio = 0.0
             else:
-                a_new = a_blk + steps[l] * normal(a_blk.size)
+                a_new = a_blk + steps[l] * normal(size)
                 lp_new = log_phi(a_new).sum()
                 log_prior_ratio = float(lp_new - log_prior[l])
             d = a_new - a_blk
-            np.dot(d, R, out=T_new)
-            np.add(T, T_new, out=T_new)
-            c_new = log_mean_exp(T_new, scratch)
-            if np.log(uniform()) < float(d @ s) - n * (c_new - c) + log_prior_ratio:
-                a[sl] = a_new
-                T, T_new = T_new, T
-                c = c_new
+            dot(d, R, out=F)
+            exp(F, out=F)
+            S_new = float(dot(E, F))
+            if log(uniform()) < float(dot(d, s)) - n * log(S_new / S) + log_prior_ratio:
+                a_blk[...] = a_new
+                E *= F
+                S = S_new
                 if not gaussian:
                     log_prior[l] = lp_new
                 accepted[l] += 1
+        if (it + 1) % _REFRESH == 0:
+            S = refresh()
         if it < burn_in:
             if (it + 1) % adapt_every == 0:
                 rate = np.array(accepted, dtype=float) / adapt_every

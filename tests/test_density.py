@@ -656,13 +656,14 @@ class TestFastKernel:
             return counts @ T - sample.n * log_mean_exp(T)
 
         rng = np.random.default_rng(len(law))
-        scratch = np.empty(basis.grid.size)
+        E = np.empty(basis.grid.size)
         for _ in range(25):
             a = rng.standard_normal(B.shape[1]) * rng.uniform(0.1, 3.0)
-            T = B @ (sigmas * a)
+            log_mean_exp(B @ (sigmas * a), E)  # E = e^(T - max T)
             for l, sl, R, s in dens._level_moves(prior, sample, basis):
                 d = rng.standard_normal(sl.stop - sl.start) * rng.uniform(0.01, 1.0)
-                fast = d @ s - sample.n * (log_mean_exp(T + d @ R, scratch) - log_mean_exp(T))
+                # c(T + d R) - c(T) = log(E . e^(d R) / sum E)
+                fast = d @ s - sample.n * np.log(E @ np.exp(d @ R) / E.sum())
                 a_new = a.copy()
                 a_new[sl] += d
                 want = loglik(a_new) - loglik(a)
@@ -677,6 +678,19 @@ class TestFastKernel:
         cfg = dens.McmcConfig(iterations=400, burn_in=150, thin=3, adapt_every=10)
         chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=seed)
         states, acceptance, scales = reference_mcmc(prior, sample, basis, cfg, seed)
+        np.testing.assert_array_equal(chain.states, states)
+        np.testing.assert_array_equal(chain.acceptance, acceptance)
+        np.testing.assert_array_equal(chain.step_scales, scales)
+
+    @pytest.mark.parametrize("law", ["gaussian", "laplace"])
+    def test_chain_matches_the_reference_across_weight_refreshes(self, kernel_case, law):
+        # 1000 iterations cross 40 refreshes of the kept weights E, during and after burn-in
+        basis, sample = kernel_case
+        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=2)
+        cfg = dens.McmcConfig(iterations=1000, burn_in=400, thin=4, adapt_every=25)
+        assert cfg.iterations // dens._REFRESH == 40
+        chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=4)
+        states, acceptance, scales = reference_mcmc(prior, sample, basis, cfg, 4)
         np.testing.assert_array_equal(chain.states, states)
         np.testing.assert_array_equal(chain.acceptance, acceptance)
         np.testing.assert_array_equal(chain.step_scales, scales)
