@@ -24,20 +24,23 @@ def hellinger(f: GridFunction, g: GridFunction) -> float:
     return float(hellinger_rows(f.values, g.values))
 
 
-def hellinger_rows(values: np.ndarray, g: np.ndarray) -> np.ndarray:
+def hellinger_rows(values: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Hellinger distance of each row of `values` to the grid vector g.
 
     A row of K values is a step function on K dyadic blocks of g's grid
     (K = N: grid values); the distance is exact, from the per-block mean and
     centred sum of squares of sqrt(g) (`step_rms`).  Values down to -1e-12
     are rounding dust and are clamped to zero; anything more negative is not
-    a density.
+    a density.  `out`, shaped like `values`, takes the root differences and
+    their squares, so that the call allocates no array of that size.
     """
     root = step_blocks(np.sqrt(np.clip(g, 0.0, None)), values.shape[-1])
     root_mean, root_css = block_moments(root)
     if values.min() < -1e-12 or g.min() < -1e-12:
         raise NegativeDensityError("density values below -1e-12")
-    return step_rms(np.sqrt(np.clip(values, 0.0, None)) - root_mean, root_css, g.size)
+    diff = np.sqrt(np.clip(values, 0.0, None, out=out), out=out)
+    diff -= root_mean
+    return step_rms(diff, root_css, g.size, out=diff)
 
 
 def step_blocks(g: np.ndarray, width: int) -> np.ndarray:
@@ -57,15 +60,17 @@ def block_moments(blocks: np.ndarray) -> tuple[np.ndarray, float]:
     return mean, float(((blocks - mean[:, None]) ** 2).sum())
 
 
-def step_rms(centred: np.ndarray, css: float, size: int) -> np.ndarray:
+def step_rms(centred: np.ndarray, css: float, size: int, out: np.ndarray | None = None) -> np.ndarray:
     """Root mean square over a `size`-point grid of step rows minus g.
 
     `centred` holds each row's K values minus g's block means (last axis)
     and `css` g's centred sum of squares, so that the sum over the grid is
     (size / K) sum_k centred_k^2 + css.  With K = size, css is 0 and this is
-    the grid mean of the squared differences, rounded the same way.
+    the grid mean of the squared differences, rounded the same way.  The
+    squares go to `out` when given (`out=centred` squares in place).
     """
-    return np.sqrt(((size // centred.shape[-1]) * (centred ** 2).sum(axis=-1) + css) / size)
+    squares = np.square(centred, out=out)
+    return np.sqrt(((size // centred.shape[-1]) * squares.sum(axis=-1) + css) / size)
 
 
 @dataclass(frozen=True)

@@ -532,6 +532,21 @@ class TestStepLosses:
         with pytest.raises(NegativeDensityError):
             dens.posterior_expected_losses(np.ones((4, 32)), bad)
 
+    @pytest.mark.parametrize("densities", [True, False])
+    def test_no_draws_raise(self, f0, densities):
+        for draws in (np.empty((0, 32)), np.empty((0, f0.grid.size)), []):
+            with pytest.raises(ValueError, match="need at least one draw"):
+                dens.posterior_expected_losses(draws, f0, densities=densities)
+
+    @pytest.mark.parametrize("densities", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("K", [32, 256])
+    def test_non_finite_draws_raise(self, f0, densities, bad, K):
+        c = np.ones((4, K))
+        c[2, 5] = bad
+        with pytest.raises(ValueError, match="non-finite losses"):
+            dens.posterior_expected_losses(c, f0, densities=densities)
+
     @pytest.mark.parametrize("width", [0, 3, 512])
     def test_width_must_divide_the_grid(self, f0, width):
         rows = np.ones((5, width))
@@ -559,6 +574,97 @@ class TestChainLosses:
         # blocks differ from the full product only by the BLAS kernel's rounding
         for field in ("sup", "l2", "hellinger", "q90_sup"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+
+
+def reference_step_rms(centred, css, size):
+    return np.sqrt(((size // centred.shape[-1]) * (centred ** 2).sum(axis=-1) + css) / size)
+
+
+def reference_hellinger_rows(values, g):
+    root = dens.step_blocks(np.sqrt(np.clip(g, 0.0, None)), values.shape[-1])
+    root_mean, root_css = dens.block_moments(root)
+    return reference_step_rms(np.sqrt(np.clip(values, 0.0, None)) - root_mean, root_css, g.size)
+
+
+def reference_posterior_expected_losses(values, f0, densities=True):
+    """The loss reduction with fresh temporaries for every block of rows."""
+    blocks = dens.step_blocks(f0.values, values.shape[1])
+    lo, hi = blocks.min(axis=1), blocks.max(axis=1)
+    mean, css = dens.block_moments(blocks)
+
+    def losses(c):
+        below = c - lo
+        above, centred = (below, below) if blocks.shape[1] == 1 else (c - hi, c - mean)
+        sup = np.maximum(below.max(axis=1), -above.min(axis=1))
+        rows = [sup, reference_step_rms(centred, css, f0.grid.size)]
+        return np.array(rows + [reference_hellinger_rows(c, f0.values)] if densities else rows)
+
+    return dens.LossSummary.of_draws(
+        *(losses(values[rows]) for rows in dens._row_blocks(*values.shape))
+    )
+
+
+def reference_expected_losses(chain, basis, f0):
+    """`McmcChain.expected_losses` with fresh density values for every block."""
+    B = dens._wavelet_columns(basis, len(chain.level_slices) - 1)
+
+    def density_values(rows):
+        T = (chain.states[rows] * chain.sigmas) @ B.T
+        T -= log_mean_exp(T)[:, None]
+        return np.exp(T, out=T)
+
+    return dens.LossSummary.of_draws(*(
+        reference_posterior_expected_losses(density_values(rows), f0).per_draw
+        for rows in dens._row_blocks(len(chain.states), basis.grid.size)
+    ))
+
+
+class TestBufferedLosses:
+    """The losses worked in reused buffers against fresh temporaries, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def chain_case(self):
+        basis = build_basis("boundary-smooth", 3, 9)
+        f0, _ = make_density_truth(DensityTruthSpec(HolderTruthSpec(1.0, 0.5, seed=5)), basis)
+        sample = dens.sample_data(f0, 300, seed=5)
+        prior = dens.LogDensityPriorSpec("laplace", alpha=1.0, cutoff_level=3)
+        cfg = dens.McmcConfig(iterations=1_100, burn_in=300, thin=4)
+        return basis, f0, dens.logdensity_mcmc(prior, sample, basis, cfg, seed=5)
+
+    @staticmethod
+    def unequal_blocks(monkeypatch, m, width, rows):
+        # about `rows` rows per block; _row_blocks puts its shorter blocks first
+        monkeypatch.setattr(dens, "_BLOCK_VALUES", rows * width)
+        blocks = dens._row_blocks(m, width)
+        assert len(blocks) >= 3
+        assert len({b.stop - b.start for b in blocks}) == 2
+        return blocks
+
+    def test_chain_losses_match_fresh_temporaries(self, monkeypatch, chain_case):
+        basis, f0, chain = chain_case
+        self.unequal_blocks(monkeypatch, len(chain.states), basis.grid.size, 7)
+        got = chain.expected_losses(basis, f0)
+        want = reference_expected_losses(chain, basis, f0)
+        np.testing.assert_array_equal(got.per_draw, want.per_draw)
+        assert got == want
+
+    @pytest.mark.parametrize("densities", [True, False])
+    @pytest.mark.parametrize("K", [8, 64, 512])  # histogram, Haar and grid widths
+    def test_large_block_before_small_ones(self, monkeypatch, chain_case, densities, K):
+        _, f0, _ = chain_case
+        rng = np.random.default_rng(K)
+        m = 200
+        blocks = self.unequal_blocks(monkeypatch, m, K, 9)
+        c = rng.uniform(0.0, 3.0, (m, K))
+        first = blocks[0]
+        # a stale first block would dominate every later maximum and sum
+        c[first] *= 1e6
+        if not densities:
+            c[first.stop:] -= 1.5
+        got = dens.posterior_expected_losses(c, f0, densities=densities)
+        want = reference_posterior_expected_losses(c, f0, densities=densities)
+        np.testing.assert_array_equal(got.per_draw, want.per_draw)
+        assert got == want
 
 
 def reference_mcmc(prior, sample, basis, cfg, seed):
@@ -660,10 +766,11 @@ class TestFastKernel:
         for _ in range(25):
             a = rng.standard_normal(B.shape[1]) * rng.uniform(0.1, 3.0)
             log_mean_exp(B @ (sigmas * a), E)  # E = e^(T - max T)
-            for l, sl, R, s in dens._level_moves(prior, sample, basis):
+            for l, sl, Rs in dens._level_moves(prior, sample, basis):
                 d = rng.standard_normal(sl.stop - sl.start) * rng.uniform(0.01, 1.0)
-                # c(T + d R) - c(T) = log(E . e^(d R) / sum E)
-                fast = d @ s - sample.n * np.log(E @ np.exp(d @ R) / E.sum())
+                # d [R | s] = [X | d . s], and c(T + X) - c(T) = log(E . e^X / sum E)
+                G = d @ Rs
+                fast = G[-1] - sample.n * np.log(E @ np.exp(G[:-1]) / E.sum())
                 a_new = a.copy()
                 a_new[sl] += d
                 want = loglik(a_new) - loglik(a)
@@ -678,6 +785,18 @@ class TestFastKernel:
         cfg = dens.McmcConfig(iterations=400, burn_in=150, thin=3, adapt_every=10)
         chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=seed)
         states, acceptance, scales = reference_mcmc(prior, sample, basis, cfg, seed)
+        np.testing.assert_array_equal(chain.states, states)
+        np.testing.assert_array_equal(chain.acceptance, acceptance)
+        np.testing.assert_array_equal(chain.step_scales, scales)
+
+    @pytest.mark.parametrize("law", ["gaussian", "laplace"])
+    def test_chain_matches_the_reference_at_level_3(self, kernel_case, law):
+        # the n = 8000 benchmark cells run level 3, whose 8-row [R | s] is the widest product
+        basis, sample = kernel_case
+        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
+        cfg = dens.McmcConfig(iterations=400, burn_in=150, thin=3, adapt_every=10)
+        chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=3)
+        states, acceptance, scales = reference_mcmc(prior, sample, basis, cfg, 3)
         np.testing.assert_array_equal(chain.states, states)
         np.testing.assert_array_equal(chain.acceptance, acceptance)
         np.testing.assert_array_equal(chain.step_scales, scales)
