@@ -31,13 +31,10 @@ n 1e-14 of the direct one.  The chain is the one the direct evaluation of
 counts . T - n c(T) gives, up to the rounding of the log ratio.
 
 The kept draws are expanded to the grid and reduced a block of about 1 MiB
-of values at a time (`McmcChain.expected_losses`).  Every block reuses the
-same two buffers, the draws and one scratch for all the temporaries of the
-normaliser and of the loss sums.  MiB temporaries taken fresh per block
-can be handed back to the kernel when freed (the allocator trims its heap
-once enough of it is free at the top), and then their pages fault back in
-on the next block: in a fresh process that took 0.5 s and 94 497 minor
-faults for the 3000 draws of a cell, against 0.2 s for the arithmetic.  The
+of values at a time (`McmcChain.expected_losses`).  The loss sums of all
+blocks work their temporaries in one scratch (`posterior_expected_losses`):
+MiB temporaries taken fresh per block can be handed back to the kernel
+when freed, and then their pages fault back in on the next block.  The
 arithmetic, and so every loss bit, is the same as with fresh arrays.
 """
 from __future__ import annotations
@@ -285,16 +282,6 @@ class LogDensityPriorSpec:
             return -a - 2.0 * np.log1p(np.exp(-np.clip(a, -700, None)))
         return -(1.0 + np.abs(a)) ** (1.0 - self.tau)
 
-    def _block_log_prior(self):
-        """The float sum of `log_phi` over a block, as a function of the block.
-
-        The laplace law negates the sum of |a|: negation is exact, so that
-        rounds as the sum of -|a| does, with one array pass fewer.
-        """
-        if self.law == "laplace":
-            return lambda a: -float(np.add.reduce(np.abs(a)))
-        return lambda a: float(np.add.reduce(self.log_phi(a)))
-
     def draw_standardized(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.law == "gaussian":
             return rng.standard_normal(size)
@@ -372,39 +359,20 @@ class McmcChain:
     thin: int = 1
     converged: bool = True
 
-    def density_values(self, basis: WaveletBasis, rows: slice = slice(None),
-                       out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-        """(kept, N) posterior density draws on the grid, or those of `rows`.
-
-        The draws are written to `out` and the shifted exponentials of their
-        normalisers to `scratch` (`log_mean_exp`), both (rows, N) when given;
-        the values are the same with or without them.
-        """
+    def density_values(self, basis: WaveletBasis, rows: slice = slice(None)) -> np.ndarray:
+        """(kept, N) posterior density draws on the grid, or those of `rows`."""
         B = _wavelet_columns(basis, len(self.level_slices) - 1)
-        T = np.matmul(self.states[rows] * self.sigmas, B.T, out=out)
-        T -= log_mean_exp(T, scratch)[:, None]
+        T = (self.states[rows] * self.sigmas) @ B.T
+        T -= log_mean_exp(T)[:, None]
         return np.exp(T, out=T)
 
     def expected_losses(self, basis: WaveletBasis, f0: GridFunction) -> "LossSummary":
         """`posterior_expected_losses` of the density draws, a block of draws at a
-        time: no cell holds all (kept, N) values, so threads do not add them up.
-
-        Every block is written to the same two (rows, N) buffers, taken once
-        per call: the draws, and one scratch for the temporaries of
-        `density_values` and `posterior_expected_losses`.  Fresh MiB
-        temporaries per block can be handed back to the kernel when freed
-        and fault their pages back in on the next block (94 497 minor faults
-        in the first call of a fresh process on an n = 8000 cell); the
-        reused buffers are faulted in once per call at most.
-        """
-        blocks = _row_blocks(len(self.states), basis.grid.size)
-        values, scratch = np.empty((2, max(b.stop - b.start for b in blocks), basis.grid.size))
-        parts = []
-        for rows in blocks:
-            k = rows.stop - rows.start
-            draws = self.density_values(basis, rows, out=values[:k], scratch=scratch[:k])
-            parts.append(posterior_expected_losses(draws, f0, scratch=scratch).per_draw)
-        return LossSummary.of_draws(*parts)
+        time: no cell holds all (kept, N) values, so threads do not add them up."""
+        return LossSummary.of_draws(*(
+            posterior_expected_losses(self.density_values(basis, rows), f0).per_draw
+            for rows in _row_blocks(len(self.states), basis.grid.size)
+        ))
 
 
 def _wavelet_columns(basis: WaveletBasis, L: int) -> np.ndarray:
@@ -492,9 +460,9 @@ def logdensity_mcmc(
     S = refresh()
 
     gaussian = prior.law == "gaussian"
-    block_log_prior = prior._block_log_prior()
+    log_phi, add = prior.log_phi, np.add.reduce
     # log prior of the current block of each level (random-walk ratio)
-    log_prior = [0.0 if gaussian else block_log_prior(a[sl]) for sl in slices]
+    log_prior = [0.0 if gaussian else float(add(log_phi(a[sl]))) for sl in slices]
     scales = np.full(L + 1, 0.5)  # beta_l for pCN, step for random walk
 
     def step_sizes(scales):
@@ -519,7 +487,7 @@ def logdensity_mcmc(
                 log_prior_ratio = 0.0
             else:
                 a_new = a_blk + steps[l] * normal(size)
-                lp_new = block_log_prior(a_new)
+                lp_new = float(add(log_phi(a_new)))
                 log_prior_ratio = lp_new - log_prior[l]
             d = a_new - a_blk
             dot(d, Rs, out=G)
@@ -585,8 +553,7 @@ class LossSummary:
         return cls(float(d[0].mean()), float(d[1].mean()), hell, float(np.quantile(d[0], 0.9)), d)
 
 
-def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True,
-                              scratch: np.ndarray | None = None) -> LossSummary:
+def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -> LossSummary:
     """Monte Carlo average of sup/L2(/Hellinger) losses over posterior draws.
 
     `draws` is a list of GridFunctions or an array of draw rows.  A row of K
@@ -601,8 +568,9 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True,
     The draws are reduced a block of rows at a time, with the same result
     per draw.  Each block's differences from f0's block statistics, their
     squares and the Hellinger root differences are all worked in one
-    (rows, K) scratch, reused from block to block: `scratch` when given
-    (at least as many rows as the largest block), else one taken per call.
+    (rows, K) scratch taken once per call: fresh MiB temporaries per block
+    can be handed back to the kernel when freed and fault their pages back
+    in on the next block.
     """
     values = draws if isinstance(draws, np.ndarray) else np.array([d.values for d in draws])
     if len(values) == 0:
@@ -612,8 +580,7 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True,
     lo, hi = blocks.min(axis=1), blocks.max(axis=1)
     mean, css = block_moments(blocks)
     row_blocks = _row_blocks(*values.shape)
-    if scratch is None:
-        scratch = np.empty((max(b.stop - b.start for b in row_blocks), K))
+    scratch = np.empty((max(b.stop - b.start for b in row_blocks), K))
 
     def losses(c):
         w = np.subtract(c, lo, out=scratch[:len(c)])

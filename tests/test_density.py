@@ -605,7 +605,7 @@ def reference_posterior_expected_losses(values, f0, densities=True):
 
 
 def reference_expected_losses(chain, basis, f0):
-    """`McmcChain.expected_losses` with fresh density values for every block."""
+    """`McmcChain.expected_losses` with the fresh-temporary reduction for every block."""
     B = dens._wavelet_columns(basis, len(chain.level_slices) - 1)
 
     def density_values(rows):
@@ -620,7 +620,7 @@ def reference_expected_losses(chain, basis, f0):
 
 
 class TestBufferedLosses:
-    """The losses worked in reused buffers against fresh temporaries, bit for bit."""
+    """The losses worked in one reused scratch against fresh temporaries, bit for bit."""
 
     @pytest.fixture(scope="class")
     def chain_case(self):
@@ -777,26 +777,17 @@ class TestFastKernel:
                 # relative to the log likelihoods whose difference both sides take
                 assert abs(fast - want) <= 1e-10 * max(abs(loglik(a)), abs(want), 1.0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("law", LAWS)
-    def test_chain_matches_the_reference_bit_for_bit(self, kernel_case, law, seed):
+    @pytest.mark.parametrize("level, law, seed", [
+        *(pytest.param(2, law, seed, id=f"{law}-{seed}") for law in LAWS for seed in (0, 1, 2)),
+        # the n = 8000 benchmark cells run level 3, whose 8-row [R | s] is the widest product
+        *(pytest.param(3, law, 3, id=f"level3-{law}") for law in ("gaussian", "laplace")),
+    ])
+    def test_chain_matches_the_reference_bit_for_bit(self, kernel_case, level, law, seed):
         basis, sample = kernel_case
-        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=2)
+        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=level)
         cfg = dens.McmcConfig(iterations=400, burn_in=150, thin=3, adapt_every=10)
         chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=seed)
         states, acceptance, scales = reference_mcmc(prior, sample, basis, cfg, seed)
-        np.testing.assert_array_equal(chain.states, states)
-        np.testing.assert_array_equal(chain.acceptance, acceptance)
-        np.testing.assert_array_equal(chain.step_scales, scales)
-
-    @pytest.mark.parametrize("law", ["gaussian", "laplace"])
-    def test_chain_matches_the_reference_at_level_3(self, kernel_case, law):
-        # the n = 8000 benchmark cells run level 3, whose 8-row [R | s] is the widest product
-        basis, sample = kernel_case
-        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
-        cfg = dens.McmcConfig(iterations=400, burn_in=150, thin=3, adapt_every=10)
-        chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=3)
-        states, acceptance, scales = reference_mcmc(prior, sample, basis, cfg, 3)
         np.testing.assert_array_equal(chain.states, states)
         np.testing.assert_array_equal(chain.acceptance, acceptance)
         np.testing.assert_array_equal(chain.step_scales, scales)
