@@ -218,9 +218,9 @@ def dirichlet_draws(rng: np.random.Generator, params: np.ndarray, m: int) -> np.
 
 def draw_histogram_values(post: HistogramPosterior, m: int, seed: int) -> np.ndarray:
     """(m, 2^L) posterior density draws: the bin values omega_k 2^L of each
-    draw, a step function on the 2^L dyadic bins."""
-    if m < 1:
-        raise ValueError("draw count m must be >= 1")
+    draw, a step function on the 2^L dyadic bins.  `m` must be an integer
+    >= 1 (ValueError)."""
+    check_number("draw count m", m, integer=True, minimum=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(13,)))
     return dirichlet_draws(rng, post.params, m) * 2 ** post.level
 

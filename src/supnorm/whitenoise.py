@@ -15,14 +15,23 @@ coefficient rows of width 2^(L+1).  `WaveletBasis.synthesize_flat` turns
 them into functions; for Haar a row stays a step function on 2^(L+1)
 dyadic bins, whose losses `density.posterior_expected_losses` reduces
 exactly per bin.
+
+Each coordinate has its own RNG stream, `SeedSequence(seed, spawn_key=
+(l + 1, k))` for wavelet (l, k) and key (0, 0) for the scaling
+coefficient.  `_coordinate_streams` derives all the streams of a call in
+one pass with numpy's SeedSequence hash, bit for bit: the seed's words are
+hashed once, the key words of every coordinate together as arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .density import check_number
 from .wavelets import WaveletIndex, level_slice
 
 QUADRATURE_POINTS = 4096
@@ -94,12 +103,116 @@ class WhiteNoiseData:
         return self.x.size.bit_length() - 2
 
 
-def _coordinate_rng(seed: int, j: int) -> np.random.Generator:
-    # spawn key (l + 1, k) for wavelet (l, k) at flat index j and (0, 0) for
-    # the scaling coordinate, so a stream never depends on the truncation
-    l = j.bit_length() - 1
-    key = (l + 1, j - level_slice(l).start) if j else (0, 0)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for its pool
+# of 4 uint32 words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(init: int, mult: int, count: int) -> list[int]:
+    """The hash constants init mult^i mod 2^32 for i < count."""
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# generate_state(4, uint64): output word i is pool word i % 4 hashed with
+# the constants B_i and B_(i+1)
+_B = np.array(_powers(_INIT_B, _MULT_B, 9), dtype=np.uint32)[:, None]
+
+
+def _hashmix(value, a, a_next):
+    value = ((value ^ a) * a_next) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+@functools.cache
+def _state_row_type() -> type:
+    """A seed sequence whose `generate_state` is one precomputed row of words.
+
+    Defined on first use: loading numpy.random when this module is
+    imported, ahead of the rest of the package, raised the peak RSS of a
+    process by up to about 0.5 MB.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateRow(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateRow
+
+
+@functools.lru_cache(maxsize=8)
+def _spawn_key_hashes(first_call: int, width: int) -> np.ndarray:
+    """(2, 4, width) hashmix values of the spawn-key words (l + 1, k) of
+    flat indices j < width, at mix_entropy's hashmix calls first_call,
+    first_call + 1, ...: word w meets pool word d at call first_call + 4w + d.
+    """
+    j = np.arange(width)
+    level1 = np.frexp(j)[1]  # l + 1 = bit length of j, and 0 for j = 0
+    words = np.array([level1, j - ((1 << level1) >> 1)], dtype=np.uint32)[:, None, :]
+    a = np.array(_powers(_INIT_A, _MULT_A, first_call + 9), dtype=np.uint32)
+    calls = np.arange(first_call, first_call + 8).reshape(2, 4, 1)
+    hashes = _hashmix(words, a[calls], a[calls + 1])
+    hashes.flags.writeable = False
+    return hashes
+
+
+def _coordinate_streams(seed: int, width: int) -> Iterator[np.random.Generator]:
+    """The generators of flat coordinates j < width, in order.
+
+    Stream j is `default_rng(SeedSequence(seed, spawn_key=key))` bit for
+    bit, with key (l + 1, k) for wavelet (l, k) at flat index j and (0, 0)
+    for the scaling coordinate, so a stream never depends on the
+    truncation.  The seed's words are hashed into SeedSequence's pool once,
+    the key words of all j together, and each PCG64 is built from its row
+    of `generate_state(4, uint64)` when it is reached, so that one
+    generator is alive at a time.  A negative seed raises ValueError, a
+    non-integer one TypeError, as SeedSequence does; both are raised at the
+    call, before the first generator.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # a spawn key is present, so the seed words are zero-padded to the pool
+    words += [0] * (4 - len(words))
+    a = _powers(_INIT_A, _MULT_A, 4 * len(words) + 1)
+    pool = [_hashmix(w, a[i], a[i + 1]) for i, w in enumerate(words[:4])]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[call], a[call + 1]))
+                call += 1
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, a[call], a[call + 1]))
+            call += 1
+    keys = _spawn_key_hashes(call, width)
+    pool = _mix(_mix(np.array(pool, dtype=np.uint32)[:, None], keys[0]), keys[1])
+    out = _hashmix(pool[[0, 1, 2, 3] * 2], _B[:8], _B[1:])
+    # little-endian pairs of output words make the 4 uint64 state words
+    state = (out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32).T.copy()
+    state_row = _state_row_type()
+    return (np.random.Generator(np.random.PCG64(state_row(row))) for row in state)
 
 
 def simulate_wn(
@@ -113,13 +226,13 @@ def simulate_wn(
 
     `coeffs` is the truth's flat coefficient vector (`basis.analyze(f0)`),
     of width 2^(L_max + 1); observations stop at `truncation_level`
-    (>= 0; default L_max, at most L_max).  One RNG stream per coordinate, derived
-    from (seed, level, position), so the observation of a coordinate does
-    not depend on the truncation level or on evaluation order.
+    (>= 0; default L_max, at most L_max).  One RNG stream per coordinate,
+    keyed by (seed, level, position) (`_coordinate_streams`), so the
+    observation of a coordinate does not depend on the truncation level or
+    on evaluation order.  `n` must be an integer >= 1 (ValueError).
     `zero_noise` is a test hook.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    check_number("n", n, integer=True, minimum=1)
     coeffs = np.asarray(coeffs, dtype=float)
     width = coeffs.size
     if coeffs.ndim != 1 or width < 2 or width & (width - 1):
@@ -134,7 +247,7 @@ def simulate_wn(
     x = coeffs[: level_slice(L).stop].copy()
     if not zero_noise:
         scale = 1.0 / np.sqrt(n)
-        x += scale * np.array([_coordinate_rng(seed, j).standard_normal() for j in range(x.size)])
+        x += scale * np.array([g.standard_normal() for g in _coordinate_streams(seed, x.size)])
     return WhiteNoiseData(n=n, x=x, seed=seed)
 
 
@@ -188,7 +301,9 @@ class CoordPosterior:
         [lo, hi].
         """
         draws = np.interp(np.multiply(uniforms, self.cum[-1]), self.cum, self.thetas)
-        return np.clip(draws, self.thetas[0], self.thetas[-1], out=draws)
+        # np.clip's bits, NaN included, at about half its cost
+        np.maximum(draws, self.thetas[0], out=draws)
+        return np.minimum(draws, self.thetas[-1], out=draws)
 
     def expectation(self, fn) -> float:
         w = self.pdf
@@ -205,10 +320,9 @@ def coord_posterior(
     full prior support is used instead.  The grid has the bits of
     `np.linspace(lo, hi, QUADRATURE_POINTS)`.  Only the weights and their
     cumulative pair sums are formed here; `pdf` and `cdf` are derived from
-    them when read.  n < 1 raises ValueError.
+    them when read.  An `n` that is not an integer >= 1 raises ValueError.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    check_number("n", n, integer=True, minimum=1)
     sigma = prior.sigma(level)
     half = LIKELIHOOD_HALF_WIDTH / math.sqrt(n)
     radius = prior.standardized_radius() * sigma
@@ -257,17 +371,18 @@ def draw_posterior_coefficients(
     prior.truncation_level): the prefix of a flat vector that the truncated
     prior leaves non-zero, so the rows of `basis.synthesize_flat(flat)` are
     the posterior function draws.  Coordinate j is sampled by inverse CDF
-    (`CoordPosterior.sample`) on its own table, from its own stream
-    (`_coordinate_rng(seed, j)`).
+    (`CoordPosterior.sample`) on its own table, from its own stream, with
+    the key of the same coordinate in `simulate_wn`; all the streams of a
+    call are derived together by `_coordinate_streams`.  `m` must be an
+    integer >= 1 (ValueError).
     """
-    if m < 1:
-        raise ValueError("draw count m must be >= 1")
+    check_number("draw count m", m, integer=True, minimum=1)
     L = min(data.max_level, prior.truncation_level)
     flat = np.empty((m, level_slice(L).stop))
-    for j in range(flat.shape[1]):
+    for j, stream in enumerate(_coordinate_streams(seed, flat.shape[1])):
         # the scaling coordinate (j = 0) behaves like level 0
         post = coord_posterior(float(data.x[j]), max(j.bit_length() - 1, 0), prior, data.n)
-        flat[:, j] = post.sample(_coordinate_rng(seed, j).random(m))
+        flat[:, j] = post.sample(stream.random(m))
     return flat
 
 
@@ -282,9 +397,10 @@ def laplace_check(
 
     `data` may be one WhiteNoiseData or a sequence of them; each term is a
     quadrature on the coordinate posterior.  A level outside the observed
-    levels or a position outside 0..2^level - 1 raises ValueError.
+    levels or a position outside 0..2^level - 1 raises ValueError, and so
+    does a t with |t| > 3 or t = NaN.
     """
-    if abs(t) > 3.0 + 1e-12:
+    if not abs(t) <= 3.0 + 1e-12:
         raise ValueError("|t| <= 3 required")
     datas = [data] if isinstance(data, WhiteNoiseData) else list(data)
     if not datas:

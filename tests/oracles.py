@@ -32,3 +32,11 @@ def mean_masses(post) -> np.ndarray:
 def interpolated_draws(post, u) -> np.ndarray:
     """Inverse-CDF draws of a `CoordPosterior` by interpolation on its normalised cdf."""
     return np.interp(u, post.cdf, post.thetas)
+
+
+def coordinate_rng(seed, j: int) -> np.random.Generator:
+    """The stream of flat coordinate j, built alone: spawn key (l + 1, k) for
+    wavelet (l, k) at j, and (0, 0) for the scaling coordinate."""
+    l = j.bit_length() - 1
+    key = (l + 1, j - level_slice(l).start) if j else (0, 0)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

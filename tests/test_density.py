@@ -254,6 +254,12 @@ class TestDirichletDraws:
         vals = dens.draw_histogram_values(post, 50, seed=2)
         assert np.abs(vals - 1.0).max() < 1e-2
 
+    @pytest.mark.parametrize("m", [0, 2.5, True, float("nan")])
+    def test_bad_draw_count_refused(self, m):
+        post = dens.histogram_posterior(dens.HistogramPriorSpec.flat(2, 1.0), np.arange(4))
+        with pytest.raises(ValueError, match="draw count m"):
+            dens.draw_histogram_values(post, m, seed=0)
+
     def test_tiny_shapes_stay_on_simplex(self):
         rng = np.random.default_rng(3)
         draws = dens.dirichlet_draws(rng, np.full(64, 1e-3), 500)

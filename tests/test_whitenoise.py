@@ -21,7 +21,7 @@ from supnorm.whitenoise import (
     truncation_bias_bound,
 )
 
-from oracles import interpolated_draws
+from oracles import coordinate_rng, interpolated_draws
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,10 @@ def reference_coord_posterior(x, level, prior, n):
 
 # flat index -> spawn key of its coordinate stream
 STREAM_KEYS = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (2, 1), 5: (3, 1), 31: (5, 15)}
+
+# seeds of 1, 2, 3 and 4 uint32 words, and the integer types a seed may have
+STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 + 5, 2 ** 100 + 9, True, np.int64(7)]
+STREAM_WIDTH = 2 ** 9
 
 # a draw may differ from the table sampler's by this fraction of the window width
 DRAW_RTOL = 1e-10
@@ -141,12 +145,32 @@ class TestSimulate:
     def test_noise_streams_keep_their_level_position_keys(self, haar, truth):
         # flat index j draws from SeedSequence(seed, spawn_key=(l + 1, k)),
         # the key of wavelet (l, k), and the scaling coordinate from (0, 0)
-        n, seed = 50, 7
-        data = simulate_wn(haar.analyze(truth), n, seed=seed)
+        n = 50
         c = haar.analyze(truth)
-        for j, key in STREAM_KEYS.items():
-            eps = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).standard_normal()
-            assert data.x[j] == c[j] + (1.0 / np.sqrt(n)) * eps
+        for seed in STREAM_SEEDS:
+            data = simulate_wn(c, n, seed=seed)
+            for j, key in STREAM_KEYS.items():
+                eps = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).standard_normal()
+                assert data.x[j] == c[j] + (1.0 / np.sqrt(n)) * eps
+            # the streams derived together are the streams built one by one
+            for j, stream in enumerate(wn._coordinate_streams(seed, STREAM_WIDTH)):
+                assert stream.standard_normal() == coordinate_rng(seed, j).standard_normal()
+
+    def test_negative_seed_refused(self, haar, truth):
+        with pytest.raises(ValueError, match="-1"):
+            simulate_wn(haar.analyze(truth), 50, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            wn._coordinate_streams(-(2 ** 40), 4)
+
+    @pytest.mark.parametrize("seed", [2.0, np.float64(3.0), None, "7"])
+    def test_non_integer_seed_refused(self, haar, truth, seed):
+        with pytest.raises(TypeError, match="integer"):
+            simulate_wn(haar.analyze(truth), 50, seed=seed)
+
+    @pytest.mark.parametrize("n", [float("nan"), 2.5, True, np.float64(64.0)])
+    def test_non_integer_n_refused(self, haar, truth, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            simulate_wn(haar.analyze(truth), n, seed=7)
 
 
 class TestCoordPosterior:
@@ -264,6 +288,19 @@ class TestCoordPosterior:
         with pytest.raises(ValueError, match=f"got {n}"):
             coord_posterior(0.1, 1, uniform_prior(), n)
 
+    @pytest.mark.parametrize("n", [float("nan"), 2.5, True])
+    def test_non_integer_n_refused(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            coord_posterior(0.1, 1, uniform_prior(), n)
+
+    def test_draws_keep_nan_and_clip_to_the_window(self):
+        # the clip to [lo, hi] is np.clip's, also for uniforms at and past the ends
+        post = coord_posterior(0.1, 1, uniform_prior(), 100)
+        u = np.array([0.0, 1.0, 1.0 + 1e-12, -1e-12, 0.5, np.nan])
+        lo, hi = post.thetas[0], post.thetas[-1]
+        expected = np.clip(np.interp(u * post.cum[-1], post.cum, post.thetas), lo, hi)
+        assert np.array_equal(post.sample(u), expected, equal_nan=True)
+
 
 class TestDraws:
     def test_deterministic(self, haar, truth):
@@ -276,11 +313,25 @@ class TestDraws:
     def test_uniform_streams_keep_their_level_position_keys(self, haar, truth):
         data = simulate_wn(haar.analyze(truth), 200, seed=3)
         prior = uniform_prior()
-        flat = draw_posterior_coefficients(data, prior, 6, seed=9)
-        for j, key in STREAM_KEYS.items():
-            u = np.random.default_rng(np.random.SeedSequence(9, spawn_key=key)).uniform(size=6)
-            level = max(key[0] - 1, 0)
-            assert_draws_match_the_table(flat[:, j], data.x[j], level, prior, data.n, u)
+        for seed in STREAM_SEEDS:
+            flat = draw_posterior_coefficients(data, prior, 6, seed=seed)
+            for j, key in STREAM_KEYS.items():
+                u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).uniform(size=6)
+                level = max(key[0] - 1, 0)
+                assert_draws_match_the_table(flat[:, j], data.x[j], level, prior, data.n, u)
+            for j, stream in enumerate(wn._coordinate_streams(seed, STREAM_WIDTH)):
+                assert np.array_equal(stream.random(200), coordinate_rng(seed, j).random(200))
+
+    @pytest.mark.parametrize("m", [0, 2.5, True, float("nan")])
+    def test_bad_draw_count_refused(self, haar, truth, m):
+        data = simulate_wn(haar.analyze(truth), 200, seed=3)
+        with pytest.raises(ValueError, match="draw count m"):
+            draw_posterior_coefficients(data, uniform_prior(), m, seed=9)
+
+    def test_non_integer_seed_refused(self, haar, truth):
+        data = simulate_wn(haar.analyze(truth), 200, seed=3)
+        with pytest.raises(TypeError, match="integer"):
+            draw_posterior_coefficients(data, uniform_prior(), 6, seed=9.0)
 
     @pytest.mark.parametrize("n", [1, 4, 200, 2 ** 16, 2 ** 20])
     @pytest.mark.parametrize("prior", [uniform_prior(L=6), ep_prior(L=6)], ids=["uniform", "exp-power"])
@@ -294,7 +345,7 @@ class TestDraws:
         for x in (0.3 * sign * radius, sign * radius, sign * (radius + 2.0 * half)):
             flat = draw_posterior_coefficients(WhiteNoiseData(n=n, x=x), prior, 200, seed=4)
             for j, level in enumerate(levels):
-                u = wn._coordinate_rng(4, j).uniform(size=200)
+                u = coordinate_rng(4, j).uniform(size=200)
                 assert_draws_match_the_table(flat[:, j], x[j], level, prior, n, u)
 
     @pytest.mark.parametrize("j, level", [(0, 0), (1, 0), (9, 3), (127, 6)])
@@ -374,8 +425,9 @@ class TestLaplace:
 
     def test_t_range_guard(self, haar, truth):
         data = simulate_wn(haar.analyze(truth), 256, seed=0)
-        with pytest.raises(ValueError):
-            laplace_check(data, uniform_prior(), 1, 0, 4.0)
+        for t in (4.0, -3.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"\|t\| <= 3"):
+                laplace_check(data, uniform_prior(), 1, 0, t)
 
     @pytest.mark.parametrize("level, position, bad", [
         (1, -1, "position -1"), (1, 2, "position 2"), (-1, 0, "got -1"), (5, 0, "level 5"),
