@@ -16,16 +16,14 @@ from supnorm import (
     sample_data,
 )
 from supnorm.density import HistogramPriorSpec
-from supnorm.functions import DensityTruthSpec, HolderTruthSpec, make_density_truth
+from supnorm.functions import HolderTruthSpec, make_density_truth
 from supnorm.grids import GridFunction
 from supnorm.wavelets import build_basis
 
 # --- one posterior, step by step -----------------------------------------
 basis = build_basis("haar", L_max=6, J=12)
-truth, recorded = make_density_truth(
-    DensityTruthSpec(HolderTruthSpec(alpha=0.75, radius=1.0, seed=1)), basis
-)
-print(f"truth density range: [{recorded.rho0:.3f}, {recorded.d0:.3f}], "
+truth = make_density_truth(HolderTruthSpec(alpha=0.75, radius=1.0, seed=1), basis)
+print(f"truth density range: [{truth.values.min():.3f}, {truth.values.max():.3f}], "
       f"integral {truth.quad():.6f}")
 
 sample = sample_data(truth, n=4000, seed=2)

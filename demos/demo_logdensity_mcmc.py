@@ -12,7 +12,7 @@ import numpy as np
 
 from supnorm import McmcConfig, Sample, bin_counts, logdensity_mcmc
 from supnorm.density import LogDensityPriorSpec
-from supnorm.functions import DensityTruthSpec, HolderTruthSpec, make_density_truth
+from supnorm.functions import HolderTruthSpec, make_density_truth
 from supnorm.wavelets import build_basis
 from supnorm.density import posterior_expected_losses, sample_data
 
@@ -31,9 +31,7 @@ print(f"MCMC posterior mean of bin mass: {omega0.mean():.4f} "
 
 # --- contraction with the Gaussian coefficient prior ------------------------
 basis = build_basis("boundary-smooth", L_max=5, J=12, order=4)
-truth, _ = make_density_truth(
-    DensityTruthSpec(HolderTruthSpec(alpha=1.0, radius=1.0, seed=3)), basis
-)
+truth = make_density_truth(HolderTruthSpec(alpha=1.0, radius=1.0, seed=3), basis)
 prior_kw = dict(law="gaussian", alpha=1.0, r=0.5)
 cfg = McmcConfig(iterations=8000, burn_in=2000, thin=5)
 

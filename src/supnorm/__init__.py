@@ -17,9 +17,7 @@ from .wavelets import (
     level_slice,
 )
 from .functions import (
-    DensityTruthSpec,
     HolderTruthSpec,
-    hellinger,
     make_density_truth,
     make_holder_truth,
 )
@@ -58,8 +56,7 @@ from .rates import (
 __all__ = [
     "DyadicGrid", "GridFunction",
     "WaveletBasis", "WaveletIndex", "build_basis", "level_slice",
-    "DensityTruthSpec", "HolderTruthSpec", "hellinger",
-    "make_density_truth", "make_holder_truth",
+    "HolderTruthSpec", "make_density_truth", "make_holder_truth",
     "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",
     "draw_posterior_coefficients", "laplace_check", "simulate_wn",
     "HistogramPosterior", "HistogramPriorSpec", "LogDensityPriorSpec",

@@ -170,7 +170,6 @@ class HistogramPosterior:
 
     level: int
     params: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
 
 
 def histogram_posterior(prior: HistogramPriorSpec, counts) -> HistogramPosterior:
@@ -181,7 +180,7 @@ def histogram_posterior(prior: HistogramPriorSpec, counts) -> HistogramPosterior
         )
     if counts.min() < 0:
         raise ValueError("counts must be nonnegative")
-    return HistogramPosterior(prior.level, prior.alphas + counts, counts.copy())
+    return HistogramPosterior(prior.level, prior.alphas + counts)
 
 
 def _log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: int) -> np.ndarray:
@@ -355,8 +354,6 @@ class McmcChain:
     level_slices: list = field(repr=False)
     acceptance: np.ndarray = field(repr=False)  # per level, post burn-in
     step_scales: np.ndarray = field(repr=False)
-    burn_in: int = 0
-    thin: int = 1
     converged: bool = True
 
     def density_values(self, basis: WaveletBasis, rows: slice = slice(None)) -> np.ndarray:
@@ -520,8 +517,6 @@ def logdensity_mcmc(
         level_slices=slices,
         acceptance=rates,
         step_scales=scales,
-        burn_in=burn_in,
-        thin=thin,
         converged=ok,
     )
 

@@ -6,11 +6,11 @@ l <= L_max exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, check_same_grid
+from .grids import GridFunction
 from .wavelets import WaveletBasis, level_slice
 
 
@@ -18,14 +18,9 @@ class NegativeDensityError(ValueError):
     """A claimed density has significantly negative values."""
 
 
-def hellinger(f: GridFunction, g: GridFunction) -> float:
-    """Unnormalized Hellinger distance: h^2 = integral (sqrt f - sqrt g)^2."""
-    check_same_grid(f, g)
-    return float(hellinger_rows(f.values, g.values))
-
-
 def hellinger_rows(values: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Hellinger distance of each row of `values` to the grid vector g.
+    """Unnormalized Hellinger distance, h^2 = integral (sqrt f - sqrt g)^2,
+    of each row f of `values` to the grid vector g.
 
     A row of K values is a step function on K dyadic blocks of g's grid
     (K = N: grid values); the distance is exact, from the per-block mean and
@@ -91,15 +86,6 @@ class HolderTruthSpec:
             raise ValueError(f"unknown truth kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class DensityTruthSpec:
-    """Density truth exp(g0 - c) with g0 drawn from a Holder ball."""
-
-    log_spec: HolderTruthSpec
-    rho0: float = field(default=float("nan"), compare=False)
-    d0: float = field(default=float("nan"), compare=False)
-
-
 def truth_coefficients(spec: HolderTruthSpec, L_max: int) -> np.ndarray:
     """Flat coefficients: scaling 0, then R * s_lk * 2^{-l(1/2+alpha)} at level l."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(71,)))
@@ -124,17 +110,9 @@ def make_holder_truth(spec: HolderTruthSpec, basis: WaveletBasis) -> GridFunctio
     return basis.synthesize(truth_coefficients(spec, basis.L_max))
 
 
-def make_density_truth(spec: DensityTruthSpec, basis: WaveletBasis):
-    """Normalized density exp(g0 - c(g0)) with g0 from the Holder ball.
-
-    Returns (density, filled DensityTruthSpec recording rho0 and D0).
-    """
-    g0 = make_holder_truth(spec.log_spec, basis)
-    f0 = normalize_log(g0)
-    filled = DensityTruthSpec(
-        spec.log_spec, rho0=float(f0.values.min()), d0=float(f0.values.max())
-    )
-    return f0, filled
+def make_density_truth(spec: HolderTruthSpec, basis: WaveletBasis) -> GridFunction:
+    """Normalized density exp(g0 - c(g0)) with g0 = make_holder_truth(spec, basis)."""
+    return normalize_log(make_holder_truth(spec, basis))
 
 
 def log_mean_exp(t: np.ndarray, out: np.ndarray | None = None):

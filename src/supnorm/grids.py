@@ -71,11 +71,3 @@ class GridFunction:
             fh.write("midpoint,value\n")
             for m, v in zip(mids, self.values):
                 fh.write(f"{float(m)!r},{float(v)!r}\n")
-
-
-def check_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.grid.resolution != g.grid.resolution:
-        raise GridMismatchError(
-            f"grids differ: J={f.grid.resolution} vs J={g.grid.resolution}"
-        )
-

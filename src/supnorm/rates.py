@@ -1,31 +1,59 @@
 """Experiment orchestration: loss curves over an n-grid and rate fitting.
 
-For each (n, replication) cell a truth is generated from the replication
-seed (the same function across the n-grid within a replication), data are
-simulated, the model posterior is computed, and posterior-expected losses
-are recorded.  Log-log regression of the mean loss against n / log n (the
-regressor carrying the logarithmic factor of the minimax sup-norm rate)
-gives the empirical contraction slope, compared to -alpha/(2 alpha + 1).
+Every (n, replication) cell of every model runs the same stages:
+
+- truth: a function from the replication seed, shared by the n-grid of its
+  replication (`_truth_for_rep`);
+- data: white-noise observations, or an i.i.d. sample of the density;
+- posterior: the product prior's coordinate posteriors, the Dirichlet
+  update of the histogram, or the log-density MCMC chain;
+- draws: posterior draws on the grid;
+- losses: posterior-expected sup/L2(/Hellinger) losses, one `LossRecord`.
+
+The model facts these stages read are stated once, in `_MODELS`.  Log-log
+regression of the mean loss against n / log n (the regressor carrying the
+logarithmic factor of the minimax sup-norm rate) gives the empirical
+contraction slope, compared to -alpha/(2 alpha + 1).
 """
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .grids import GridFunction
-from .functions import DensityTruthSpec, HolderTruthSpec, make_density_truth, make_holder_truth
+from .functions import HolderTruthSpec, make_density_truth, make_holder_truth
 from .wavelets import WaveletBasis, build_basis, check_basis_args
 from . import density as dens
 from . import whitenoise as wn
 
-MODELS = ("white-noise", "density-histogram", "density-logdensity")
-# models whose cells run on threads: histogram cells spend their time in
-# GIL-free numpy, while the MCMC and white-noise quadrature hold the GIL
-# between short numpy calls, so two of their cells side by side run slower
-THREADED_MODELS = ("density-histogram",)
+
+class _Model(NamedTuple):
+    # config keys only this model reads: another model's config must leave
+    # them at their defaults, so a stray key is reported, never hashed
+    keys: tuple
+    basis_kind: str  # default basis kind
+    truth_levels: int  # basis levels above the largest prior cutoff L_n
+    # cells run on threads: histogram cells spend their time in GIL-free
+    # numpy, while the MCMC and white-noise quadrature hold the GIL between
+    # short numpy calls, so two of their cells side by side run slower
+    threaded: bool
+
+
+_MODELS = {
+    # prior truncation L_n + 2, truth two levels deeper
+    "white-noise": _Model(("prior_family", "bound", "delta"), "haar", 4, False),
+    # Haar-built truths carry the exact dyadic alpha-modulus that drives
+    # bin-approximation error; smooth truths are available via basis_kind
+    "density-histogram": _Model(("dirichlet_alpha",), "haar", 2, True),
+    "density-logdensity": _Model(
+        ("coefficient_law", "r", "tau", "prior_scale", "mcmc"), "boundary-smooth", 2, False
+    ),
+}
+MODELS = tuple(_MODELS)
 
 _TAG_TRUTH = 1
 _TAG_DATA = 2
@@ -102,14 +130,17 @@ class ExperimentConfig:
             self.truth_spec(0)
             self.prior_spec(0)
             if isinstance(self.mcmc, dict):
+                unknown = sorted(set(self.mcmc) - {f.name for f in fields(dens.McmcConfig)})
+                if unknown:
+                    raise ValueError(f"unknown mcmc keys: {unknown}")
                 self.mcmc = dens.McmcConfig(**self.mcmc)
             _basis_args(self)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if not isinstance(self.mcmc, dens.McmcConfig):
             raise ConfigError("mcmc must be an object of MCMC settings")
-        for model, keys in _MODEL_KEYS.items():
-            stray = [k for k in keys if model != self.model and getattr(self, k) != _DEFAULTS[k]]
+        for model, facts in _MODELS.items():
+            stray = [k for k in facts.keys if model != self.model and getattr(self, k) != _DEFAULTS[k]]
             if stray:
                 raise ConfigError(
                     f"{', '.join(stray)}: read only by the {model} model, not by {self.model}"
@@ -119,19 +150,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"uniform prior needs B > R (got B={self.bound}, R={self.radius})"
             )
+        # stacklevel 3: past the generated __init__, at the code building the config
         if len(ns) < 3 or ns[-1] < 16 * ns[0]:
             warnings.warn(
                 "n-grid smaller than 3 points spanning a factor 16; "
                 "rate fits on this run will be refused or unreliable",
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.replications < 5:
-            warnings.warn("fewer than 5 replications per n", stacklevel=2)
+            warnings.warn("fewer than 5 replications per n", stacklevel=3)
 
-    def truth_spec(self, rep: int) -> HolderTruthSpec | DensityTruthSpec:
-        """Truth of replication `rep` (a density of one for density models)."""
-        spec = HolderTruthSpec(self.alpha, self.radius, _truth_seed(self, rep), self.truth_kind)
-        return spec if self.model == "white-noise" else DensityTruthSpec(spec)
+    def truth_spec(self, rep: int) -> HolderTruthSpec:
+        """Truth of replication `rep` (its log-density for density models)."""
+        return HolderTruthSpec(self.alpha, self.radius, _truth_seed(self, rep), self.truth_kind)
 
     def prior_spec(self, level: int):
         """The model's prior, truncated at `level`."""
@@ -155,17 +186,10 @@ class ExperimentConfig:
         return self.coefficient_law
 
 
-# the keys only one model reads; another model's config must leave them at
-# their defaults, so a stray key is reported and never changes the hash
-_MODEL_KEYS = {
-    "white-noise": ("prior_family", "bound", "delta"),
-    "density-histogram": ("dirichlet_alpha",),
-    "density-logdensity": ("coefficient_law", "r", "tau", "prior_scale", "mcmc"),
-}
 _DEFAULTS = {
     f.name: f.default_factory() if f.default is MISSING else f.default
     for f in fields(ExperimentConfig)
-    if any(f.name in keys for keys in _MODEL_KEYS.values())
+    if any(f.name in facts.keys for facts in _MODELS.values())
 }
 
 # integer field -> least value (grid_resolution, which may be None, apart)
@@ -232,21 +256,24 @@ def read_records(path) -> list[LossRecord]:
             continue
         parts = ln.split(",")
         if len(parts) != 12:
-            raise ValueError(f"malformed CSV row: {ln!r}")
-        rec = LossRecord(
-            model=parts[0],
-            prior=parts[1],
-            alpha=float(parts[2]),
-            n=int(parts[3]),
-            rep=int(parts[4]),
-            sup_loss=float(parts[5]),
-            l2_loss=float(parts[6]),
-            hellinger_loss=float(parts[7]) if parts[7] else None,
-            q90_sup=float(parts[8]),
-            trunc_bias=float(parts[9]) if parts[9] else None,
-            seed=int(parts[10]),
-            flag=int(parts[11]),
-        )
+            raise ValueError(f"line {lineno}: malformed CSV row: {ln!r}")
+        try:
+            rec = LossRecord(
+                model=parts[0],
+                prior=parts[1],
+                alpha=float(parts[2]),
+                n=int(parts[3]),
+                rep=int(parts[4]),
+                sup_loss=float(parts[5]),
+                l2_loss=float(parts[6]),
+                hellinger_loss=float(parts[7]) if parts[7] else None,
+                q90_sup=float(parts[8]),
+                trunc_bias=float(parts[9]) if parts[9] else None,
+                seed=int(parts[10]),
+                flag=int(parts[11]),
+            )
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
         if not (np.isfinite(rec.alpha) and rec.alpha > 0.0):
             raise ValueError(f"line {lineno}: alpha must be finite and > 0, got {rec.alpha}")
         if rec.n < 1:
@@ -279,18 +306,9 @@ def _truth_seed(cfg: ExperimentConfig, rep: int) -> int:
 
 def _basis_args(cfg: ExperimentConfig) -> tuple[str, int, int]:
     """(kind, L_max, J): deep enough for the largest prior cutoff plus truth margin."""
-    _, L_top = cutoff(max(cfg.n_grid), cfg.alpha)
-    if cfg.model == "white-noise":
-        L_max = L_top + 2 + 2  # prior truncation L_n + 2, truth two levels deeper
-        kind = cfg.basis_kind or "haar"
-    elif cfg.model == "density-histogram":
-        L_max = L_top + 2
-        # Haar-built truths carry the exact dyadic alpha-modulus that drives
-        # bin-approximation error; smooth truths are available via basis_kind
-        kind = cfg.basis_kind or "haar"
-    else:
-        L_max = L_top + 2
-        kind = cfg.basis_kind or "boundary-smooth"
+    facts = _MODELS[cfg.model]
+    kind = cfg.basis_kind or facts.basis_kind
+    L_max = cutoff(max(cfg.n_grid), cfg.alpha)[1] + facts.truth_levels
     J = check_basis_args(kind, L_max, cfg.grid_resolution, cfg.basis_order)
     return kind, L_max, J
 
@@ -317,7 +335,7 @@ def _check_basis(cfg: ExperimentConfig, basis: WaveletBasis) -> None:
 def _truth_for_rep(
     cfg: ExperimentConfig, basis: WaveletBasis, rep: int
 ) -> tuple[GridFunction, np.ndarray | None]:
-    """(f0, coefficients): the replication's truth, shared by its n-grid.
+    """Truth stage, (f0, coefficients): the replication's truth, shared by its n-grid.
 
     A white-noise truth comes with its analysed coefficients, computed once
     here rather than in every cell; other models carry None.
@@ -326,52 +344,41 @@ def _truth_for_rep(
     if cfg.model == "white-noise":
         f0 = make_holder_truth(spec, basis)
         return f0, basis.analyze(f0)
-    f0, _ = make_density_truth(spec, basis)
-    return f0, None
+    return make_density_truth(spec, basis), None
 
 
 def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis,
               truth: tuple[GridFunction, np.ndarray | None], n: int, rep: int) -> LossRecord:
+    """Data, posterior, draws and losses of one cell, as one `LossRecord`."""
     f0, coeffs = truth
     data_seed = _derived_seed(cfg.master_seed, _TAG_DATA, n, rep)
     draw_seed = _derived_seed(cfg.master_seed, _TAG_DRAWS, n, rep)
     _, L_n = cutoff(n, cfg.alpha)
+    trunc_bias, flag = None, 0
 
     if cfg.model == "white-noise":
-        L_trunc = min(L_n + 2, basis.L_max)
-        prior = cfg.prior_spec(L_trunc)
-        data = wn.simulate_wn(coeffs, n, data_seed, truncation_level=L_trunc)
+        prior = cfg.prior_spec(L_n + 2)
+        data = wn.simulate_wn(coeffs, n, data_seed, truncation_level=prior.truncation_level)
         flat = wn.draw_posterior_coefficients(data, prior, cfg.draws, draw_seed)
-        # Haar rows stay step functions on 2^(L_trunc+1) bins, reduced exactly per bin
-        values = basis.synthesize_flat(flat)
-        losses = dens.posterior_expected_losses(values, f0, densities=False)
-        return LossRecord(
-            cfg.model, cfg.prior_label, cfg.alpha, n, rep,
-            losses.sup, losses.l2, None, losses.q90_sup,
-            wn.truncation_bias_bound(prior), data_seed,
-        )
-
-    if cfg.model == "density-histogram":
+        # Haar rows stay step functions on 2^(L_n+3) bins, reduced exactly per bin
+        losses = dens.posterior_expected_losses(basis.synthesize_flat(flat), f0, densities=False)
+        trunc_bias = wn.truncation_bias_bound(prior)
+    else:
         prior = cfg.prior_spec(L_n)
         sample = dens.sample_data(f0, n, data_seed)
-        post = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
-        values = dens.draw_histogram_values(post, cfg.draws, draw_seed)
-        losses = dens.posterior_expected_losses(values, f0, densities=True)
-        return LossRecord(
-            cfg.model, cfg.prior_label, cfg.alpha, n, rep,
-            losses.sup, losses.l2, losses.hellinger, losses.q90_sup,
-            None, data_seed,
-        )
+        if cfg.model == "density-histogram":
+            post = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
+            values = dens.draw_histogram_values(post, cfg.draws, draw_seed)
+            losses = dens.posterior_expected_losses(values, f0)
+        else:
+            chain = dens.logdensity_mcmc(prior, sample, basis, cfg.mcmc, draw_seed)
+            losses = chain.expected_losses(basis, f0)
+            flag = 0 if chain.converged else 1
 
-    # density-logdensity
-    prior = cfg.prior_spec(min(L_n, basis.L_max))
-    sample = dens.sample_data(f0, n, data_seed)
-    chain = dens.logdensity_mcmc(prior, sample, basis, cfg.mcmc, draw_seed)
-    losses = chain.expected_losses(basis, f0)
     return LossRecord(
         cfg.model, cfg.prior_label, cfg.alpha, n, rep,
         losses.sup, losses.l2, losses.hellinger, losses.q90_sup,
-        None, data_seed, flag=0 if chain.converged else 1,
+        trunc_bias, data_seed, flag,
     )
 
 
@@ -379,11 +386,11 @@ def run_experiment(cfg: ExperimentConfig, basis: WaveletBasis | None = None) -> 
     """All (n, replication) cells, deterministic given (config, master seed).
 
     `basis` defaults to `plan_basis(cfg)`; any other basis raises ValueError.
-    `cfg.threads` is a ceiling: only the cells of `THREADED_MODELS` run on
-    that many threads, largest n first; the cells of other models run one
-    after another in the calling thread.  Cells are independent with
-    derived seeds, so the dispatch cannot change any record; records are
-    returned in (n, rep) order.
+    `cfg.threads` is a ceiling: only the cells of threaded models (the
+    histogram) run on that many threads, largest n first; the cells of
+    other models run one after another in the calling thread.  Cells are
+    independent with derived seeds, so the dispatch cannot change any
+    record; records are returned in (n, rep) order.
     """
     if basis is None:
         basis = plan_basis(cfg)
@@ -396,7 +403,7 @@ def run_experiment(cfg: ExperimentConfig, basis: WaveletBasis | None = None) -> 
         n, rep = cell
         return _run_cell(cfg, basis, truths[rep], n, rep)
 
-    if cfg.threads == 1 or cfg.model not in THREADED_MODELS:
+    if cfg.threads == 1 or not _MODELS[cfg.model].threaded:
         return [work(c) for c in cells]
     # a cell's cost grows with n: start the costliest first, so that the
     # cells left for the end of the run are short ones

@@ -275,28 +275,13 @@ class CoordPosterior:
         w = self.weights
         return w / (np.diff(self.thetas) * (w[1:] + w[:-1]) / 2.0).sum()
 
-    @property
-    def cdf(self) -> np.ndarray:
-        """Trapezoid integral of `pdf` up to each grid point, scaled to end at 1."""
-        pdf = self.pdf
-        cdf = np.empty_like(pdf)
-        cdf[0] = 0.0
-        np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(self.thetas), out=cdf[1:])
-        cdf /= cdf[-1]
-        return cdf
-
-    @property
-    def mean(self) -> float:
-        """Posterior mean by the trapezoid rule on the table."""
-        return float(np.trapezoid(self.thetas * self.pdf, self.thetas))
-
     def sample(self, uniforms: np.ndarray) -> np.ndarray:
         """Inverse-CDF draws with linear interpolation on the table.
 
         A uniform u is located at u cum[-1] among the unnormalised `cum`,
-        so no normalised cdf is formed.  The draws agree with
-        `np.interp(u, self.cdf, self.thetas)` to within 1e-10 of the window
-        width: the two differ only in how the cdf is summed and scaled.  A
+        so no normalised cdf is formed.  The draws agree with interpolation
+        on the trapezoid cdf of `pdf` to within 1e-10 of the window width:
+        the two differ only in how the cdf is summed and scaled.  A
         draw in the last cell may round past hi, so draws are clipped to
         [lo, hi].
         """
@@ -319,8 +304,8 @@ def coord_posterior(
     with the prior's effective support; when that intersection is empty the
     full prior support is used instead.  The grid has the bits of
     `np.linspace(lo, hi, QUADRATURE_POINTS)`.  Only the weights and their
-    cumulative pair sums are formed here; `pdf` and `cdf` are derived from
-    them when read.  An `n` that is not an integer >= 1 raises ValueError.
+    cumulative pair sums are formed here; `pdf` is derived from them when
+    read.  An `n` that is not an integer >= 1 raises ValueError.
     """
     check_number("n", n, integer=True, minimum=1)
     sigma = prior.sigma(level)

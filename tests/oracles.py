@@ -1,6 +1,8 @@
 """Reference functions the tests use; the package itself never needs them."""
 import numpy as np
 
+from supnorm import density as dens, rates, whitenoise as wn
+from supnorm.functions import HolderTruthSpec, make_holder_truth, normalize_log
 from supnorm.grids import DyadicGrid, GridFunction
 from supnorm.wavelets import WaveletBasis, level_slice
 
@@ -29,9 +31,25 @@ def mean_masses(post) -> np.ndarray:
     return post.params / post.params.sum()
 
 
+def coord_cdf(post) -> np.ndarray:
+    """Trapezoid integral of a `CoordPosterior`'s pdf up to each grid point,
+    scaled to end at 1."""
+    pdf = post.pdf
+    cdf = np.empty_like(pdf)
+    cdf[0] = 0.0
+    np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(post.thetas), out=cdf[1:])
+    cdf /= cdf[-1]
+    return cdf
+
+
+def coord_mean(post) -> float:
+    """Posterior mean of a `CoordPosterior` by the trapezoid rule on its table."""
+    return float(np.trapezoid(post.thetas * post.pdf, post.thetas))
+
+
 def interpolated_draws(post, u) -> np.ndarray:
     """Inverse-CDF draws of a `CoordPosterior` by interpolation on its normalised cdf."""
-    return np.interp(u, post.cdf, post.thetas)
+    return np.interp(u, coord_cdf(post), post.thetas)
 
 
 def coordinate_rng(seed, j: int) -> np.random.Generator:
@@ -40,3 +58,61 @@ def coordinate_rng(seed, j: int) -> np.random.Generator:
     l = j.bit_length() - 1
     key = (l + 1, j - level_slice(l).start) if j else (0, 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def reference_records(cfg) -> list:
+    """The records of `rates.run_experiment(cfg)`, cell by cell in (n, rep)
+    order, with each model written out as its own branch."""
+    basis = rates.plan_basis(cfg)
+    truths = []
+    for rep in range(cfg.replications):
+        spec = HolderTruthSpec(cfg.alpha, cfg.radius, rates._truth_seed(cfg, rep), cfg.truth_kind)
+        g0 = make_holder_truth(spec, basis)
+        if cfg.model == "white-noise":
+            truths.append((g0, basis.analyze(g0)))
+        else:
+            truths.append((normalize_log(g0), None))
+    return [_reference_cell(cfg, basis, truths[rep], n, rep)
+            for n in cfg.n_grid for rep in range(cfg.replications)]
+
+
+def _reference_cell(cfg, basis, truth, n, rep):
+    f0, coeffs = truth
+    data_seed = rates._derived_seed(cfg.master_seed, rates._TAG_DATA, n, rep)
+    draw_seed = rates._derived_seed(cfg.master_seed, rates._TAG_DRAWS, n, rep)
+    _, L_n = rates.cutoff(n, cfg.alpha)
+
+    if cfg.model == "white-noise":
+        L_trunc = min(L_n + 2, basis.L_max)
+        prior = cfg.prior_spec(L_trunc)
+        data = wn.simulate_wn(coeffs, n, data_seed, truncation_level=L_trunc)
+        flat = wn.draw_posterior_coefficients(data, prior, cfg.draws, draw_seed)
+        values = basis.synthesize_flat(flat)
+        losses = dens.posterior_expected_losses(values, f0, densities=False)
+        return rates.LossRecord(
+            cfg.model, cfg.prior_label, cfg.alpha, n, rep,
+            losses.sup, losses.l2, None, losses.q90_sup,
+            wn.truncation_bias_bound(prior), data_seed,
+        )
+
+    if cfg.model == "density-histogram":
+        prior = cfg.prior_spec(L_n)
+        sample = dens.sample_data(f0, n, data_seed)
+        post = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
+        values = dens.draw_histogram_values(post, cfg.draws, draw_seed)
+        losses = dens.posterior_expected_losses(values, f0, densities=True)
+        return rates.LossRecord(
+            cfg.model, cfg.prior_label, cfg.alpha, n, rep,
+            losses.sup, losses.l2, losses.hellinger, losses.q90_sup,
+            None, data_seed,
+        )
+
+    prior = cfg.prior_spec(min(L_n, basis.L_max))
+    sample = dens.sample_data(f0, n, data_seed)
+    chain = dens.logdensity_mcmc(prior, sample, basis, cfg.mcmc, draw_seed)
+    losses = chain.expected_losses(basis, f0)
+    return rates.LossRecord(
+        cfg.model, cfg.prior_label, cfg.alpha, n, rep,
+        losses.sup, losses.l2, losses.hellinger, losses.q90_sup,
+        None, data_seed, flag=0 if chain.converged else 1,
+    )

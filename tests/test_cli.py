@@ -74,6 +74,7 @@ BAD_CONFIGS = {
     "mcmc-burn-in-string": {**LOGD, "mcmc": {"burn_in": "5000"}},
     "mcmc-thin-float": {**LOGD, "mcmc": {"thin": 1.5}},
     "mcmc-adapt-every-bool": {**LOGD, "mcmc": {"adapt_every": True}},
+    "mcmc-unknown-key": {**LOGD, "mcmc": {"iters": 5}},
     # keys another model reads, set away from their defaults
     "histogram-prior-family": {**TINY, "prior_family": "nope"},
     "histogram-coefficient-law": {**TINY, "coefficient_law": "polya"},
@@ -302,6 +303,11 @@ BAD_ROWS = {
     "flag-minus-1": "white-noise,uniform,1.0,64,1,0.3,0.2,,0.6,0.01,0,-1",
     "rep-minus-4": "white-noise,uniform,1.0,64,-4,0.3,0.2,,0.6,0.01,0,0",
     "duplicate-cell": "white-noise,uniform,1.0,64,0,0.3,0.2,,0.6,0.01,0,0",
+    # fields that do not parse
+    "abc-sup-loss": "white-noise,uniform,1.0,64,1,abc,0.2,,0.6,0.01,0,0",
+    "fractional-n": "white-noise,uniform,1.0,256.5,1,0.3,0.2,,0.6,0.01,0,0",
+    "empty-rep": "white-noise,uniform,1.0,64,,0.3,0.2,,0.6,0.01,0,0",
+    "eleven-fields": "white-noise,uniform,1.0,64,1,0.3,0.2,,0.6,0.01,0",
 }
 
 

@@ -5,7 +5,6 @@ from scipy import integrate, stats
 
 from supnorm.grids import DyadicGrid, GridFunction
 from supnorm.functions import (
-    DensityTruthSpec,
     HolderTruthSpec,
     NegativeDensityError,
     hellinger_rows,
@@ -114,7 +113,7 @@ class TestSampleData:
             basis_kind="haar" if model == "density-histogram" else "boundary-smooth",
             grid_resolution=12,
         )
-        f0, _ = make_density_truth(cfg.truth_spec(0), plan_basis(cfg))
+        f0 = make_density_truth(cfg.truth_spec(0), plan_basis(cfg))
         got = dens.sample_data(f0, 2 ** 18, seed)
         assert np.array_equal(got.values, reference_sample_data(f0, 2 ** 18, seed).values)
 
@@ -289,9 +288,7 @@ class TestNormalizeLogDensity:
 
     def test_recovers_density(self, grid):
         basis = build_basis("haar", 4, grid.resolution)
-        f0, _ = make_density_truth(
-            DensityTruthSpec(HolderTruthSpec(1.0, 1.0, seed=7)), basis
-        )
+        f0 = make_density_truth(HolderTruthSpec(1.0, 1.0, seed=7), basis)
         t = GridFunction(grid, np.log(f0.values))
         back = normalize_log(t)
         assert np.abs(back.values - f0.values).max() < 1e-10
@@ -388,9 +385,7 @@ class TestMcmc:
 
     def test_chain_doubling_self_consistency(self):
         basis = build_basis("boundary-smooth", 3, 9)
-        f0, _ = make_density_truth(
-            DensityTruthSpec(HolderTruthSpec(1.0, 0.5, seed=3)), basis
-        )
+        f0 = make_density_truth(HolderTruthSpec(1.0, 0.5, seed=3), basis)
         sample = dens.sample_data(f0, 400, seed=3)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=2, r=0.5)
 
@@ -416,9 +411,7 @@ class TestMcmc:
 
     def test_draws_are_densities(self):
         basis = build_basis("boundary-smooth", 3, 9)
-        f0, _ = make_density_truth(
-            DensityTruthSpec(HolderTruthSpec(1.0, 0.5, seed=4)), basis
-        )
+        f0 = make_density_truth(HolderTruthSpec(1.0, 0.5, seed=4), basis)
         sample = dens.sample_data(f0, 200, seed=4)
         prior = dens.LogDensityPriorSpec("laplace", alpha=1.0, cutoff_level=2)
         cfg = dens.McmcConfig(iterations=3_000, burn_in=500, thin=10)
@@ -565,9 +558,7 @@ class TestStepLosses:
 class TestChainLosses:
     def test_blockwise_losses_match_the_full_evaluation(self):
         basis = build_basis("boundary-smooth", 3, 9)
-        f0, _ = make_density_truth(
-            DensityTruthSpec(HolderTruthSpec(1.0, 0.5, seed=4)), basis
-        )
+        f0 = make_density_truth(HolderTruthSpec(1.0, 0.5, seed=4), basis)
         sample = dens.sample_data(f0, 200, seed=4)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=2, r=0.5)
         cfg = dens.McmcConfig(iterations=1_300, burn_in=300, thin=1)
@@ -631,7 +622,7 @@ class TestBufferedLosses:
     @pytest.fixture(scope="class")
     def chain_case(self):
         basis = build_basis("boundary-smooth", 3, 9)
-        f0, _ = make_density_truth(DensityTruthSpec(HolderTruthSpec(1.0, 0.5, seed=5)), basis)
+        f0 = make_density_truth(HolderTruthSpec(1.0, 0.5, seed=5), basis)
         sample = dens.sample_data(f0, 300, seed=5)
         prior = dens.LogDensityPriorSpec("laplace", alpha=1.0, cutoff_level=3)
         cfg = dens.McmcConfig(iterations=1_100, burn_in=300, thin=4)
@@ -750,7 +741,7 @@ LAWS = ("gaussian", "laplace", "logistic", "heavy-tail")
 @pytest.fixture(scope="module", params=["haar", "boundary-smooth"])
 def kernel_case(request):
     basis = build_basis(request.param, 3, 9)
-    f0, _ = make_density_truth(DensityTruthSpec(HolderTruthSpec(1.0, 1.0, seed=6)), basis)
+    f0 = make_density_truth(HolderTruthSpec(1.0, 1.0, seed=6), basis)
     return basis, dens.sample_data(f0, 2000, seed=6)
 
 

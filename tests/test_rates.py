@@ -19,6 +19,8 @@ from supnorm.rates import (
     write_records,
 )
 
+from oracles import reference_records
+
 
 def synthetic_records(ns, loss_fn, model="white-noise", reps=1, flag_fn=None,
                       alpha=1.0):
@@ -198,6 +200,19 @@ class TestConfig:
                 replications=5,
             )
 
+    def test_warnings_point_at_the_caller(self):
+        with pytest.warns(UserWarning) as caught:
+            ExperimentConfig(
+                model="density-histogram", alpha=0.75, n_grid=(64, 128),
+                replications=2,
+            )
+        assert len(caught) == 2
+        assert [w.filename for w in caught] == [__file__, __file__]
+
+    def test_unknown_mcmc_key_named(self):
+        with pytest.raises(ConfigError, match="iters"):
+            ExperimentConfig(**dict(TINY["density-logdensity"], mcmc={"iters": 5}))
+
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(model="polya-tree", alpha=1.0, n_grid=(64, 256, 4096))
@@ -224,7 +239,7 @@ class TestConfig:
         prior = cfg.prior_spec(3)
         assert (prior.law, prior.cutoff_level, prior.scale) == ("laplace", 3, 2.0)
         # density models get the density built from a Holder-ball truth
-        assert cfg.truth_spec(1).log_spec.alpha == 1.0
+        assert cfg.truth_spec(1).alpha == 1.0
         assert cfg.truth_spec(1) == cfg.truth_spec(1) != cfg.truth_spec(2)
 
     def test_decreasing_grid_rejected(self):
@@ -253,6 +268,16 @@ class TestRunExperiment:
             write_records(path, run_experiment(ExperimentConfig(**TINY[model], threads=threads)))
             out.append(path.read_bytes())
         assert out[0] == out[1] == out[2] == out[3]
+
+    @pytest.mark.parametrize("seed", [9, 2024])
+    @pytest.mark.parametrize("model", sorted(TINY))
+    def test_records_equal_the_per_model_reference(self, model, seed):
+        cfg = ExperimentConfig(**dict(TINY[model], master_seed=seed))
+        assert run_experiment(cfg) == reference_records(cfg)
+
+    def test_threaded_histogram_equals_the_reference(self):
+        cfg = ExperimentConfig(**TINY["density-histogram"], threads=3)
+        assert run_experiment(cfg) == reference_records(cfg)
 
     @pytest.mark.parametrize("model", ["white-noise", "density-logdensity"])
     def test_gil_bound_models_never_use_threads(self, model, monkeypatch):
