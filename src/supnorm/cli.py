@@ -90,7 +90,8 @@ def cmd_simulate(args) -> int:
         write_records(csv_path, records)
         manifest = {
             "tool_version": __version__,
-            "config_hash": config_hash(echo_for_hash(echo)),
+            # threads affect scheduling only, never results; keep them out of the hash
+            "config_hash": config_hash({k: v for k, v in echo.items() if k != "threads"}),
             "master_seed": cfg.master_seed,
             "started_at": started,
             "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -106,12 +107,6 @@ def cmd_simulate(args) -> int:
         return 3
     print(csv_path)
     return 0
-
-
-def echo_for_hash(echo: dict) -> dict:
-    # threads affect scheduling only, never results; keep them out of the hash
-    clean = {k: v for k, v in echo.items() if k != "threads"}
-    return clean
 
 
 def cmd_fit_rate(args) -> int:

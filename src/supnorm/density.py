@@ -31,11 +31,7 @@ n 1e-14 of the direct one.  The chain is the one the direct evaluation of
 counts . T - n c(T) gives, up to the rounding of the log ratio.
 
 The kept draws are expanded to the grid and reduced a block of about 1 MiB
-of values at a time (`McmcChain.expected_losses`).  The loss sums of all
-blocks work their temporaries in one scratch (`posterior_expected_losses`):
-MiB temporaries taken fresh per block can be handed back to the kernel
-when freed, and then their pages fault back in on the next block.  The
-arithmetic, and so every loss bit, is the same as with fresh arrays.
+of values at a time (`McmcChain.expected_losses`, `posterior_expected_losses`).
 """
 from __future__ import annotations
 
@@ -127,8 +123,6 @@ def bin_counts(sample: Sample, L: int) -> np.ndarray:
     if L < 0:
         raise ValueError("L must be >= 0")
     nbins = 2 ** L
-    if sample.n == 0:
-        return np.zeros(nbins, dtype=int)
     k = np.ceil(sample.values * nbins).astype(int) - 1
     k = np.clip(k, 0, nbins - 1)
     return np.bincount(k, minlength=nbins)
@@ -351,15 +345,13 @@ class McmcChain:
 
     states: np.ndarray = field(repr=False)  # (kept, K)
     sigmas: np.ndarray = field(repr=False)  # (K,) per-coefficient scale
-    level_slices: list = field(repr=False)
     acceptance: np.ndarray = field(repr=False)  # per level, post burn-in
     step_scales: np.ndarray = field(repr=False)
     converged: bool = True
 
     def density_values(self, basis: WaveletBasis, rows: slice = slice(None)) -> np.ndarray:
         """(kept, N) posterior density draws on the grid, or those of `rows`."""
-        B = _wavelet_columns(basis, len(self.level_slices) - 1)
-        T = (self.states[rows] * self.sigmas) @ B.T
+        T = (self.states[rows] * self.sigmas) @ basis.columns[:, 1:self.sigmas.size + 1].T
         T -= log_mean_exp(T)[:, None]
         return np.exp(T, out=T)
 
@@ -380,20 +372,19 @@ def _wavelet_columns(basis: WaveletBasis, L: int) -> np.ndarray:
 
 
 def _level_moves(prior: LogDensityPriorSpec, sample: Sample, basis: WaveletBasis) -> list:
-    """(l, slice, [R_l | s_l]) per level: a move of the level's standardized
+    """(slice, [R_l | s_l]) per level: a move of the level's standardized
     coefficients by d changes T by d @ R_l, with R_l = sigma_l times the
     level's wavelets as (2^l, N) rows, and sum_i T(X_i) by d @ s_l, with
     s_l = R_l @ counts of the sample's grid cells.  s_l is column N of the
     contiguous (2^l, N + 1) matrix, so one product gives both."""
     B = _wavelet_columns(basis, prior.cutoff_level)
-    counts = np.bincount(
-        basis.grid.cell_of(sample.values), minlength=basis.grid.size
-    ).astype(float) if sample.n else np.zeros(basis.grid.size)
+    cells = basis.grid.cell_of(sample.values)
+    counts = np.bincount(cells, minlength=basis.grid.size).astype(float)
     moves = []
     for l in range(prior.cutoff_level + 1):
         sl = slice(2 ** l - 1, 2 ** (l + 1) - 1)
         R = prior.sigma(l) * np.ascontiguousarray(B[:, sl].T)
-        moves.append((l, sl, np.column_stack([R, R @ counts])))
+        moves.append((sl, np.column_stack([R, R @ counts])))
     return moves
 
 
@@ -436,7 +427,6 @@ def logdensity_mcmc(
         [np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)]
     )
     levels = _level_moves(prior, sample, basis)
-    slices = [sl for _, sl, _ in levels]
     n = float(sample.n)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
@@ -459,7 +449,7 @@ def logdensity_mcmc(
     gaussian = prior.law == "gaussian"
     log_phi, add = prior.log_phi, np.add.reduce
     # log prior of the current block of each level (random-walk ratio)
-    log_prior = [0.0 if gaussian else float(add(log_phi(a[sl]))) for sl in slices]
+    log_prior = [0.0 if gaussian else float(add(log_phi(a[sl]))) for sl, _ in levels]
     scales = np.full(L + 1, 0.5)  # beta_l for pCN, step for random walk
 
     def step_sizes(scales):
@@ -472,7 +462,7 @@ def logdensity_mcmc(
     burn_in, thin, adapt_every = cfg.burn_in, cfg.thin, cfg.adapt_every
     states = np.empty((-(-(cfg.iterations - burn_in) // thin), K))
     # (level, view of its block of a, block size, [R_l | s_l])
-    moves = [(l, a[sl], sl.stop - sl.start, Rs) for l, sl, Rs in levels]
+    moves = [(l, a[sl], sl.stop - sl.start, Rs) for l, (sl, Rs) in enumerate(levels)]
     dot, exp, log = np.dot, np.exp, math.log
 
     for it in range(cfg.iterations):
@@ -514,7 +504,6 @@ def logdensity_mcmc(
     return McmcChain(
         states=states,
         sigmas=sigmas,
-        level_slices=slices,
         acceptance=rates,
         step_scales=scales,
         converged=ok,
@@ -565,7 +554,8 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
     squares and the Hellinger root differences are all worked in one
     (rows, K) scratch taken once per call: fresh MiB temporaries per block
     can be handed back to the kernel when freed and fault their pages back
-    in on the next block.
+    in on the next block.  The arithmetic, and so every loss bit, is the
+    same as with fresh arrays.
     """
     values = draws if isinstance(draws, np.ndarray) else np.array([d.values for d in draws])
     if len(values) == 0:

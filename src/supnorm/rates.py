@@ -182,7 +182,9 @@ class ExperimentConfig:
         if self.model == "white-noise":
             return self.prior_family
         if self.model == "density-histogram":
-            return f"dirichlet({self.dirichlet_alpha:g})"
+            # :g keeps six digits; an alpha it would round is written in full
+            a = self.dirichlet_alpha
+            return f"dirichlet({a:g})" if float(f"{a:g}") == a else f"dirichlet({float(a)!r})"
         return self.coefficient_law
 
 

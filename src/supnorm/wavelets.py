@@ -221,6 +221,18 @@ def _edge_candidates(h: np.ndarray, g: np.ndarray, n2: int, width: int, side: st
     return cands
 
 
+def _fill(cands, rows: slice) -> np.ndarray:
+    """One column per (rows, values) candidate on the row window `rows`;
+    entries outside the window are dropped."""
+    C = np.zeros((rows.stop - rows.start, len(cands)))
+    rws, vals = zip(*cands)
+    loc = np.concatenate(rws) - rows.start
+    col = np.repeat(np.arange(len(cands)), [len(r) for r in rws])
+    m = (loc >= 0) & (loc < len(C))
+    C[loc[m], col[m]] = np.concatenate(vals)[m]
+    return C
+
+
 def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
     """One refinement level of the boundary-corrected filter bank.
 
@@ -240,25 +252,29 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
 
     if n >= 4 * p:
         W = 4 * p
-        # left edge scaling block: local residuals of x^r against interior columns
-        RL = UL[:W, :].copy()
-        for i in range(nint):
-            lo = o + 2 * i
-            if lo >= W:
-                break
-            coef = h @ UL[lo:lo + F, :]
-            hi = min(lo + F, W)
-            RL[lo:hi, :] -= np.outer(h[: hi - lo], coef)
-        RR = UR[n2 - W:, :].copy()
-        for i in range(nint - 1, -1, -1):
-            lo = o + 2 * i
-            if lo + F <= n2 - W:
-                break
-            coef = h @ UR[lo:lo + F, :]
-            start = max(lo, n2 - W)
-            RR[start - (n2 - W):start - (n2 - W) + (lo + F - start), :] -= np.outer(
-                h[start - lo:], coef
-            )
+        left, right = slice(0, W), slice(n2 - W, n2)
+
+        def meeting(rows):
+            """Interior columns i whose taps, rows o + 2i .. o + 2i + F - 1, meet `rows`."""
+            first = max(0, (rows.start - o - F) // 2 + 1)
+            return range(first, min(nint, (rows.stop - o + 1) // 2))
+
+        def residual(U, rows, cols):
+            """U on `rows` less its interior scaling components, column by
+            column in the order of `cols`: the local residuals of the edge
+            polynomials, which pin the edge scaling block."""
+            R = U[rows].copy()
+            for i in cols:
+                lo = o + 2 * i
+                coef = h @ U[lo:lo + F, :]
+                a, b = max(lo, rows.start), min(lo + F, rows.stop)
+                R[a - rows.start:b - rows.start, :] -= np.outer(h[a - lo:b - lo], coef)
+            return R
+
+        # the right end takes its columns in descending order, from the edge
+        # inward: the basis bits depend on the order each row subtracts in
+        RL = residual(UL, left, meeting(left))
+        RR = residual(UR, right, reversed(meeting(right)))
         inner_l = np.abs(RL[-2:, :]).max()
         inner_r = np.abs(RR[:2, :]).max()
         scale = max(np.linalg.norm(RL, axis=0).max(), np.linalg.norm(RR, axis=0).max())
@@ -269,57 +285,30 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
 
         M = _TwoScale(n2, left_blk, h, o, nint, right_blk)
 
-        def interior_cols_dense(rows, filt):
-            """Interior columns restricted to a contiguous row range."""
-            out = []
-            lo0, hi0 = rows.start, rows.stop
-            for i in range(nint):
-                lo = o + 2 * i
-                if lo + F <= lo0 or lo >= hi0:
-                    continue
-                col = np.zeros(hi0 - lo0)
-                a, b = max(lo, lo0), min(lo + F, hi0)
-                col[a - lo0:b - lo0] = filt[a - lo:b - lo]
-                out.append(col)
-            return out
+        def complete(side, blk, edge, rows):
+            """The p wavelets of one edge on the row window `rows`: the
+            side's candidates less the edge scaling block `blk` (on the rows
+            `edge`) and the interior scaling and wavelet columns there."""
+            E = np.zeros((rows.stop - rows.start, p))
+            E[edge.start - rows.start:edge.stop - rows.start] = blk
+            taps = [(o + 2 * i + np.arange(F), f) for f in (h, g) for i in meeting(rows)]
+            A = np.concatenate([E, _fill(taps, rows)], axis=1)
+            return _pivoted_complement(_fill(_edge_candidates(h, g, n2, W, side), rows), A, p)
 
         if n >= 8 * p:
             # disjoint local windows at each boundary
             win = 10 * p
-            cands = _edge_candidates(h, g, n2, W, "left")
-            CL = np.zeros((win, len(cands)))
-            for idx, (rws, vals) in enumerate(cands):
-                m = rws < win
-                CL[rws[m], idx] = vals[m]
-            AL = np.column_stack(
-                [np.pad(left_blk, ((0, win - W), (0, 0)))]
-                + interior_cols_dense(range(0, win), h)
-                + interior_cols_dense(range(0, win), g)
-            )
-            wleft = _pivoted_complement(CL, AL, p)
-
-            cands = _edge_candidates(h, g, n2, W, "right")
-            CR = np.zeros((win, len(cands)))
-            for idx, (rws, vals) in enumerate(cands):
-                rloc = rws - (n2 - win)
-                m = rloc >= 0
-                CR[rloc[m], idx] = vals[m]
-            AR = np.column_stack(
-                [np.pad(right_blk, ((win - W, 0), (0, 0)))]
-                + [c for c in interior_cols_dense(range(n2 - win, n2), h)]
-                + [c for c in interior_cols_dense(range(n2 - win, n2), g)]
-            )
-            wright = _pivoted_complement(CR, AR, p)
+            wleft = complete("left", left_blk, left, slice(0, win))
+            wright = complete("right", right_blk, right, slice(n2 - win, n2))
         else:
             # n == 4p (or close): windows would overlap; complete densely
             cands = _edge_candidates(h, g, n2, W, "left") + _edge_candidates(
                 h, g, n2, W, "right"
             )
-            C = np.zeros((n2, len(cands)))
-            for idx, (rws, vals) in enumerate(cands):
-                C[rws, idx] = vals
             Wint = _TwoScale(n2, _NO_EDGE, g, o, nint, _NO_EDGE).dense()
-            both = _pivoted_complement(C, np.concatenate([M.dense(), Wint], axis=1), 2 * p)
+            both = _pivoted_complement(
+                _fill(cands, slice(0, n2)), np.concatenate([M.dense(), Wint], axis=1), 2 * p
+            )
             # order the completed vectors by support midpoint for determinism
             centers = [
                 float(np.average(np.arange(n2), weights=both[:, i] ** 2))
@@ -335,25 +324,15 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
         nm = min(p, n)
         first = _qr_columns(UL[:, :nm])
 
-        def clipped(filt):
-            cols = []
-            for s in range(-F + 2, n2):
-                rr = np.arange(s, s + F)
-                m = (rr >= 0) & (rr < n2)
-                if m.any():
-                    v = np.zeros(n2)
-                    v[rr[m]] = filt[m]
-                    cols.append(v)
-            return cols
+        def candidates(*filts):
+            taps = [(np.arange(s, s + F), f) for f in filts for s in range(-F + 2, n2)]
+            return np.concatenate([_fill(taps, slice(0, n2)), np.eye(n2)], axis=1)
 
-        eye = np.eye(n2)
-        scands = np.column_stack(clipped(h) + [eye[:, i] for i in range(n2)])
         rest = (
-            _pivoted_complement(scands, first, n - nm) if n > nm else np.empty((n2, 0))
+            _pivoted_complement(candidates(h), first, n - nm) if n > nm else np.empty((n2, 0))
         )
         Md = np.concatenate([first, rest], axis=1)
-        wcands = np.column_stack(clipped(g) + clipped(h) + [eye[:, i] for i in range(n2)])
-        Qd = _pivoted_complement(wcands, Md, n)
+        Qd = _pivoted_complement(candidates(g, h), Md, n)
         M = _TwoScale(n2, Md, h[:0], 0, 0, _NO_EDGE)
         Q = _TwoScale(n2, Qd, h[:0], 0, 0, _NO_EDGE)
 

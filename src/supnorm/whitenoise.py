@@ -220,7 +220,6 @@ def simulate_wn(
     n: int,
     seed: int,
     truncation_level: int | None = None,
-    zero_noise: bool = False,
 ) -> WhiteNoiseData:
     """x_lk = f_lk + eps_lk / sqrt(n), independent across (l, k).
 
@@ -230,7 +229,6 @@ def simulate_wn(
     keyed by (seed, level, position) (`_coordinate_streams`), so the
     observation of a coordinate does not depend on the truncation level or
     on evaluation order.  `n` must be an integer >= 1 (ValueError).
-    `zero_noise` is a test hook.
     """
     check_number("n", n, integer=True, minimum=1)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -245,9 +243,8 @@ def simulate_wn(
             raise ValueError(f"truncation level must be >= 0, got {truncation_level!r}")
         L = min(truncation_level, L)
     x = coeffs[: level_slice(L).stop].copy()
-    if not zero_noise:
-        scale = 1.0 / np.sqrt(n)
-        x += scale * np.array([g.standard_normal() for g in _coordinate_streams(seed, x.size)])
+    noise = [g.standard_normal() for g in _coordinate_streams(seed, x.size)]
+    x += (1.0 / np.sqrt(n)) * np.array(noise)
     return WhiteNoiseData(n=n, x=x, seed=seed)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supnorm.cli import _CONFIG_KEYS, config_hash, main, parse_config
-from supnorm.rates import MODELS, ConfigError
+from supnorm.rates import MODELS, ConfigError, ExperimentConfig, run_experiment, write_records
 
 TINY = {
     "model": "density-histogram",
@@ -259,6 +260,25 @@ class TestFitRate:
         csv = tmp_path / "mixed.csv"
         write_synthetic_csv(csv, [64, 256, 4096], lambda n: n ** -0.3,
                             alphas=(1.0, 0.5))
+        assert main(["fit-rate", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(model, prior, alpha)" in captured.err
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_alphas_that_round_alike_are_not_pooled(self, tmp_path, capsys):
+        # dirichlet_alpha 1.0 and 1.0000001 are two experiments; their merged
+        # records, reps numbered apart, must not fit as one
+        def records(dirichlet_alpha, first_rep):
+            cfg = ExperimentConfig(**{**TINY, "n_grid": (64, 256, 1024),
+                                      "dirichlet_alpha": dirichlet_alpha})
+            return [dataclasses.replace(r, rep=r.rep + first_rep) for r in run_experiment(cfg)]
+
+        csv = tmp_path / "merged.csv"
+        write_records(csv, records(1.0, 0) + records(1.0, 2))
+        assert main(["fit-rate", str(csv)]) == 0  # one experiment, reps apart
+        capsys.readouterr()
+        write_records(csv, records(1.0, 0) + records(1.0000001, 2))
         assert main(["fit-rate", str(csv)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

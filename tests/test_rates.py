@@ -193,6 +193,18 @@ class TestConfig:
         )
         assert cfg.prior_label == "dirichlet(1)"
 
+    @pytest.mark.parametrize("dirichlet_alpha, label", [
+        (1, "dirichlet(1)"), (0.5, "dirichlet(0.5)"),
+        (1.0000001, "dirichlet(1.0000001)"), (0.1 + 0.2, "dirichlet(0.30000000000000004)"),
+    ])
+    def test_prior_label_names_dirichlet_alpha_exactly(self, dirichlet_alpha, label):
+        # :g rounds to six digits, so two alphas it rounds alike would share a label
+        cfg = ExperimentConfig(
+            model="density-histogram", alpha=0.75, n_grid=(64, 256, 4096),
+            replications=5, dirichlet_alpha=dirichlet_alpha,
+        )
+        assert cfg.prior_label == label
+
     def test_small_grid_warns_not_errors(self):
         with pytest.warns(UserWarning):
             ExperimentConfig(

@@ -311,13 +311,16 @@ class TestEvalHaar:
 class TestReferenceBuilds:
     @pytest.mark.parametrize(
         "p, L_max, J",
-        [(4, 5, 12), (4, 8, 12), (5, 4, 10), (3, 3, 8), (2, 4, 8), (4, 1, 5), (2, 0, 2)],
+        [(4, 5, 12), (4, 8, 12), (5, 4, 10), (3, 3, 8), (2, 4, 8), (4, 1, 5), (2, 0, 2),
+         (6, 6, 12), (4, 10, 12)],
     )
     def test_boundary_smooth_matches_sparse_build(self, p, L_max, J):
         # windowed levels (n >= 8p), the n == 4p dense completion and the
-        # coarse levels; the wavelet blocks add in the CSC order bit for
-        # bit, while the scaling column of the sparse build comes from a
-        # sparse x sparse chain that adds in its own storage order
+        # coarse levels; p = 6 completes densely at n = 32 and windows from
+        # n = 64 (n >= 8p = 48), and L_max = J - 2 makes every level's
+        # wavelet block a basis column.  The wavelet blocks add in the CSC
+        # order bit for bit, while the scaling column of the sparse build
+        # comes from a sparse x sparse chain that adds in its own storage order
         ref = _sparse_boundary_smooth_columns(p, L_max, J)
         cols = _boundary_smooth_columns(p, L_max, J)
         assert cols.shape == ref.shape

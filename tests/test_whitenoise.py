@@ -101,12 +101,14 @@ class TestPriorSpec:
 
 
 class TestSimulate:
-    def test_zero_noise_recovers_truth_coefficients(self, haar, truth):
-        data = simulate_wn(haar.analyze(truth), 100, seed=0, zero_noise=True)
+    @pytest.mark.parametrize("truncation_level, width", [(None, 32), (2, 8)])
+    def test_truth_plus_coordinate_noise(self, haar, truth, truncation_level, width):
+        # x_j = c_j + z_j / sqrt(n), z_j the first normal of coordinate j's stream
         c = haar.analyze(truth)
-        assert data.x[0] == c[0]
-        for l in range(5):
-            assert np.array_equal(data.x[level_slice(l)], c[level_slice(l)])
+        n, seed = 100, 3
+        data = simulate_wn(c, n, seed, truncation_level)
+        z = np.array([coordinate_rng(seed, j).standard_normal() for j in range(width)])
+        assert np.array_equal(data.x, c[:width] + (1.0 / np.sqrt(n)) * z)
 
     def test_noise_variance(self, haar, truth):
         n = 64
