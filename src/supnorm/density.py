@@ -55,10 +55,11 @@ class Sample:
     """n i.i.d. observations in [0, 1]."""
 
     values: np.ndarray = field(repr=False)
-    seed: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1:
+            raise ValueError(f"observations must be a 1-D array (got shape {v.shape})")
         if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # a NaN min or max fails
             raise ValueError("observations must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", v)
@@ -78,8 +79,6 @@ def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
     vals = f0.values
     if vals.min() < -1e-12 or abs(vals.mean() - 1.0) > 1e-6:
         raise NonDensityError("f0 must be nonnegative with unit integral")
-    if n == 0:
-        return Sample(np.empty(0), seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     probs = np.clip(vals, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
@@ -89,7 +88,7 @@ def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
     x = rng.random(n)
     x += cells
     x *= f0.grid.cell_width
-    return Sample(np.clip(x, 0.0, 1.0, out=x), seed)
+    return Sample(np.clip(x, 0.0, 1.0, out=x))
 
 
 def _guided_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -101,8 +100,8 @@ def _guided_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     of entries below its left edge b / M, a lower bound on the answer for
     every key in it; the few keys with more entries below them step forward
     one entry at a time.  Where f0 is small a bucket spans many entries:
-    with one bucket per entry the scan takes about 1 / min f0 passes (22
-    on the criterion-8 truth), with four buckets about a quarter of that.
+    with one bucket per entry the scan takes about 1 / min f0 passes, with
+    four buckets about a quarter of that.
     """
     M = 4 * cum.size
     start = np.searchsorted(cum, np.arange(M) / M)
@@ -118,7 +117,9 @@ def _guided_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 def bin_counts(sample: Sample, L: int) -> np.ndarray:
     """Counts over the dyadic partition at level L.
 
-    Bins are (k 2^{-L}, (k+1) 2^{-L}], closed to the left at k = 0.
+    Bins are (k 2^{-L}, (k+1) 2^{-L}], closed to the left at k = 0.  This
+    is the one binning rule of both density models: the histogram's
+    Dirichlet update and the log-density sampler's grid counts.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -364,22 +365,15 @@ class McmcChain:
         ))
 
 
-def _wavelet_columns(basis: WaveletBasis, L: int) -> np.ndarray:
-    """Columns of the wavelets for levels 0..L (no scaling column)."""
-    if L > basis.L_max:
-        raise ValueError(f"cutoff level {L} beyond basis L_max={basis.L_max}")
-    return basis.columns[:, 1:2 ** (L + 1)]
-
-
-def _level_moves(prior: LogDensityPriorSpec, sample: Sample, basis: WaveletBasis) -> list:
-    """(slice, [R_l | s_l]) per level: a move of the level's standardized
-    coefficients by d changes T by d @ R_l, with R_l = sigma_l times the
-    level's wavelets as (2^l, N) rows, and sum_i T(X_i) by d @ s_l, with
-    s_l = R_l @ counts of the sample's grid cells.  s_l is column N of the
-    contiguous (2^l, N + 1) matrix, so one product gives both."""
-    B = _wavelet_columns(basis, prior.cutoff_level)
-    cells = basis.grid.cell_of(sample.values)
-    counts = np.bincount(cells, minlength=basis.grid.size).astype(float)
+def _level_moves(prior: LogDensityPriorSpec, sample: Sample, basis: WaveletBasis,
+                 B: np.ndarray) -> list:
+    """(slice, [R_l | s_l]) per level of the (N, K) wavelet columns B: a move
+    of the level's standardized coefficients by d changes T by d @ R_l, with
+    R_l = sigma_l times the level's wavelets as (2^l, N) rows, and
+    sum_i T(X_i) by d @ s_l, with s_l = R_l @ bin_counts(sample, J) on the
+    basis grid.  s_l is column N of the contiguous (2^l, N + 1) matrix, so
+    one product gives both."""
+    counts = bin_counts(sample, basis.grid.resolution).astype(float)
     moves = []
     for l in range(prior.cutoff_level + 1):
         sl = slice(2 ** l - 1, 2 ** (l + 1) - 1)
@@ -419,14 +413,16 @@ def logdensity_mcmc(
     """
     cfg = cfg or McmcConfig()
     L = prior.cutoff_level
-    # a contiguous copy: the product with the strided columns is about twice as slow
-    B = np.ascontiguousarray(_wavelet_columns(basis, L))
+    if L > basis.L_max:
+        raise ValueError(f"cutoff level {L} beyond basis L_max={basis.L_max}")
+    # the wavelet columns of levels 0..L, copied once: products run faster on contiguous rows
+    B = np.ascontiguousarray(basis.columns[:, 1:2 ** (L + 1)])
     N = basis.grid.size
     K = B.shape[1]
     sigmas = np.concatenate(
         [np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)]
     )
-    levels = _level_moves(prior, sample, basis)
+    levels = _level_moves(prior, sample, basis, B)
     n = float(sample.n)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
@@ -540,9 +536,9 @@ class LossSummary:
 def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -> LossSummary:
     """Monte Carlo average of sup/L2(/Hellinger) losses over posterior draws.
 
-    `draws` is a list of GridFunctions or an array of draw rows.  A row of K
-    values is a step function on K dyadic blocks of f0's grid (K = N: grid
-    values; K must be a power-of-two divisor of N), and its losses are exact,
+    `draws` is an (m, K) array of draw rows.  A row of K values is a step
+    function on K dyadic blocks of f0's grid (K = N: grid values; K must be
+    a power-of-two divisor of N), and its losses are exact,
     from per-block statistics of f0 taken once per call: the sup loss is
     max_k max(c_k - min_k f0, max_k f0 - c_k) and the L2 loss `step_rms`.
     Also reports the 0.9 quantile of the sup loss over draws.  Density draws
@@ -557,14 +553,13 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
     in on the next block.  The arithmetic, and so every loss bit, is the
     same as with fresh arrays.
     """
-    values = draws if isinstance(draws, np.ndarray) else np.array([d.values for d in draws])
-    if len(values) == 0:
+    if len(draws) == 0:
         raise ValueError("need at least one draw")
-    N, K = f0.grid.size, values.shape[1]
+    N, K = f0.grid.size, draws.shape[1]
     blocks = step_blocks(f0.values, K)
     lo, hi = blocks.min(axis=1), blocks.max(axis=1)
     mean, css = block_moments(blocks)
-    row_blocks = _row_blocks(*values.shape)
+    row_blocks = _row_blocks(*draws.shape)
     scratch = np.empty((max(b.stop - b.start for b in row_blocks), K))
 
     def losses(c):
@@ -582,4 +577,4 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
             raise ValueError("draws give non-finite losses (a NaN or infinite draw value)")
         return out
 
-    return LossSummary.of_draws(*(losses(values[rows]) for rows in row_blocks))
+    return LossSummary.of_draws(*(losses(draws[rows]) for rows in row_blocks))

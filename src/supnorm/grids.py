@@ -37,11 +37,6 @@ class DyadicGrid:
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.size) + 0.5) * self.cell_width
 
-    def cell_of(self, x) -> np.ndarray:
-        """Grid-cell index of each point of x in [0, 1]."""
-        idx = np.floor(np.asarray(x) * self.size).astype(int)
-        return np.clip(idx, 0, self.size - 1)
-
 
 @dataclass(frozen=True)
 class GridFunction:

@@ -96,7 +96,6 @@ class WhiteNoiseData:
 
     n: int
     x: np.ndarray = field(repr=False)  # length 2^(max_level + 1)
-    seed: int = 0
 
     @property
     def max_level(self) -> int:
@@ -140,7 +139,7 @@ def _state_row_type() -> type:
 
     Defined on first use: loading numpy.random when this module is
     imported, ahead of the rest of the package, raised the peak RSS of a
-    process by up to about 0.5 MB.
+    process.
     """
     from numpy.random.bit_generator import ISeedSequence
 
@@ -245,7 +244,7 @@ def simulate_wn(
     x = coeffs[: level_slice(L).stop].copy()
     noise = [g.standard_normal() for g in _coordinate_streams(seed, x.size)]
     x += (1.0 / np.sqrt(n)) * np.array(noise)
-    return WhiteNoiseData(n=n, x=x, seed=seed)
+    return WhiteNoiseData(n=n, x=x)
 
 
 @dataclass(frozen=True)

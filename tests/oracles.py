@@ -31,6 +31,14 @@ def mean_masses(post) -> np.ndarray:
     return post.params / post.params.sum()
 
 
+def grid_counts(sample, J: int) -> np.ndarray:
+    """Counts of the sample's points in the cells (k 2^-J, (k+1) 2^-J] of
+    [0, 1], 0 in the first cell: cell k holds the points with k interior
+    edges below them, found by a binary search of the edges."""
+    N = 2 ** J
+    return np.bincount(np.searchsorted(np.arange(1, N) / N, sample.values), minlength=N)
+
+
 def coord_cdf(post) -> np.ndarray:
     """Trapezoid integral of a `CoordPosterior`'s pdf up to each grid point,
     scaled to end at 1."""

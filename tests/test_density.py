@@ -16,7 +16,7 @@ from supnorm.wavelets import build_basis
 from supnorm import density as dens
 from supnorm.rates import ExperimentConfig, plan_basis
 
-from oracles import constant, mean_masses
+from oracles import constant, grid_counts, mean_masses
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def reference_sample_data(f0, n, seed):
     if vals.min() < -1e-12 or abs(vals.mean() - 1.0) > 1e-6:
         raise dens.NonDensityError("f0 must be nonnegative with unit integral")
     if n == 0:
-        return dens.Sample(np.empty(0), seed)
+        return dens.Sample(np.empty(0))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     probs = np.clip(vals, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
@@ -44,7 +44,7 @@ def reference_sample_data(f0, n, seed):
     cells = np.searchsorted(cum, u, side="left")
     inner = rng.uniform(size=n)
     x = (cells + inner) * f0.grid.cell_width
-    return dens.Sample(np.clip(x, 0.0, 1.0), seed)
+    return dens.Sample(np.clip(x, 0.0, 1.0))
 
 
 # bin weights with zero runs, zero heads and tails; small integers and their
@@ -123,7 +123,8 @@ class TestSampleData:
             dens.sample_data(constant(grid), n, seed=0)
 
     def test_zero_n_gives_an_empty_sample(self, grid):
-        assert dens.sample_data(constant(grid), 0, seed=0).n == 0
+        s = dens.sample_data(constant(grid), 0, seed=0)
+        assert s.n == 0 and s.values.shape == (0,) and s.values.dtype == np.float64
 
     def test_uniform_ks(self, grid):
         n = 10_000
@@ -153,6 +154,11 @@ class TestBinCounts:
         with pytest.raises(ValueError, match="observations"):
             dens.Sample(np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("values", [[[0.1, 0.2], [0.3, 0.7]], 0.5, [[0.5]]])
+    def test_observations_not_one_dimensional_refused(self, values):
+        with pytest.raises(ValueError, match="observations must be a 1-D array"):
+            dens.Sample(np.array(values))
+
     def test_spec_example(self):
         s = dens.Sample(np.array([0.1, 0.6, 0.7]))
         assert dens.bin_counts(s, 1).tolist() == [1, 2]
@@ -170,6 +176,13 @@ class TestBinCounts:
         # 0 belongs to bin 0; bin boundaries belong to the left bin
         s = dens.Sample(np.array([0.0, 0.5, 1.0]))
         assert dens.bin_counts(s, 1).tolist() == [2, 1]
+
+    def test_matches_the_edge_search(self, grid):
+        # random points, every cell edge of the grid, and both ends
+        s = dens.sample_data(constant(grid), 3000, seed=4)
+        pts = dens.Sample(np.r_[s.values, np.arange(grid.size + 1) / grid.size])
+        for L in (0, 1, 5, grid.resolution):
+            np.testing.assert_array_equal(dens.bin_counts(pts, L), grid_counts(pts, L))
 
 
 class TestConjugacy:
@@ -348,6 +361,25 @@ class TestMcmc:
         omega0 = vals[:, : basis.grid.size // 2].mean(axis=1) / 2.0
         assert abs(omega0.mean() - 2.0 / 3.0) < 0.02
 
+    def test_cutoff_beyond_the_basis_refused(self):
+        basis = build_basis("haar", 2, 8)
+        prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=3, r=0.5)
+        with pytest.raises(ValueError, match="cutoff level 3 beyond basis L_max=2"):
+            dens.logdensity_mcmc(prior, dens.Sample(np.array([0.5])), basis)
+
+    def test_edge_point_counts_in_the_left_half_as_in_bin_counts(self):
+        # with Haar at L = 0 the likelihood reads only the two half counts, so
+        # a point at 1/2 and one at 1/4 give the same chain when both count left
+        basis = build_basis("haar", 0, 8)
+        prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=0, r=0.5)
+        cfg = dens.McmcConfig(iterations=400, burn_in=100, thin=3)
+        on_edge = dens.Sample(np.array([0.1, 0.5, 0.5, 0.7]))
+        inside = dens.Sample(np.array([0.1, 0.25, 0.25, 0.7]))
+        assert dens.bin_counts(on_edge, 1).tolist() == dens.bin_counts(inside, 1).tolist() == [3, 1]
+        a = dens.logdensity_mcmc(prior, on_edge, basis, cfg, seed=3)
+        b = dens.logdensity_mcmc(prior, inside, basis, cfg, seed=3)
+        np.testing.assert_array_equal(a.states, b.states)
+
     def test_detailed_balance_smoke(self):
         # frozen 2-coefficient problem: long-run state histogram vs direct
         # quadrature of the posterior, total variation <= 0.05
@@ -361,12 +393,12 @@ class TestMcmc:
         # direct quadrature of the marginal of a00 over the level-1 pair
         B = basis.columns[:, 1:4]
         sig = chain.sigmas
-        cells = basis.grid.cell_of(sample.values)
+        counts = grid_counts(sample, basis.grid.resolution)
 
         def loglik(coefs):
             T = B @ (sig * coefs)
             c = np.log(np.exp(T - T.max()).mean()) + T.max()
-            return T[cells].sum() - sample.n * c
+            return counts @ T - sample.n * c
 
         g = np.linspace(-4, 4, 41)
         marg = np.zeros(g.size)
@@ -437,11 +469,11 @@ class TestMcmc:
 
 class TestLossSummary:
     def test_exact_draw_gives_zero(self, two_bin):
-        out = dens.posterior_expected_losses([two_bin], two_bin)
+        out = dens.posterior_expected_losses(two_bin.values[None], two_bin)
         assert (out.sup, out.l2, out.hellinger) == (0.0, 0.0, 0.0)
 
     def test_permutation_invariance(self, grid, two_bin):
-        draws = [constant(grid), two_bin, constant(grid, 1.0)]
+        draws = np.array([constant(grid).values, two_bin.values, constant(grid, 1.0).values])
         a = dens.posterior_expected_losses(draws, two_bin)
         b = dens.posterior_expected_losses(draws[::-1], two_bin)
         assert a == b
@@ -604,7 +636,7 @@ def reference_posterior_expected_losses(values, f0, densities=True):
 def reference_expected_losses(chain, basis, f0):
     """`McmcChain.expected_losses` with the fresh-temporary reduction for every block."""
     # K = 2^(L+1) - 1 coefficients for levels 0..L
-    B = dens._wavelet_columns(basis, chain.sigmas.size.bit_length() - 1)
+    B = basis.columns[:, 1:chain.sigmas.size + 1]
 
     def density_values(rows):
         T = (chain.states[rows] * chain.sigmas) @ B.T
@@ -669,8 +701,7 @@ def reference_mcmc(prior, sample, basis, cfg, seed):
     """The slow reference: the MCMC loop before its exact reductions, which
     evaluates loglik(T) = counts @ T - n c(T) over the whole grid each time."""
     L = prior.cutoff_level
-    B = dens._wavelet_columns(basis, L)
-    N = basis.grid.size
+    B = basis.columns[:, 1:2 ** (L + 1)]
     K = B.shape[1]
     sigmas = np.concatenate([np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)])
     slices = []
@@ -678,9 +709,7 @@ def reference_mcmc(prior, sample, basis, cfg, seed):
     for l in range(L + 1):
         slices.append(slice(pos, pos + 2 ** l))
         pos += 2 ** l
-    counts = np.bincount(
-        basis.grid.cell_of(sample.values), minlength=N
-    ).astype(float) if sample.n else np.zeros(N)
+    counts = grid_counts(sample, basis.grid.resolution).astype(float)
     n = sample.n
 
     def loglik(T):
@@ -751,8 +780,8 @@ class TestFastKernel:
     def test_log_ratio_matches_the_full_grid_likelihood(self, kernel_case, law):
         basis, sample = kernel_case
         prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
-        B = dens._wavelet_columns(basis, 3)
-        counts = np.bincount(basis.grid.cell_of(sample.values), minlength=basis.grid.size)
+        B = basis.columns[:, 1:16]
+        counts = grid_counts(sample, basis.grid.resolution)
         sigmas = np.concatenate([np.full(2 ** l, prior.sigma(l)) for l in range(4)])
 
         def loglik(a):
@@ -764,7 +793,7 @@ class TestFastKernel:
         for _ in range(25):
             a = rng.standard_normal(B.shape[1]) * rng.uniform(0.1, 3.0)
             log_mean_exp(B @ (sigmas * a), E)  # E = e^(T - max T)
-            for sl, Rs in dens._level_moves(prior, sample, basis):
+            for sl, Rs in dens._level_moves(prior, sample, basis, np.ascontiguousarray(B)):
                 d = rng.standard_normal(sl.stop - sl.start) * rng.uniform(0.01, 1.0)
                 # d [R | s] = [X | d . s], and c(T + X) - c(T) = log(E . e^X / sum E)
                 G = d @ Rs
@@ -774,6 +803,19 @@ class TestFastKernel:
                 want = loglik(a_new) - loglik(a)
                 # relative to the log likelihoods whose difference both sides take
                 assert abs(fast - want) <= 1e-10 * max(abs(loglik(a)), abs(want), 1.0)
+
+    def test_data_term_reads_bin_counts_on_cell_edges(self):
+        basis = build_basis("boundary-smooth", 3, 8)
+        sample = dens.Sample(np.array([0.0, 0.25, 0.25, 0.5, 0.3, 0.75, 129 / 256, 1.0]))
+        counts = dens.bin_counts(sample, 8).astype(float)
+        # each edge point counts in the cell to its left, 0 in the first cell
+        assert np.flatnonzero(counts).tolist() == [0, 63, 76, 127, 128, 191, 255]
+        prior = dens.LogDensityPriorSpec("laplace", alpha=1.0, cutoff_level=3)
+        B = np.ascontiguousarray(basis.columns[:, 1:16])
+        for l, (sl, Rs) in enumerate(dens._level_moves(prior, sample, basis, B)):
+            R = np.ascontiguousarray(Rs[:, :-1])
+            np.testing.assert_array_equal(R, prior.sigma(l) * B[:, sl].T)
+            np.testing.assert_array_equal(Rs[:, -1], R @ counts)
 
     @pytest.mark.parametrize("level, law, seed", [
         *(pytest.param(2, law, seed, id=f"{law}-{seed}") for law in LAWS for seed in (0, 1, 2)),

@@ -72,7 +72,7 @@ class TestBesovNorm:
 
 def distances(f, g):
     """(sup, L2) distance of f to g, by the one reduction the losses use."""
-    loss = posterior_expected_losses([f], g, densities=False)
+    loss = posterior_expected_losses(f.values[None], g, densities=False)
     return loss.sup, loss.l2
 
 

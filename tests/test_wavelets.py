@@ -14,11 +14,8 @@ from supnorm.wavelets import (
     ResolutionError,
     WaveletIndex,
     _boundary_smooth_columns,
-    _edge_candidates,
     _haar_columns,
     _mirror_filter,
-    _pivoted_complement,
-    _qr_columns,
     build_basis,
     daubechies_filter,
     level_slice,
@@ -29,7 +26,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # --- reference builds -------------------------------------------------------
 # The library fills its bases without scipy; these are the column-by-column
-# Haar evaluation and the scipy.sparse filter bank it is checked against.
+# Haar evaluation and the scipy.sparse filter bank it is checked against.  The
+# filter bank has its own edge candidates, QR sign fix and pivoted completion,
+# written from their definitions, so a fault in the library's is not copied.
 
 def eval_haar(idx: WaveletIndex, x):
     """Haar wavelet 2^{l/2} psi(2^l x - k) at points x in [0, 1].
@@ -47,6 +46,50 @@ def eval_haar(idx: WaveletIndex, x):
     sign = np.where(y <= 0.5, -1.0, 1.0)
     out = np.where(inside, sign * 2.0 ** (l / 2.0), 0.0)
     return out if out.ndim else float(out)
+
+
+def _ref_qr_columns(A: np.ndarray) -> np.ndarray:
+    """Orthonormal columns for A: the QR factor of A with unit-norm columns,
+    each column signed so that the diagonal of R is >= 0."""
+    Q, R = np.linalg.qr(A / np.linalg.norm(A, axis=0))
+    return np.where(np.diag(R) < 0, -Q, Q)
+
+
+def _ref_complement(C: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
+    """`count` orthonormal columns from span(C) less its projection on the
+    orthonormal columns A (projected out twice), picked greedily: the longest
+    remaining column first (the first one on ties), scaled to unit length and
+    signed so that its largest entry in magnitude is positive, then projected
+    out of the rest."""
+    C = C - A @ (A.T @ C)
+    C = C - A @ (A.T @ C)
+    picked = []
+    for _ in range(count):
+        norms = np.linalg.norm(C, axis=0)
+        j = int(np.argmax(norms))
+        v = C[:, j] / norms[j]
+        v = v * np.sign(v[np.argmax(np.abs(v))])
+        picked.append(v)
+        C = np.delete(C, j, axis=1)
+        C = C - np.outer(v, v @ C)
+    return np.column_stack(picked)
+
+
+def _ref_edge_candidates(h: np.ndarray, g: np.ndarray, n2: int, width: int, side: str):
+    """(n2, count) candidate columns of one boundary: for each shift
+    s = 2 - F .. F - 1, the filters g then h on rows s .. s + F - 1, clipped
+    to rows 0 .. n2 - 1; then the unit vectors of rows 0 .. width - 1.  The
+    right boundary's columns are the left's with their rows reversed."""
+    F = len(h)
+    cols = []
+    for s in range(2 - F, F):
+        lo, hi = max(s, 0), min(s + F, n2)
+        for f in (g, h):
+            v = np.zeros(n2)
+            v[lo:hi] = f[lo - s:hi - s]
+            cols.append(v)
+    C = np.column_stack(cols + list(np.eye(n2)[:width]))
+    return C if side == "left" else np.ascontiguousarray(C[::-1])
 
 
 def _sparse_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
@@ -84,8 +127,8 @@ def _sparse_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray)
         scale = max(np.linalg.norm(RL, axis=0).max(), np.linalg.norm(RR, axis=0).max())
         if max(inner_l, inner_r) > 1e-9 * max(scale, 1e-300):
             raise BasisConstructionError("edge residuals leak out of their window")
-        left_blk = _qr_columns(RL)    # W x p
-        right_blk = _qr_columns(RR)   # W x p
+        left_blk = _ref_qr_columns(RL)    # W x p
+        right_blk = _ref_qr_columns(RR)   # W x p
 
         def interior_cols_dense(rows, filt):
             """Interior columns restricted to a contiguous row range."""
@@ -104,42 +147,30 @@ def _sparse_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray)
         if n >= 8 * p:
             # disjoint local windows at each boundary
             win = 10 * p
-            cands = _edge_candidates(h, g, n2, W, "left")
-            CL = np.zeros((win, len(cands)))
-            for idx, (rws, vals) in enumerate(cands):
-                m = rws < win
-                CL[rws[m], idx] = vals[m]
+            CL = _ref_edge_candidates(h, g, n2, W, "left")[:win]
             AL = np.column_stack(
                 [np.pad(left_blk, ((0, win - W), (0, 0)))]
                 + interior_cols_dense(range(0, win), h)
                 + interior_cols_dense(range(0, win), g)
             )
-            wleft_loc = _pivoted_complement(CL, AL, p)
+            wleft_loc = _ref_complement(CL, AL, p)
             wleft = np.zeros((n2, p))
             wleft[:win] = wleft_loc
 
-            cands = _edge_candidates(h, g, n2, W, "right")
-            CR = np.zeros((win, len(cands)))
-            for idx, (rws, vals) in enumerate(cands):
-                rloc = rws - (n2 - win)
-                m = rloc >= 0
-                CR[rloc[m], idx] = vals[m]
+            CR = _ref_edge_candidates(h, g, n2, W, "right")[n2 - win:]
             AR = np.column_stack(
                 [np.pad(right_blk, ((win - W, 0), (0, 0)))]
                 + [c for c in interior_cols_dense(range(n2 - win, n2), h)]
                 + [c for c in interior_cols_dense(range(n2 - win, n2), g)]
             )
-            wright_loc = _pivoted_complement(CR, AR, p)
+            wright_loc = _ref_complement(CR, AR, p)
             wright = np.zeros((n2, p))
             wright[n2 - win:] = wright_loc
         else:
             # n == 4p (or close): windows would overlap; complete densely
-            cands = _edge_candidates(h, g, n2, W, "left") + _edge_candidates(
-                h, g, n2, W, "right"
+            C = np.concatenate(
+                [_ref_edge_candidates(h, g, n2, W, side) for side in ("left", "right")], axis=1
             )
-            C = np.zeros((n2, len(cands)))
-            for idx, (rws, vals) in enumerate(cands):
-                C[rws, idx] = vals
             Mdense = np.zeros((n2, n))
             Mdense[:W, :p] = left_blk
             for i in range(nint):
@@ -150,7 +181,7 @@ def _sparse_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray)
             for i in range(nint):
                 lo = o + 2 * i
                 Wint[lo:lo + F, i] = g
-            both = _pivoted_complement(C, np.concatenate([Mdense, Wint], axis=1), 2 * p)
+            both = _ref_complement(C, np.concatenate([Mdense, Wint], axis=1), 2 * p)
             # order the completed vectors by support midpoint for determinism
             centers = [
                 float(np.average(np.arange(n2), weights=both[:, i] ** 2))
@@ -198,7 +229,7 @@ def _sparse_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray)
         # coarse level: polynomial columns first; complete from clipped filter
         # patterns (for shape) with unit vectors as a rank safety net
         nm = min(p, n)
-        first = _qr_columns(UL[:, :nm])
+        first = _ref_qr_columns(UL[:, :nm])
 
         def clipped(filt):
             cols = []
@@ -214,11 +245,11 @@ def _sparse_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray)
         eye = np.eye(n2)
         scands = np.column_stack(clipped(h) + [eye[:, i] for i in range(n2)])
         rest = (
-            _pivoted_complement(scands, first, n - nm) if n > nm else np.empty((n2, 0))
+            _ref_complement(scands, first, n - nm) if n > nm else np.empty((n2, 0))
         )
         Md = np.concatenate([first, rest], axis=1)
         wcands = np.column_stack(clipped(g) + clipped(h) + [eye[:, i] for i in range(n2)])
-        Qd = _pivoted_complement(wcands, Md, n)
+        Qd = _ref_complement(wcands, Md, n)
         M = sp.csc_matrix(Md)
         Q = sp.csc_matrix(Qd)
 
