@@ -555,6 +555,8 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
     """
     if len(draws) == 0:
         raise ValueError("need at least one draw")
+    if np.ndim(draws) != 2:
+        raise ValueError(f"draws must be an (m, K) array of rows (got shape {np.shape(draws)})")
     N, K = f0.grid.size, draws.shape[1]
     blocks = step_blocks(f0.values, K)
     lo, hi = blocks.min(axis=1), blocks.max(axis=1)

@@ -19,10 +19,16 @@ Two kinds are provided:
 The basis starts at a single scaling coefficient (the scaling function is
 the constant 1) and carries 2^l wavelets at each level l = 0..L_max.
 Coefficients are one flat vector in column order (see `level_slice`).
+
+A basis stores its columns on the coarsest dyadic grid on which they are
+exact: 2^(L_max+1) rows for Haar, whose functions are constant on that many
+dyadic blocks, and the N grid rows for boundary-smooth.  At L_max = 8 on
+the N = 4096 grid the Haar matrix is 2 MiB, where N rows would take 16 MiB.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 import numpy as np
 
@@ -374,16 +380,16 @@ def _boundary_smooth_columns(p: int, L_max: int, J: int) -> np.ndarray:
     return B
 
 
-def _haar_columns(L_max: int, J: int) -> np.ndarray:
-    """Grid samples of the Haar basis, filled in place one level at a time.
+def _haar_columns(L_max: int) -> np.ndarray:
+    """The Haar basis on the 2^(L_max+1) grid, filled in place one level at a time.
 
-    At level l, grid point i lies in the support of wavelet k = i // b, with
-    b = 2^(J-l) points per support; the wavelet there is -2^(l/2) on the
-    first half of the support and +2^(l/2) on the second (J >= l + 2, so no
-    midpoint falls on a half boundary).
+    Every Haar function up to level L_max is constant on these dyadic
+    blocks.  At level l, block i lies in the support of wavelet k = i // b,
+    with b = 2^(L_max+1-l) >= 2 blocks per support; the wavelet there is
+    -2^(l/2) on the first half of the support and +2^(l/2) on the second.
     """
-    N = 2 ** J
-    B = np.zeros((N, 2 ** (L_max + 1)))
+    N = 2 ** (L_max + 1)
+    B = np.zeros((N, N))
     B[:, 0] = 1.0
     i = np.arange(N)
     for l in range(L_max + 1):
@@ -404,17 +410,35 @@ def level_slice(l: int) -> slice:
 
 @dataclass(frozen=True)
 class WaveletBasis:
-    """Sampled orthonormal basis: constant scaling function + wavelets."""
+    """Sampled orthonormal basis: constant scaling function + wavelets.
+
+    `blocks` holds the columns on the coarsest dyadic grid on which they are
+    exact, one row per r = `block_size` grid points: 2^(L_max+1) rows for
+    Haar (2 MiB at L_max = 8, where N = 4096 rows take 16 MiB), r = 1 for
+    boundary-smooth.  Every method reads them through r; the full-grid
+    `columns` are built only when read.
+    """
 
     kind: str
     order: int
     L_max: int
     grid: DyadicGrid
-    columns: np.ndarray = field(repr=False)  # (N, 2^(L_max+1)); col 0 = scaling
+    blocks: np.ndarray = field(repr=False)  # (N / r, 2^(L_max+1)); col 0 = scaling
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[1]
+        return self.blocks.shape[1]
+
+    @property
+    def block_size(self) -> int:
+        """r: the grid points under one stored row."""
+        return self.grid.size // len(self.blocks)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """(N, dim) grid samples: the stored rows, each repeated r times."""
+        r = self.block_size
+        return self.blocks if r == 1 else np.repeat(self.blocks, r, axis=0)
 
     def column_of(self, idx: WaveletIndex) -> int:
         if idx.level > self.L_max:
@@ -422,23 +446,27 @@ class WaveletBasis:
         return level_slice(idx.level).start + idx.position
 
     def function(self, idx: WaveletIndex) -> GridFunction:
-        return GridFunction(self.grid, self.columns[:, self.column_of(idx)])
+        return GridFunction(
+            self.grid, np.repeat(self.blocks[:, self.column_of(idx)], self.block_size)
+        )
 
     def gram_deviation(self) -> float:
-        G = self.columns.T @ self.columns
-        G /= self.grid.size
+        G = self.blocks.T @ self.blocks
+        G /= len(self.blocks)
         G -= np.eye(self.dim)
         return float(np.abs(G).max())
 
     # --- analysis / synthesis -------------------------------------------
     def analyze(self, f: GridFunction) -> np.ndarray:
-        """Quadrature inner products of f with every basis function (flat layout)."""
+        """Quadrature inner products of f with every basis function (flat
+        layout): the sums of f over the stored blocks, times the stored rows."""
         if f.grid.resolution != self.grid.resolution:
             raise GridMismatchError(
                 f"function grid J={f.grid.resolution} does not match basis grid "
                 f"J={self.grid.resolution}"
             )
-        return self.columns.T @ f.values / self.grid.size
+        sums = f.values.reshape(len(self.blocks), self.block_size).sum(axis=1)
+        return self.blocks.T @ sums / self.grid.size
 
     def _prefix_columns(self, width: int) -> np.ndarray:
         if width > self.dim:
@@ -446,20 +474,22 @@ class WaveletBasis:
                 f"{width} coefficients exceed the basis dimension {self.dim} "
                 f"(L_max={self.L_max})"
             )
-        return self.columns[:, :width]
+        return self.blocks[:, :width]
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
         """The function of a flat coefficient vector, or of a prefix of one."""
         coeffs = np.asarray(coeffs, dtype=float)
-        return GridFunction(self.grid, self._prefix_columns(coeffs.size) @ coeffs)
+        values = self._prefix_columns(coeffs.size) @ coeffs
+        return GridFunction(self.grid, np.repeat(values, self.block_size))
 
     def synthesize_flat(self, flat: np.ndarray) -> np.ndarray:
         """Batch synthesis: rows of `flat` are flat coefficient vectors, or
         prefixes of one width; only the coefficients of that prefix are used.
 
         Each row comes back on the coarsest dyadic grid on which the prefix
-        is exact.  Boundary-smooth rows hold the N grid values, `flat @
-        columns.T`.  Haar levels 0..L are constant on 2^(L+1) dyadic blocks,
+        is exact.  A boundary-smooth basis stores its columns at all N grid
+        points, so its rows are the N grid values, `flat @ blocks.T`.  Haar
+        levels 0..L are constant on 2^(L+1) dyadic blocks,
         so a Haar row holds K = 2^ceil(log2 width) values, one per block of
         N / K grid points, and `np.repeat(rows, N // K, axis=1)` is the grid
         row.  Each block value is summed in one fixed order, the scaling
@@ -471,6 +501,8 @@ class WaveletBasis:
         adding it on the right (the sign pattern of `_haar_columns`).
         `density.posterior_expected_losses` reduces K-wide rows exactly.
         """
+        if np.ndim(flat) != 2:
+            raise ValueError(f"flat must be a 2-D array of rows (got shape {np.shape(flat)})")
         width = flat.shape[1]
         cols = self._prefix_columns(width)
         if self.kind != "haar":
@@ -492,18 +524,22 @@ class WaveletBasis:
         """max over grid points of sum_k |psi_lk(x)|."""
         if not 0 <= l <= self.L_max:
             raise IndexError(f"level {l} out of range 0..{self.L_max}")
-        return float(np.abs(self.columns[:, level_slice(l)]).sum(axis=1).max())
+        return float(np.abs(self.blocks[:, level_slice(l)]).sum(axis=1).max())
 
 
 def check_basis_args(kind: str, L_max: int, J: int | None = None, order: int = 4) -> int:
     """Validate the arguments of `build_basis` without building; returns J.
 
-    J defaults to max(12, L_max + 4) and must satisfy J >= L_max + 2.
+    L_max, J and order are integers (not bools).  J defaults to
+    max(12, L_max + 4) and must satisfy J >= L_max + 2.
     """
-    if L_max < 0:
-        raise ValueError("L_max must be >= 0")
+    from .density import check_number  # density imports this module
+
+    check_number("L_max", L_max, integer=True, minimum=0)
     if J is None:
         J = max(12, L_max + 4)
+    check_number("J", J, integer=True)
+    check_number("order", order, integer=True)
     if J < L_max + 2:
         raise ResolutionError(
             f"grid resolution J={J} too coarse for L_max={L_max} (need J >= L_max + 2)"
@@ -523,8 +559,7 @@ def build_basis(kind: str, L_max: int, J: int | None = None, order: int = 4) -> 
     J = check_basis_args(kind, L_max, J, order)
     grid = DyadicGrid(J)
     if kind == "haar":
-        cols = _haar_columns(L_max, J)
-        basis = WaveletBasis("haar", 1, L_max, grid, cols)
+        basis = WaveletBasis("haar", 1, L_max, grid, _haar_columns(L_max))
         tol = HAAR_GRAM_TOL
     else:
         cols = _boundary_smooth_columns(order, L_max, J)

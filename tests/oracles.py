@@ -4,7 +4,7 @@ import numpy as np
 from supnorm import density as dens, rates, whitenoise as wn
 from supnorm.functions import HolderTruthSpec, make_holder_truth, normalize_log
 from supnorm.grids import DyadicGrid, GridFunction
-from supnorm.wavelets import WaveletBasis, level_slice
+from supnorm.wavelets import WaveletBasis, WaveletIndex, level_slice
 
 
 def constant(grid: DyadicGrid, c: float = 1.0) -> GridFunction:
@@ -24,6 +24,35 @@ def besov_norm(f: GridFunction, s: float, basis: WaveletBasis) -> float:
         level_sup = 2.0 ** (l * (0.5 + s)) * np.abs(c[level_slice(l)]).max()
         best = max(best, level_sup)
     return float(best)
+
+
+def eval_haar(idx: WaveletIndex, x):
+    """Haar wavelet 2^{l/2} psi(2^l x - k) at points x in [0, 1].
+
+    psi = -1 on [0, 1/2], +1 on (1/2, 1]; the support interval is closed to
+    the left only when k = 0, so the supports at a level tile [0, 1].
+    """
+    x = np.asarray(x, dtype=float)
+    l, k = idx.level, idx.position
+    y = np.ldexp(x, l) - k
+    if k == 0:
+        inside = (y >= 0.0) & (y <= 1.0)
+    else:
+        inside = (y > 0.0) & (y <= 1.0)
+    sign = np.where(y <= 0.5, -1.0, 1.0)
+    out = np.where(inside, sign * 2.0 ** (l / 2.0), 0.0)
+    return out if out.ndim else float(out)
+
+
+def haar_columns(L_max: int, J: int) -> np.ndarray:
+    """(2^J, 2^(L_max+1)) Haar basis on the full grid: the constant 1, then
+    `eval_haar` of each wavelet up to level L_max at the grid midpoints."""
+    N = 2 ** J
+    mids = (np.arange(N) + 0.5) / N
+    return np.column_stack(
+        [np.ones(N)]
+        + [eval_haar(WaveletIndex(l, k), mids) for l in range(L_max + 1) for k in range(2 ** l)]
+    )
 
 
 def mean_masses(post) -> np.ndarray:

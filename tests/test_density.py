@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -568,6 +570,12 @@ class TestStepLosses:
         for draws in (np.empty((0, 32)), np.empty((0, f0.grid.size)), []):
             with pytest.raises(ValueError, match="need at least one draw"):
                 dens.posterior_expected_losses(draws, f0, densities=densities)
+
+    @pytest.mark.parametrize("densities", [True, False])
+    def test_one_row_vector_refused(self, f0, densities):
+        # a single draw is a (1, K) array; a bare (K,) vector is refused by shape
+        with pytest.raises(ValueError, match=re.escape("got shape (32,)")):
+            dens.posterior_expected_losses(np.ones(32), f0, densities=densities)
 
     @pytest.mark.parametrize("densities", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -361,6 +361,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="is not the config's plan"):
             run_experiment(cfg, build_basis(*args))
 
+    @pytest.mark.parametrize("model", ["white-noise", "density-histogram"])
+    def test_haar_runs_never_build_the_grid_columns(self, model):
+        # white-noise and histogram cells read the Haar basis through its
+        # (2^(L_max+1))-row block matrix only; the N-row view stays unbuilt
+        cfg = ExperimentConfig(**TINY[model])
+        basis = rates.plan_basis(cfg)
+        run_experiment(cfg, basis)
+        side = 2 ** (basis.L_max + 1)
+        assert basis.kind == "haar" and basis.blocks.shape == (side, side)
+        assert "columns" not in vars(basis)
+
     def test_histogram_median_sup_decreasing(self):
         cfg = ExperimentConfig(
             model="density-histogram", alpha=0.75,

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,39 +15,23 @@ from supnorm.wavelets import (
     ResolutionError,
     WaveletIndex,
     _boundary_smooth_columns,
-    _haar_columns,
     _mirror_filter,
     build_basis,
     daubechies_filter,
     level_slice,
 )
 
+from oracles import eval_haar, haar_columns
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 # --- reference builds -------------------------------------------------------
 # The library fills its bases without scipy; these are the column-by-column
-# Haar evaluation and the scipy.sparse filter bank it is checked against.  The
-# filter bank has its own edge candidates, QR sign fix and pivoted completion,
-# written from their definitions, so a fault in the library's is not copied.
-
-def eval_haar(idx: WaveletIndex, x):
-    """Haar wavelet 2^{l/2} psi(2^l x - k) at points x in [0, 1].
-
-    psi = -1 on [0, 1/2], +1 on (1/2, 1]; the support interval is closed to
-    the left only when k = 0, so the supports at a level tile [0, 1].
-    """
-    x = np.asarray(x, dtype=float)
-    l, k = idx.level, idx.position
-    y = np.ldexp(x, l) - k
-    if k == 0:
-        inside = (y >= 0.0) & (y <= 1.0)
-    else:
-        inside = (y > 0.0) & (y <= 1.0)
-    sign = np.where(y <= 0.5, -1.0, 1.0)
-    out = np.where(inside, sign * 2.0 ** (l / 2.0), 0.0)
-    return out if out.ndim else float(out)
-
+# Haar evaluation (`oracles.eval_haar`) and the scipy.sparse filter bank it
+# is checked against.  The filter bank has its own edge candidates, QR sign
+# fix and pivoted completion, written from their definitions, so a fault in
+# the library's is not copied.
 
 def _ref_qr_columns(A: np.ndarray) -> np.ndarray:
     """Orthonormal columns for A: the QR factor of A with unit-norm columns,
@@ -358,15 +343,10 @@ class TestReferenceBuilds:
         assert np.array_equal(cols[:, 1:], ref[:, 1:])
         assert np.abs(cols[:, 0] - ref[:, 0]).max() <= 1e-14
 
-    @pytest.mark.parametrize("L_max, J", [(4, 10), (8, 10), (0, 2)])
+    @pytest.mark.parametrize("L_max, J", [(4, 10), (8, 10), (0, 2), (8, 12)])
     def test_haar_fill_matches_eval_haar(self, L_max, J):
-        N = 2 ** J
-        mids = (np.arange(N) + 0.5) / N
-        ref = np.column_stack(
-            [np.ones(N)]
-            + [eval_haar(WaveletIndex(l, k), mids) for l in range(L_max + 1) for k in range(2 ** l)]
-        )
-        assert np.array_equal(_haar_columns(L_max, J), ref)
+        # the full-grid view of the stored blocks, bit for bit
+        assert np.array_equal(build_basis("haar", L_max, J).columns, haar_columns(L_max, J))
 
     def test_runtime_loads_no_scipy(self):
         code = (
@@ -419,6 +399,24 @@ class TestBuildBasis:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_basis("coiflet", 3, 8)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 8), "L_max must be an integer (got 2.5)"),
+        ((2, 8.0), "J must be an integer (got 8.0)"),
+        ((True, 8), "L_max must be an integer (got True)"),
+        ((2, 8, 4.0), "order must be an integer (got 4.0)"),
+        ((-1, 8), "L_max must be >= 0 (got -1)"),
+    ])
+    def test_non_integer_arguments_refused(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_basis("haar", *args)
+
+    def test_haar_holds_only_its_blocks(self):
+        # the (512, 512) block matrix at L_max = 8; the (4096, 512) grid
+        # matrix (16 MiB) is not built
+        basis = build_basis("haar", 8, 12)
+        held = sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray))
+        assert held <= 2.1 * 2 ** 20
 
     def test_scaling_function_is_one(self, smooth):
         assert np.allclose(smooth.columns[:, 0], 1.0, atol=1e-9)
@@ -555,6 +553,12 @@ class TestAnalyzeSynthesize:
             for m in list(range(1, 41)) + [200]:
                 assert np.array_equal(haar.synthesize_flat(flat[:m]), expected[:m])
 
+    @pytest.mark.parametrize("kind", ["haar", "smooth"])
+    def test_synthesize_flat_refuses_one_row_vector(self, kind, request):
+        basis = request.getfixturevalue(kind)
+        with pytest.raises(ValueError, match=re.escape("got shape (5,)")):
+            basis.synthesize_flat(np.zeros(5))
+
     def test_parseval(self, smooth):
         rng = np.random.default_rng(4)
         flat = rng.normal(size=smooth.dim)
@@ -611,3 +615,45 @@ class TestLocalisation:
         assert max(ratios) <= C
         fine = ratios[2:]  # stationary regime for order 4
         assert max(fine) / min(fine) < 1.3
+
+
+@pytest.mark.parametrize("L_max, J", [(0, 2), (4, 10), (8, 10), (8, 12)])
+class TestHaarBlocksMatchFullGrid:
+    """A Haar basis stores 2^(L_max+1) block rows; every method must agree
+    with the full-grid oracle, the N-row matrix the blocks replace."""
+
+    def test_block_rows(self, L_max, J):
+        basis = build_basis("haar", L_max, J)
+        side = 2 ** (L_max + 1)
+        assert basis.blocks.shape == (side, side)
+        assert basis.block_size == 2 ** J // side
+
+    def test_analyze_and_synthesize(self, L_max, J):
+        # rounding only: each coefficient or value is within 1e-13 of the
+        # sum of the absolute values of its terms
+        basis = build_basis("haar", L_max, J)
+        B = haar_columns(L_max, J)
+        N = 2 ** J
+        rng = np.random.default_rng(L_max + J)
+        f = rng.normal(size=N)
+        ref = B.T @ f / N
+        bound = np.abs(B).T @ np.abs(f) / N
+        assert np.all(np.abs(basis.analyze(GridFunction(basis.grid, f)) - ref) <= 1e-13 * bound)
+        for w in sorted({1, min(3, basis.dim), basis.dim // 2 + 1, basis.dim}):
+            c = rng.normal(size=w)
+            ref = B[:, :w] @ c
+            bound = np.abs(B[:, :w]) @ np.abs(c)
+            assert np.all(np.abs(basis.synthesize(c).values - ref) <= 1e-13 * bound)
+
+    def test_gram_localisation_and_functions(self, L_max, J):
+        basis = build_basis("haar", L_max, J)
+        B = haar_columns(L_max, J)
+        N = 2 ** J
+        full_gram = np.abs(B.T @ B / N - np.eye(basis.dim)).max()
+        assert abs(basis.gram_deviation() - full_gram) <= 1e-15
+        for l in range(L_max + 1):
+            full = np.abs(B[:, level_slice(l)]).sum(axis=1).max()
+            assert basis.localisation_sum(l) == full
+            for k in range(2 ** l):
+                idx = WaveletIndex(l, k)
+                assert np.array_equal(basis.function(idx).values, B[:, basis.column_of(idx)])
