@@ -20,7 +20,7 @@ from supnorm.density import posterior_expected_losses, sample_data
 # With one Haar coefficient at scale 1/2 and a logistic coefficient law, the
 # induced prior on the first bin mass is exactly uniform, i.e. Dirichlet(1,1).
 basis = build_basis("haar", L_max=0, J=8)
-sample = Sample(np.array([0.1, 0.2, 0.3, 0.7]))
+sample = Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), J=8)
 print("bin counts at L=1:", bin_counts(sample, 1), "-> conjugate mean mass 2/3")
 
 prior = LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)

@@ -1,5 +1,10 @@
 """Density estimation on [0, 1]: dyadic histogram and log-density posteriors.
 
+Both likelihoods see the data only through its counts on dyadic cells, so a
+`Sample` is those counts on f0's 2^J grid, never the n points:
+`sample_data` draws inverse-CDF keys a chunk at a time and adds up the
+cells they fall in, and `bin_counts` sums the counts to a coarser level.
+
 The histogram model is conjugate: a Dirichlet prior on the 2^L bin masses
 updates by bin counts, and posterior draws are normalized independent Gamma
 variates (with a log-space boost for small shapes, which the allowed
@@ -36,12 +41,11 @@ of values at a time (`McmcChain.expected_losses`, `posterior_expected_losses`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, check_number
 from .functions import block_moments, hellinger_rows, log_mean_exp, step_blocks, step_rms
 from .wavelets import WaveletBasis
 
@@ -52,28 +56,58 @@ class NonDensityError(ValueError):
 
 @dataclass(frozen=True)
 class Sample:
-    """n i.i.d. observations in [0, 1]."""
+    """n i.i.d. observations in [0, 1], kept as their counts on a dyadic grid.
 
-    values: np.ndarray = field(repr=False)
+    `counts[k]` is the number of observations in the cell
+    (k 2^-J, (k+1) 2^-J] of the 2^J = `counts.size` cells, with 0 counted
+    in the first cell; n is their sum.  Both density likelihoods read the
+    data only through counts at level J or coarser (`bin_counts`).
+    """
+
+    counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        c = np.asarray(self.counts)
+        if c.ndim != 1 or not c.size or c.size & (c.size - 1):
+            raise ValueError(f"counts must be a 1-D array of 2^J cells (got shape {c.shape})")
+        if c.dtype.kind not in "iu" or c.min() < 0:
+            raise ValueError("counts must be non-negative integers")
+        object.__setattr__(self, "counts", c)
+
+    @classmethod
+    def from_points(cls, values, J: int) -> "Sample":
+        """The sample of the points `values` in [0, 1], counted on the 2^J grid."""
+        check_number("J", J, integer=True, minimum=0)
+        v = np.asarray(values, dtype=float)
         if v.ndim != 1:
             raise ValueError(f"observations must be a 1-D array (got shape {v.shape})")
         if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # a NaN min or max fails
             raise ValueError("observations must be finite and lie in [0, 1]")
-        object.__setattr__(self, "values", v)
+        N = 2 ** J
+        k = np.ceil(v * N).astype(np.intp) - 1
+        return cls(np.bincount(np.clip(k, 0, N - 1, out=k), minlength=N))
+
+    @property
+    def resolution(self) -> int:
+        """J, the level of the grid the counts are kept on."""
+        return self.counts.size.bit_length() - 1
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return int(self.counts.sum())
+
+
+# inverse-CDF keys drawn and counted at once (256 KiB of float64), whatever n
+_CHUNK = 2 ** 15
 
 
 def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
-    """Inverse-CDF draws from the grid density with uniform in-cell placement.
+    """n i.i.d. draws from the grid density f0, counted on f0's grid.
 
-    The cell of a uniform key u is the number of CDF entries below u, found
-    exactly by `_guided_search`; keys above cum[-1] get cell N and land at 1.
+    A draw is an inverse-CDF key u; its cell is the number of CDF entries
+    below u, found exactly by `_guided_search`, and a key above cum[-1]
+    counts in the last cell.  Keys are drawn and counted `_CHUNK` at a
+    time, so no array grows with n.
     """
     check_number("n", n, integer=True, minimum=0)
     vals = f0.values
@@ -82,51 +116,58 @@ def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     probs = np.clip(vals, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
-    # rng.random is rng.uniform(size=n) bit for bit, without its affine pass
-    u = rng.random(n)
-    cells = _guided_search(cum, u)
-    x = rng.random(n)
-    x += cells
-    x *= f0.grid.cell_width
-    return Sample(np.clip(x, 0.0, 1.0, out=x))
+    N = cum.size
+    search = _guided_search(cum)
+    counts = np.zeros(N, dtype=np.intp)
+    for done in range(0, n, _CHUNK):
+        # rng.random is rng.uniform bit for bit, without its affine pass, and
+        # keys drawn a chunk at a time are the keys of one draw of n
+        cells = search(rng.random(min(_CHUNK, n - done)))
+        counts += np.bincount(np.minimum(cells, N - 1, out=cells), minlength=N)
+    return Sample(counts)
 
 
-def _guided_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(cum, u, side="left")`, bit for bit, for a
-    non-decreasing table whose size is a power of two and keys in [0, 1).
+def _guided_search(cum: np.ndarray):
+    """The function `u -> np.searchsorted(cum, u, side="left")`, bit for bit,
+    for a non-decreasing table whose size is a power of two and keys in [0, 1).
 
-    Guide table (Chen and Asau 1974): M = 4 cum.size buckets of width 1/M,
-    so that u M and b / M are exact.  Bucket b = floor(u M) holds the number
-    of entries below its left edge b / M, a lower bound on the answer for
-    every key in it; the few keys with more entries below them step forward
-    one entry at a time.  Where f0 is small a bucket spans many entries:
-    with one bucket per entry the scan takes about 1 / min f0 passes, with
-    four buckets about a quarter of that.
+    Guide table (Chen and Asau 1974), built once for all the keys searched:
+    M = 4 cum.size buckets of width 1/M, so that u M and b / M are exact.
+    Bucket b = floor(u M) holds the number of entries below its left edge
+    b / M, a lower bound on the answer for every key in it; the few keys
+    with more entries below them step forward one entry at a time.  Where
+    f0 is small a bucket spans many entries: with one bucket per entry the
+    scan takes about 1 / min f0 passes, with four buckets about a quarter
+    of that.
     """
     M = 4 * cum.size
     start = np.searchsorted(cum, np.arange(M) / M)
-    cells = start[(u * M).astype(np.intp)]
     ext = np.append(cum, np.inf)
-    todo = np.flatnonzero(ext[cells] < u)
-    while todo.size:
-        cells[todo] += 1
-        todo = todo[ext[cells[todo]] < u[todo]]
-    return cells
+
+    def search(u: np.ndarray) -> np.ndarray:
+        cells = start[(u * M).astype(np.intp)]
+        todo = np.flatnonzero(ext[cells] < u)
+        while todo.size:
+            cells[todo] += 1
+            todo = todo[ext[cells[todo]] < u[todo]]
+        return cells
+
+    return search
 
 
 def bin_counts(sample: Sample, L: int) -> np.ndarray:
-    """Counts over the dyadic partition at level L.
+    """Counts over the dyadic partition at level L, for 0 <= L <= J, the
+    sample's level: the sums of its counts over 2^(J-L) cells at a time.
 
-    Bins are (k 2^{-L}, (k+1) 2^{-L}], closed to the left at k = 0.  This
-    is the one binning rule of both density models: the histogram's
-    Dirichlet update and the log-density sampler's grid counts.
+    Bins are (k 2^{-L}, (k+1) 2^{-L}], closed to the left at k = 0; each is
+    a union of the sample's cells, so the sums are exact.  This is the one
+    binning rule of both density models: the histogram's Dirichlet update
+    reads it at its level L_n, and the log-density sampler at the basis grid.
     """
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    nbins = 2 ** L
-    k = np.ceil(sample.values * nbins).astype(int) - 1
-    k = np.clip(k, 0, nbins - 1)
-    return np.bincount(k, minlength=nbins)
+    check_number("L", L, integer=True, minimum=0)
+    if L > sample.resolution:
+        raise ValueError(f"level L={L} is finer than the sample's grid J={sample.resolution}")
+    return sample.counts.reshape(2 ** L, -1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -308,18 +349,6 @@ def _heavy_tail_draws(rng: np.random.Generator, tau: float, size) -> np.ndarray:
     mag = w ** (1.0 / (1.0 - tau)) - 1.0
     signs = rng.integers(0, 2, size=total) * 2.0 - 1.0
     return (signs * mag).reshape(size)
-
-
-def check_number(name: str, value, integer: bool = False, minimum=None) -> None:
-    """Raise ValueError unless `value` is a finite real number (an integer if
-    `integer`), not a bool, and at least `minimum` when one is given."""
-    kind = numbers.Integral if integer else numbers.Real
-    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, kind)
-            or not (integer or math.isfinite(value))):
-        what = "an integer" if integer else "a finite number"
-        raise ValueError(f"{name} must be {what} (got {value!r})")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum} (got {value!r})")
 
 
 @dataclass

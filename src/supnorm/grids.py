@@ -3,12 +3,29 @@
 Every function in this package (truths, posterior draws, densities) is carried
 as its values at the 2^J midpoints of a dyadic grid.  All inner products and
 integrals are midpoint-rule quadratures on that grid.
+
+`check_number`, the package's one numeric argument check, lives here because
+this module imports nothing else of the package.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def check_number(name: str, value, integer: bool = False, minimum=None) -> None:
+    """Raise ValueError unless `value` is a finite real number (an integer if
+    `integer`), not a bool, and at least `minimum` when one is given."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, kind)
+            or not (integer or math.isfinite(value))):
+        what = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {what} (got {value!r})")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum} (got {value!r})")
 
 
 class GridMismatchError(ValueError):
@@ -22,8 +39,7 @@ class DyadicGrid:
     resolution: int
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("grid resolution J must be >= 1")
+        check_number("grid resolution J", self.resolution, integer=True, minimum=1)
 
     @property
     def size(self) -> int:

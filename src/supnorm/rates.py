@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, check_number
 from .functions import HolderTruthSpec, make_density_truth, make_holder_truth
 from .wavelets import WaveletBasis, build_basis, check_basis_args
 from . import density as dens
@@ -114,16 +114,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         try:
             for name, minimum in _INTEGER_FIELDS.items():
-                dens.check_number(name, getattr(self, name), integer=True, minimum=minimum)
+                check_number(name, getattr(self, name), integer=True, minimum=minimum)
             if self.grid_resolution is not None:
-                dens.check_number("grid_resolution", self.grid_resolution, integer=True, minimum=1)
+                check_number("grid_resolution", self.grid_resolution, integer=True, minimum=1)
             for name in _REAL_FIELDS:
-                dens.check_number(name, getattr(self, name))
+                check_number(name, getattr(self, name))
             if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
                 raise ValueError("n-grid must be a non-empty list of integers")
             ns = tuple(self.n_grid)
             for v in ns:
-                dens.check_number("n-grid entries", v, integer=True, minimum=3)
+                check_number("n-grid entries", v, integer=True, minimum=3)
             if list(ns) != sorted(set(ns)):
                 raise ValueError("n-grid must be strictly increasing")
             self.n_grid = tuple(int(v) for v in ns)

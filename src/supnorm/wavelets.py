@@ -32,10 +32,12 @@ from functools import cached_property
 from math import comb
 import numpy as np
 
-from .grids import DyadicGrid, GridFunction, GridMismatchError
+from .grids import DyadicGrid, GridFunction, GridMismatchError, check_number
 
 HAAR_GRAM_TOL = 1e-8
 SMOOTH_GRAM_TOL = 1e-6
+# basis columns per panel of the Gram check: (64 x dim) blocks, not (dim x dim)
+_GRAM_PANEL = 64
 
 
 class ResolutionError(ValueError):
@@ -451,10 +453,16 @@ class WaveletBasis:
         )
 
     def gram_deviation(self) -> float:
-        G = self.blocks.T @ self.blocks
-        G /= len(self.blocks)
-        G -= np.eye(self.dim)
-        return float(np.abs(G).max())
+        """max |B^T B / rows - I| over the stored rows B.  The Gram matrix is
+        symmetric, so it is read off its upper triangle, `_GRAM_PANEL` rows
+        of it at a time, and never held whole."""
+        B, dev = self.blocks, 0.0
+        for j in range(0, self.dim, _GRAM_PANEL):
+            G = B[:, j:j + _GRAM_PANEL].T @ B[:, j:]
+            G /= len(B)
+            G.reshape(-1)[::G.shape[1] + 1] -= 1.0  # the diagonal, G[i, i]
+            dev = max(dev, float(np.abs(G, out=G).max()))
+        return dev
 
     # --- analysis / synthesis -------------------------------------------
     def analyze(self, f: GridFunction) -> np.ndarray:
@@ -533,8 +541,6 @@ def check_basis_args(kind: str, L_max: int, J: int | None = None, order: int = 4
     L_max, J and order are integers (not bools).  J defaults to
     max(12, L_max + 4) and must satisfy J >= L_max + 2.
     """
-    from .density import check_number  # density imports this module
-
     check_number("L_max", L_max, integer=True, minimum=0)
     if J is None:
         J = max(12, L_max + 4)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import check_number
+from .grids import check_number
 from .wavelets import WaveletIndex, level_slice
 
 QUADRATURE_POINTS = 4096

@@ -60,12 +60,25 @@ def mean_masses(post) -> np.ndarray:
     return post.params / post.params.sum()
 
 
-def grid_counts(sample, J: int) -> np.ndarray:
-    """Counts of the sample's points in the cells (k 2^-J, (k+1) 2^-J] of
-    [0, 1], 0 in the first cell: cell k holds the points with k interior
-    edges below them, found by a binary search of the edges."""
+def grid_counts(points, J: int) -> np.ndarray:
+    """Counts of the points in the cells (k 2^-J, (k+1) 2^-J] of [0, 1], 0
+    in the first cell: cell k holds the points with k interior edges below
+    them, found by a binary search of the edges."""
     N = 2 ** J
-    return np.bincount(np.searchsorted(np.arange(1, N) / N, sample.values), minlength=N)
+    return np.bincount(np.searchsorted(np.arange(1, N) / N, points), minlength=N)
+
+
+def sample_points(f0: GridFunction, n: int, seed: int) -> np.ndarray:
+    """The n points whose cell counts `density.sample_data` returns: the
+    inverse-CDF keys of its stream, their cells found by a binary search
+    (a key above cum[-1] gets cell N), each point placed uniformly in its
+    cell by a second stream of n uniforms and clipped to [0, 1]."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
+    probs = np.clip(f0.values, 0.0, None)
+    cum = np.cumsum(probs / probs.sum())
+    cells = np.searchsorted(cum, rng.uniform(size=n), side="left")
+    x = (cells + rng.uniform(size=n)) * f0.grid.cell_width
+    return np.clip(x, 0.0, 1.0)
 
 
 def coord_cdf(post) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_criterion_4_mcmc_vs_conjugate():
     # 2-bin histogram in log parametrization: logistic coefficient with
     # sigma_0 = 1/2 pushes forward to the uniform D(1,1) prior on bin mass
     basis = build_basis("haar", 0, 8)
-    sample = dens.Sample(np.array([0.1, 0.2, 0.3, 0.7]))
+    sample = dens.Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), basis.grid.resolution)
     assert dens.bin_counts(sample, 1).tolist() == [3, 1]
     prior = dens.LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)
     chain = dens.logdensity_mcmc(prior, sample, basis, dens.McmcConfig(), seed=5)

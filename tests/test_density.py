@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from supnorm.wavelets import build_basis
 from supnorm import density as dens
 from supnorm.rates import ExperimentConfig, plan_basis
 
-from oracles import constant, grid_counts, mean_masses
+from oracles import constant, grid_counts, mean_masses, sample_points
 
 
 @pytest.fixture(scope="module")
@@ -30,23 +31,6 @@ def grid():
 def two_bin(grid):
     vals = np.r_[np.full(grid.size // 2, 4.0 / 3.0), np.full(grid.size // 2, 2.0 / 3.0)]
     return GridFunction(grid, vals)
-
-
-def reference_sample_data(f0, n, seed):
-    """`sample_data` with a binary search for the cell of each key."""
-    vals = f0.values
-    if vals.min() < -1e-12 or abs(vals.mean() - 1.0) > 1e-6:
-        raise dens.NonDensityError("f0 must be nonnegative with unit integral")
-    if n == 0:
-        return dens.Sample(np.empty(0))
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
-    probs = np.clip(vals, 0.0, None)
-    cum = np.cumsum(probs / probs.sum())
-    u = rng.uniform(size=n)
-    cells = np.searchsorted(cum, u, side="left")
-    inner = rng.uniform(size=n)
-    x = (cells + inner) * f0.grid.cell_width
-    return dens.Sample(np.clip(x, 0.0, 1.0))
 
 
 # bin weights with zero runs, zero heads and tails; small integers and their
@@ -76,7 +60,7 @@ class TestGuidedSearch:
         w = np.asarray(w, dtype=float)
         cum = np.cumsum(w / w.sum())
         u = self.keys(cum, np.random.default_rng(seed))
-        assert np.array_equal(dens._guided_search(cum, u), np.searchsorted(cum, u, side="left"))
+        assert np.array_equal(dens._guided_search(cum)(u), np.searchsorted(cum, u, side="left"))
 
     @settings(max_examples=300, deadline=None)
     @given(weights, st.integers(0, 2 ** 32 - 1))
@@ -105,6 +89,22 @@ class TestGuidedSearch:
         assert {-1.0, 1.0} <= sides
 
 
+@pytest.fixture(scope="module")
+def histogram_truth():
+    """The rep-0 truth of the histogram benchmark cells, on the 2^12 grid."""
+    cfg = ExperimentConfig(
+        model="density-histogram", alpha=0.75, n_grid=(2 ** 10, 2 ** 14, 2 ** 18),
+        master_seed=2024, basis_kind="haar", grid_resolution=12,
+    )
+    return make_density_truth(cfg.truth_spec(0), plan_basis(cfg))
+
+
+def point_counts(f0, n, seed):
+    """The counts of the oracle's points, binned by `Sample.from_points`."""
+    J = f0.grid.resolution
+    return dens.bin_counts(dens.Sample.from_points(sample_points(f0, n, seed), J), J)
+
+
 class TestSampleData:
     @pytest.mark.parametrize("seed", [2024, 7])
     @pytest.mark.parametrize("model", ["density-histogram", "density-logdensity"])
@@ -117,7 +117,25 @@ class TestSampleData:
         )
         f0 = make_density_truth(cfg.truth_spec(0), plan_basis(cfg))
         got = dens.sample_data(f0, 2 ** 18, seed)
-        assert np.array_equal(got.values, reference_sample_data(f0, 2 ** 18, seed).values)
+        np.testing.assert_array_equal(got.counts, point_counts(f0, 2 ** 18, seed))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("n", [0, 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 18 + 12345])
+    def test_chunked_counts_match_the_point_path(self, histogram_truth, n, seed):
+        # below, at and above one chunk of keys, and a ragged last chunk
+        got = dens.sample_data(histogram_truth, n, seed)
+        assert got.n == n and got.resolution == 12
+        np.testing.assert_array_equal(got.counts, point_counts(histogram_truth, n, seed))
+
+    def test_memory_does_not_grow_with_n(self, histogram_truth):
+        # the point path held 25 MiB of points and temporaries at n = 2^20
+        tracemalloc.start()
+        try:
+            dens.sample_data(histogram_truth, 2 ** 20, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
     @pytest.mark.parametrize("n", [-3, 2.5, True, "4"])
     def test_bad_n_refused(self, grid, n):
@@ -126,24 +144,28 @@ class TestSampleData:
 
     def test_zero_n_gives_an_empty_sample(self, grid):
         s = dens.sample_data(constant(grid), 0, seed=0)
-        assert s.n == 0 and s.values.shape == (0,) and s.values.dtype == np.float64
+        assert s.n == 0 and s.counts.tolist() == [0] * grid.size
 
     def test_uniform_ks(self, grid):
+        # the empirical cdf is known at the cell edges, where it is the
+        # cumulative count; the Kolmogorov bound of the points holds there
         n = 10_000
         s = dens.sample_data(constant(grid), n, seed=0)
-        ks = stats.kstest(s.values, "uniform").statistic
+        edges = np.arange(1, grid.size + 1) / grid.size
+        ks = np.abs(np.cumsum(s.counts) / n - edges).max()
         assert ks < 1.63 / np.sqrt(n)
+        assert stats.chisquare(s.counts).pvalue > 1e-3
 
     def test_two_bin_frequencies(self, two_bin):
         n = 10_000
         s = dens.sample_data(two_bin, n, seed=1)
-        freq0 = (s.values <= 0.5).mean()
+        freq0 = dens.bin_counts(s, 1)[0] / n
         assert abs(freq0 - 2.0 / 3.0) < 3.0 / np.sqrt(n)
 
     def test_determinism(self, grid):
         a = dens.sample_data(constant(grid), 100, seed=5)
         b = dens.sample_data(constant(grid), 100, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.counts, b.counts)
 
     def test_rejects_non_density(self, grid):
         with pytest.raises(dens.NonDensityError):
@@ -154,19 +176,38 @@ class TestBinCounts:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
     def test_observation_outside_unit_interval_refused(self, bad):
         with pytest.raises(ValueError, match="observations"):
-            dens.Sample(np.array([0.5, bad]))
+            dens.Sample.from_points(np.array([0.5, bad]), 4)
 
     @pytest.mark.parametrize("values", [[[0.1, 0.2], [0.3, 0.7]], 0.5, [[0.5]]])
     def test_observations_not_one_dimensional_refused(self, values):
         with pytest.raises(ValueError, match="observations must be a 1-D array"):
-            dens.Sample(np.array(values))
+            dens.Sample.from_points(np.array(values), 4)
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.zeros((2, 2), dtype=int), "1-D array of 2"),
+        (np.zeros(6, dtype=int), "1-D array of 2"),
+        (np.zeros(0, dtype=int), "1-D array of 2"),
+        (np.array([1, -1]), "non-negative integers"),
+        (np.array([1.0, 2.0]), "non-negative integers"),
+        (np.array([True, False]), "non-negative integers"),
+    ])
+    def test_bad_counts_refused(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            dens.Sample(counts)
+
+    @pytest.mark.parametrize("J", [-1, 2.5, True])
+    def test_bad_point_grid_refused(self, J):
+        with pytest.raises(ValueError, match="J must be"):
+            dens.Sample.from_points(np.array([0.5]), J)
 
     def test_spec_example(self):
-        s = dens.Sample(np.array([0.1, 0.6, 0.7]))
+        s = dens.Sample.from_points(np.array([0.1, 0.6, 0.7]), 4)
+        assert s.n == 3
         assert dens.bin_counts(s, 1).tolist() == [1, 2]
 
     def test_empty_sample(self):
-        assert dens.bin_counts(dens.Sample(np.empty(0)), 3).tolist() == [0] * 8
+        s = dens.Sample.from_points(np.empty(0), 3)
+        assert s.n == 0 and dens.bin_counts(s, 3).tolist() == [0] * 8
 
     def test_refinement_consistency(self, grid):
         s = dens.sample_data(constant(grid), 500, seed=2)
@@ -176,15 +217,28 @@ class TestBinCounts:
 
     def test_boundary_convention(self):
         # 0 belongs to bin 0; bin boundaries belong to the left bin
-        s = dens.Sample(np.array([0.0, 0.5, 1.0]))
-        assert dens.bin_counts(s, 1).tolist() == [2, 1]
+        for J in (1, 4):
+            s = dens.Sample.from_points(np.array([0.0, 0.5, 1.0]), J)
+            assert dens.bin_counts(s, 1).tolist() == [2, 1]
 
     def test_matches_the_edge_search(self, grid):
         # random points, every cell edge of the grid, and both ends
-        s = dens.sample_data(constant(grid), 3000, seed=4)
-        pts = dens.Sample(np.r_[s.values, np.arange(grid.size + 1) / grid.size])
-        for L in (0, 1, 5, grid.resolution):
-            np.testing.assert_array_equal(dens.bin_counts(pts, L), grid_counts(pts, L))
+        J = grid.resolution
+        pts = np.r_[sample_points(constant(grid), 3000, 4), np.arange(grid.size + 1) / grid.size]
+        s = dens.Sample.from_points(pts, J)
+        assert s.n == pts.size
+        for L in (0, 1, 5, J):
+            np.testing.assert_array_equal(dens.bin_counts(s, L), grid_counts(pts, L))
+
+    @pytest.mark.parametrize("L, message", [
+        (11, "level L=11 is finer than the sample's grid J=10"),
+        (-1, "L must be >= 0"),
+        (2.0, "L must be an integer"),
+    ])
+    def test_bad_level_refused(self, grid, L, message):
+        s = dens.sample_data(constant(grid), 10, seed=0)
+        with pytest.raises(ValueError, match=message):
+            dens.bin_counts(s, L)
 
 
 class TestConjugacy:
@@ -348,7 +402,8 @@ class TestMcmc:
         basis = build_basis("boundary-smooth", 3, 9)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=2, r=0.5)
         cfg = dens.McmcConfig(iterations=12_000, burn_in=2_000, thin=2)
-        chain = dens.logdensity_mcmc(prior, dens.Sample(np.empty(0)), basis, cfg, seed=0)
+        empty = dens.Sample.from_points(np.empty(0), basis.grid.resolution)
+        chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=0)
         states = chain.states
         for l in range(prior.cutoff_level + 1):
             var = states[:, 2 ** l - 1:2 ** (l + 1) - 1].var()
@@ -356,7 +411,7 @@ class TestMcmc:
 
     def test_two_bin_conjugate_oracle(self):
         basis = build_basis("haar", 0, 8)
-        sample = dens.Sample(np.array([0.1, 0.2, 0.3, 0.7]))
+        sample = dens.Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), basis.grid.resolution)
         prior = dens.LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)
         chain = dens.logdensity_mcmc(prior, sample, basis, dens.McmcConfig(), seed=5)
         vals = chain.density_values(basis)
@@ -367,7 +422,7 @@ class TestMcmc:
         basis = build_basis("haar", 2, 8)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=3, r=0.5)
         with pytest.raises(ValueError, match="cutoff level 3 beyond basis L_max=2"):
-            dens.logdensity_mcmc(prior, dens.Sample(np.array([0.5])), basis)
+            dens.logdensity_mcmc(prior, dens.Sample.from_points(np.array([0.5]), 8), basis)
 
     def test_edge_point_counts_in_the_left_half_as_in_bin_counts(self):
         # with Haar at L = 0 the likelihood reads only the two half counts, so
@@ -375,8 +430,8 @@ class TestMcmc:
         basis = build_basis("haar", 0, 8)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=0, r=0.5)
         cfg = dens.McmcConfig(iterations=400, burn_in=100, thin=3)
-        on_edge = dens.Sample(np.array([0.1, 0.5, 0.5, 0.7]))
-        inside = dens.Sample(np.array([0.1, 0.25, 0.25, 0.7]))
+        on_edge = dens.Sample.from_points(np.array([0.1, 0.5, 0.5, 0.7]), 8)
+        inside = dens.Sample.from_points(np.array([0.1, 0.25, 0.25, 0.7]), 8)
         assert dens.bin_counts(on_edge, 1).tolist() == dens.bin_counts(inside, 1).tolist() == [3, 1]
         a = dens.logdensity_mcmc(prior, on_edge, basis, cfg, seed=3)
         b = dens.logdensity_mcmc(prior, inside, basis, cfg, seed=3)
@@ -386,7 +441,8 @@ class TestMcmc:
         # frozen 2-coefficient problem: long-run state histogram vs direct
         # quadrature of the posterior, total variation <= 0.05
         basis = build_basis("haar", 1, 8)
-        sample = dens.Sample(np.array([0.05, 0.3, 0.4, 0.8, 0.9, 0.95, 0.2, 0.6]))
+        points = np.array([0.05, 0.3, 0.4, 0.8, 0.9, 0.95, 0.2, 0.6])
+        sample = dens.Sample.from_points(points, basis.grid.resolution)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=1, r=0.5)
         cfg = dens.McmcConfig(iterations=60_000, burn_in=5_000, thin=2)
         chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=11)
@@ -395,7 +451,7 @@ class TestMcmc:
         # direct quadrature of the marginal of a00 over the level-1 pair
         B = basis.columns[:, 1:4]
         sig = chain.sigmas
-        counts = grid_counts(sample, basis.grid.resolution)
+        counts = grid_counts(points, basis.grid.resolution)
 
         def loglik(coefs):
             T = B @ (sig * coefs)
@@ -438,7 +494,8 @@ class TestMcmc:
         basis = build_basis("haar", 0, 8)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=0, r=0.5)
         cfg = dens.McmcConfig(iterations=1_200, burn_in=1_000, thin=1)
-        chain = dens.logdensity_mcmc(prior, dens.Sample(np.empty(0)), basis, cfg, seed=0)
+        empty = dens.Sample.from_points(np.empty(0), basis.grid.resolution)
+        chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=0)
         # empty sample accepts every proposal: acceptance 1.0 must be flagged
         assert chain.acceptance[0] > 0.6
         assert not chain.converged
@@ -717,7 +774,8 @@ def reference_mcmc(prior, sample, basis, cfg, seed):
     for l in range(L + 1):
         slices.append(slice(pos, pos + 2 ** l))
         pos += 2 ** l
-    counts = grid_counts(sample, basis.grid.resolution).astype(float)
+    assert sample.resolution == basis.grid.resolution
+    counts = sample.counts.astype(float)
     n = sample.n
 
     def loglik(T):
@@ -789,7 +847,7 @@ class TestFastKernel:
         basis, sample = kernel_case
         prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
         B = basis.columns[:, 1:16]
-        counts = grid_counts(sample, basis.grid.resolution)
+        counts = sample.counts
         sigmas = np.concatenate([np.full(2 ** l, prior.sigma(l)) for l in range(4)])
 
         def loglik(a):
@@ -814,7 +872,9 @@ class TestFastKernel:
 
     def test_data_term_reads_bin_counts_on_cell_edges(self):
         basis = build_basis("boundary-smooth", 3, 8)
-        sample = dens.Sample(np.array([0.0, 0.25, 0.25, 0.5, 0.3, 0.75, 129 / 256, 1.0]))
+        sample = dens.Sample.from_points(
+            np.array([0.0, 0.25, 0.25, 0.5, 0.3, 0.75, 129 / 256, 1.0]), 8
+        )
         counts = dens.bin_counts(sample, 8).astype(float)
         # each edge point counts in the cell to its left, 0 in the first cell
         assert np.flatnonzero(counts).tolist() == [0, 63, 76, 127, 128, 191, 255]
@@ -858,7 +918,7 @@ class TestFastKernel:
         basis, _ = kernel_case
         prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
         cfg = dens.McmcConfig(iterations=300, burn_in=100, thin=1, adapt_every=20)
-        empty = dens.Sample(np.empty(0))
+        empty = dens.Sample.from_points(np.empty(0), basis.grid.resolution)
         chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=9)
         states, acceptance, scales = reference_mcmc(prior, empty, basis, cfg, 9)
         np.testing.assert_array_equal(chain.states, states)

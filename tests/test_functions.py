@@ -161,6 +161,18 @@ class TestRowwiseReductions:
             hellinger_rows(V, np.ones(grid.size))
 
 
+class TestDyadicGrid:
+    @pytest.mark.parametrize("J, message", [
+        (2.5, "must be an integer"), (True, "must be an integer"), (0, "must be >= 1"),
+    ])
+    def test_bad_resolution_refused(self, J, message):
+        with pytest.raises(ValueError, match=f"grid resolution J {message}"):
+            DyadicGrid(J)
+
+    def test_size(self):
+        assert DyadicGrid(3).size == 8 and DyadicGrid(np.int64(3)).size == 8
+
+
 class TestGridFunctionCsv:
     def test_round_trip(self, tmp_path, grid):
         rng = np.random.default_rng(12)

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,28 @@ class TestBuildBasis:
     def test_non_integer_arguments_refused(self, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build_basis("haar", *args)
+
+    @pytest.mark.parametrize("kind, L_max, J", [
+        ("haar", 0, 2), ("haar", 4, 10), ("haar", 8, 12),
+        ("boundary-smooth", 5, 12), ("boundary-smooth", 8, 12),
+    ])
+    def test_panelled_gram_matches_the_dense_check(self, kind, L_max, J):
+        # dims 2, 32, 512, 64 and 512: below, at and above the panel width
+        basis = build_basis(kind, L_max, J)
+        B = basis.blocks
+        dense = np.abs(B.T @ B / len(B) - np.eye(basis.dim)).max()
+        assert abs(basis.gram_deviation() - dense) <= 1e-15
+
+    def test_haar_build_peak_memory(self):
+        # the 2 MiB block matrix and one (64 x 512) Gram panel; the dense
+        # check held three (512 x 512) arrays beside it, 6 MiB at its peak
+        tracemalloc.start()
+        try:
+            build_basis("haar", 8, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 2 ** 20
 
     def test_haar_holds_only_its_blocks(self):
         # the (512, 512) block matrix at L_max = 8; the (4096, 512) grid
