@@ -25,7 +25,8 @@ print("bin counts at L=1:", bin_counts(sample, 1), "-> conjugate mean mass 2/3")
 
 prior = LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)
 chain = logdensity_mcmc(prior, sample, basis, McmcConfig(), seed=5)
-omega0 = chain.density_values(basis)[:, : basis.grid.size // 2].mean(axis=1) / 2
+vals = chain.density_values(basis)
+omega0 = vals[:, : vals.shape[1] // 2].mean(axis=1) / 2
 print(f"MCMC posterior mean of bin mass: {omega0.mean():.4f} "
       f"(acceptance {chain.acceptance[0]:.2f}, converged={chain.converged})")
 

@@ -17,17 +17,20 @@ centred sum of squares of f0 (and of sqrt f0) on each bin
 The log-density model exp(T - c(T)), with T a truncated wavelet series, has
 no conjugate posterior; a Metropolis-Hastings sampler with per-level block
 moves is provided (prior-reversible pCN proposals in the Gaussian case,
-random-walk proposals with a prior ratio otherwise).  Its kernel uses exact
-reductions only: each level's wavelets, scaled by sigma_l, are stored once
-as contiguous (2^l, N) rows R_l, and the data term sum_i T(X_i) = counts . T
-of a level move by d changes by d . s_l with s_l = R_l counts (that is,
-s = B^T counts, precomputed), so it costs O(2^l) instead of O(N).  The
-normaliser term needs only c(T + X) - c(T) for X = d R_l, and with kept
-weights E = e^(T - max T) that difference is exact:
+random-walk proposals with a prior ratio otherwise).  It works on the R
+stored rows of the basis, `blocks` (2^(L_max+1) for Haar, N for
+boundary-smooth): the blocks are equal, so c(T) and the data term are exact
+sums over them.  Its kernel uses exact reductions only: each level's
+wavelets, scaled by sigma_l, are stored once as contiguous (2^l, R) rows
+R_l, and the data term sum_i T(X_i) = counts . T of a level move by d
+changes by d . s_l with s_l = R_l counts (that is, s = B^T counts,
+precomputed), so it costs O(2^l) instead of O(R).  The normaliser term
+needs only c(T + X) - c(T) for X = d R_l, and with kept weights
+E = e^(T - max T) that difference is exact:
 
     c(T + X) - c(T) = log(sum_i E_i e^(X_i) / sum_i E_i),
 
-so a proposal costs one grid exp and one grid dot, and an accept multiplies
+so a proposal costs one exp and one dot over R rows, and an accept multiplies
 E by e^X in place; T itself is never formed in the loop.  Each accept's
 product adds rounding to E, so every `_REFRESH` iterations E and its sum
 are recomputed exactly from the coefficients (`log_mean_exp` writes
@@ -35,8 +38,8 @@ e^(T - max T) into its scratch), which keeps the log ratio within about
 n 1e-14 of the direct one.  The chain is the one the direct evaluation of
 counts . T - n c(T) gives, up to the rounding of the log ratio.
 
-The kept draws are expanded to the grid and reduced a block of about 1 MiB
-of values at a time (`McmcChain.expected_losses`, `posterior_expected_losses`).
+The kept draws are step rows on the same R blocks, reduced about 1 MiB of
+values at a time (`McmcChain.expected_losses`, `posterior_expected_losses`).
 """
 from __future__ import annotations
 
@@ -162,7 +165,7 @@ def bin_counts(sample: Sample, L: int) -> np.ndarray:
     Bins are (k 2^{-L}, (k+1) 2^{-L}], closed to the left at k = 0; each is
     a union of the sample's cells, so the sums are exact.  This is the one
     binning rule of both density models: the histogram's Dirichlet update
-    reads it at its level L_n, and the log-density sampler at the basis grid.
+    reads it at its level L_n, and the log-density sampler on the basis blocks.
     """
     check_number("L", L, integer=True, minimum=0)
     if L > sample.resolution:
@@ -181,9 +184,12 @@ class HistogramPriorSpec:
     c2: float = 1.0
 
     def __post_init__(self):
+        check_number("level", self.level, integer=True, minimum=0)
         al = np.asarray(self.alphas, dtype=float)
         if al.shape != (2 ** self.level,):
             raise ValueError(f"need 2^{self.level} Dirichlet parameters")
+        for extreme in (al.min(), al.max()):  # a NaN makes both NaN
+            check_number("Dirichlet parameters", float(extreme))
         if al.min() <= 0:
             raise ValueError("Dirichlet parameters must be > 0")
         lo = self.c1 * 2.0 ** (-self.level * self.a)
@@ -222,31 +228,32 @@ def histogram_posterior(prior: HistogramPriorSpec, counts) -> HistogramPosterior
 def _log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: int) -> np.ndarray:
     """(m, K) log-Gamma(shape, 1) draws, safe for tiny shapes.
 
-    Shapes >= 0.1 use the library sampler; below that the boost
+    Bins with shape >= 0.1 use the library sampler; below that the boost
     G_a = G_{a+1} U^{1/a} is applied in log space, which never underflows.
+    Each group is one (m, bins) draw, read from the stream in row order.
     """
-    K = shapes.size
-    sh = np.broadcast_to(shapes, (m, K))
-    out = np.empty((m, K))
-    big = sh >= 0.1
+    tiny = np.finfo(float).tiny
+    big = shapes >= 0.1
+    if big.all():
+        out = rng.gamma(shapes, size=(m, shapes.size))
+        return np.log(np.clip(out, tiny, None, out=out), out=out)
+    out = np.empty((m, shapes.size))
     if big.any():
-        draws = rng.gamma(sh[big])
-        out[big] = np.log(np.clip(draws, np.finfo(float).tiny, None))
-    small = ~big
-    if small.any():
-        a = sh[small]
-        g1 = rng.gamma(a + 1.0)
-        u = rng.uniform(size=a.shape)
-        out[small] = np.log(np.clip(g1, np.finfo(float).tiny, None)) + np.log(u) / a
+        g = rng.gamma(shapes[big], size=(m, np.count_nonzero(big)))
+        out[:, big] = np.log(np.clip(g, tiny, None, out=g), out=g)
+    a = shapes[~big]
+    g1 = rng.gamma(a + 1.0, size=(m, a.size))
+    u = rng.uniform(size=g1.shape)
+    out[:, ~big] = np.log(np.clip(g1, tiny, None, out=g1), out=g1) + np.log(u, out=u) / a
     return out
 
 
 def dirichlet_draws(rng: np.random.Generator, params: np.ndarray, m: int) -> np.ndarray:
     """(m, K) rows on the simplex via normalized independent Gamma variates."""
-    logs = _log_gamma_draws(rng, np.asarray(params, dtype=float), m)
-    logs -= logs.max(axis=1, keepdims=True)
-    w = np.exp(logs)
-    w = np.clip(w, np.finfo(float).tiny, None)
+    w = _log_gamma_draws(rng, np.asarray(params, dtype=float), m)
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    np.clip(w, np.finfo(float).tiny, None, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w
 
@@ -257,7 +264,9 @@ def draw_histogram_values(post: HistogramPosterior, m: int, seed: int) -> np.nda
     >= 1 (ValueError)."""
     check_number("draw count m", m, integer=True, minimum=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(13,)))
-    return dirichlet_draws(rng, post.params, m) * 2 ** post.level
+    w = dirichlet_draws(rng, post.params, m)
+    w *= 2 ** post.level
+    return w
 
 
 # --------------------------------------------------------------------------
@@ -288,10 +297,11 @@ class LogDensityPriorSpec:
     def __post_init__(self):
         if self.law not in ("gaussian",) + LOG_LIPSCHITZ_LAWS:
             raise ValueError(f"unknown coefficient law {self.law!r}")
+        for name in ("alpha", "r", "tau", "scale"):
+            check_number(name, getattr(self, name))
+        check_number("cutoff level", self.cutoff_level, integer=True, minimum=0)
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
-        if self.cutoff_level < 0:
-            raise ValueError("cutoff level must be >= 0")
         if self.law == "gaussian" and not 0.0 < self.r <= self.alpha - 0.25:
             raise ValueError(
                 f"gaussian log-density prior requires 0 < r <= alpha - 1/4 "
@@ -380,29 +390,29 @@ class McmcChain:
     converged: bool = True
 
     def density_values(self, basis: WaveletBasis, rows: slice = slice(None)) -> np.ndarray:
-        """(kept, N) posterior density draws on the grid, or those of `rows`."""
-        T = (self.states[rows] * self.sigmas) @ basis.columns[:, 1:self.sigmas.size + 1].T
+        """(kept, R) posterior density draws, or those of `rows`: step rows on
+        the R stored blocks of the basis (R = N, grid values, for boundary-smooth)."""
+        T = (self.states[rows] * self.sigmas) @ basis.blocks[:, 1:self.sigmas.size + 1].T
         T -= log_mean_exp(T)[:, None]
         return np.exp(T, out=T)
 
     def expected_losses(self, basis: WaveletBasis, f0: GridFunction) -> "LossSummary":
         """`posterior_expected_losses` of the density draws, a block of draws at a
-        time: no cell holds all (kept, N) values, so threads do not add them up."""
+        time: no cell holds all (kept, R) values, so threads do not add them up."""
         return LossSummary.of_draws(*(
             posterior_expected_losses(self.density_values(basis, rows), f0).per_draw
-            for rows in _row_blocks(len(self.states), basis.grid.size)
+            for rows in _row_blocks(len(self.states), len(basis.blocks))
         ))
 
 
-def _level_moves(prior: LogDensityPriorSpec, sample: Sample, basis: WaveletBasis,
-                 B: np.ndarray) -> list:
-    """(slice, [R_l | s_l]) per level of the (N, K) wavelet columns B: a move
-    of the level's standardized coefficients by d changes T by d @ R_l, with
-    R_l = sigma_l times the level's wavelets as (2^l, N) rows, and
-    sum_i T(X_i) by d @ s_l, with s_l = R_l @ bin_counts(sample, J) on the
-    basis grid.  s_l is column N of the contiguous (2^l, N + 1) matrix, so
-    one product gives both."""
-    counts = bin_counts(sample, basis.grid.resolution).astype(float)
+def _level_moves(prior: LogDensityPriorSpec, sample: Sample, B: np.ndarray) -> list:
+    """(slice, [R_l | s_l]) per level of the (R, K) wavelet columns B on R
+    equal dyadic blocks: a move of the level's standardized coefficients by
+    d changes T by d @ R_l, with R_l = sigma_l times the level's wavelets as
+    (2^l, R) rows, and sum_i T(X_i) by d @ s_l, with s_l = R_l @ the sample's
+    counts on the R blocks.  s_l is column R of the contiguous (2^l, R + 1)
+    matrix, so one product gives both."""
+    counts = bin_counts(sample, len(B).bit_length() - 1).astype(float)
     moves = []
     for l in range(prior.cutoff_level + 1):
         sl = slice(2 ** l - 1, 2 ** (l + 1) - 1)
@@ -435,23 +445,23 @@ def logdensity_mcmc(
     The log likelihood ratio of a level move by d, with X = d R_l, is
     d . s_l - n log(E . e^X / sum E), on the terms `_level_moves`
     precomputes and the kept weights E = e^(T - max T): the log term is
-    c(T + X) - c(T) exactly (see the module docstring).  That is one grid
-    exp and one grid dot per proposal, and one grid product E *= e^X per
-    accept.  E is recomputed from the coefficients every `_REFRESH`
-    iterations, so the rounding of those products does not build up.
+    c(T + X) - c(T) exactly (see the module docstring).  That is one exp
+    and one dot over the R stored rows of the basis per proposal, and one
+    product E *= e^X per accept.  E is recomputed from the coefficients
+    every `_REFRESH` iterations, so the rounding of those products does
+    not build up.
     """
     cfg = cfg or McmcConfig()
     L = prior.cutoff_level
     if L > basis.L_max:
         raise ValueError(f"cutoff level {L} beyond basis L_max={basis.L_max}")
     # the wavelet columns of levels 0..L, copied once: products run faster on contiguous rows
-    B = np.ascontiguousarray(basis.columns[:, 1:2 ** (L + 1)])
-    N = basis.grid.size
-    K = B.shape[1]
+    B = np.ascontiguousarray(basis.blocks[:, 1:2 ** (L + 1)])
+    R, K = B.shape
     sigmas = np.concatenate(
         [np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)]
     )
-    levels = _level_moves(prior, sample, basis, B)
+    levels = _level_moves(prior, sample, B)
     n = float(sample.n)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
@@ -461,8 +471,8 @@ def logdensity_mcmc(
     a = prior.draw_standardized(rng, K)
     # E = e^(T - max T) at the last refresh, times the e^X of each accept
     # since; G = [X | d . s_l] of the current proposal, then X becomes e^X
-    E, G = np.empty(N), np.empty(N + 1)
-    X = G[:N]
+    E, G = np.empty(R), np.empty(R + 1)
+    X = G[:R]
 
     def refresh() -> float:
         """Recompute E exactly from a, in place, and return S = sum E."""
@@ -505,7 +515,7 @@ def logdensity_mcmc(
             dot(d, Rs, out=G)
             exp(X, out=X)
             S_new = float(dot(E, X))
-            if log(uniform()) < G.item(N) - n * log(S_new / S) + log_prior_ratio:
+            if log(uniform()) < G.item(R) - n * log(S_new / S) + log_prior_ratio:
                 a_blk[...] = a_new
                 E *= X
                 S = S_new

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, check_number
 from .wavelets import WaveletBasis, level_slice
 
 
@@ -78,6 +78,9 @@ class HolderTruthSpec:
     kind: str = "signed-coefficient"  # or "fixed-analytic"
 
     def __post_init__(self):
+        check_number("alpha", self.alpha)
+        check_number("radius", self.radius)
+        check_number("seed", self.seed, integer=True, minimum=0)
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.radius <= 0:

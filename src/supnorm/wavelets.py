@@ -22,13 +22,11 @@ Coefficients are one flat vector in column order (see `level_slice`).
 
 A basis stores its columns on the coarsest dyadic grid on which they are
 exact: 2^(L_max+1) rows for Haar, whose functions are constant on that many
-dyadic blocks, and the N grid rows for boundary-smooth.  At L_max = 8 on
-the N = 4096 grid the Haar matrix is 2 MiB, where N rows would take 16 MiB.
+dyadic blocks, and the N grid rows for boundary-smooth.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
 import numpy as np
 
@@ -416,9 +414,8 @@ class WaveletBasis:
 
     `blocks` holds the columns on the coarsest dyadic grid on which they are
     exact, one row per r = `block_size` grid points: 2^(L_max+1) rows for
-    Haar (2 MiB at L_max = 8, where N = 4096 rows take 16 MiB), r = 1 for
-    boundary-smooth.  Every method reads them through r; the full-grid
-    `columns` are built only when read.
+    Haar, r = 1 for boundary-smooth.  It is the only stored form of the
+    basis, and every method reads it through r.
     """
 
     kind: str
@@ -435,12 +432,6 @@ class WaveletBasis:
     def block_size(self) -> int:
         """r: the grid points under one stored row."""
         return self.grid.size // len(self.blocks)
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """(N, dim) grid samples: the stored rows, each repeated r times."""
-        r = self.block_size
-        return self.blocks if r == 1 else np.repeat(self.blocks, r, axis=0)
 
     def column_of(self, idx: WaveletIndex) -> int:
         if idx.level > self.L_max:

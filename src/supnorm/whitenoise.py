@@ -61,14 +61,15 @@ class ProductPriorSpec:
     def __post_init__(self):
         if self.family not in ("uniform", "exp-power"):
             raise ValueError(f"unknown prior family {self.family!r}")
+        for name in ("alpha", "bound", "delta"):
+            check_number(name, getattr(self, name))
+        check_number("truncation level", self.truncation_level, integer=True, minimum=0)
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.family == "uniform" and self.bound <= 0:
             raise ValueError("uniform prior needs bound B > 0")
         if self.family == "exp-power" and self.delta <= 0:
             raise ValueError("exp-power prior needs delta > 0")
-        if self.truncation_level < 0:
-            raise ValueError("truncation level must be >= 0")
 
     def sigma(self, level: int) -> float:
         s = 2.0 ** (-level * (0.5 + self.alpha))
@@ -238,8 +239,7 @@ def simulate_wn(
         )
     L = width.bit_length() - 2
     if truncation_level is not None:
-        if truncation_level < 0:
-            raise ValueError(f"truncation level must be >= 0, got {truncation_level!r}")
+        check_number("truncation level", truncation_level, integer=True, minimum=0)
         L = min(truncation_level, L)
     x = coeffs[: level_slice(L).stop].copy()
     noise = [g.standard_normal() for g in _coordinate_streams(seed, x.size)]

@@ -55,6 +55,32 @@ def haar_columns(L_max: int, J: int) -> np.ndarray:
     )
 
 
+def grid_columns(basis: WaveletBasis) -> np.ndarray:
+    """(N, dim) grid samples of the basis: each stored row repeated over its
+    r = `block_size` grid points."""
+    return np.repeat(basis.blocks, basis.block_size, axis=0)
+
+
+def reference_log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: int) -> np.ndarray:
+    """`density._log_gamma_draws` masking draws rather than bins: the shapes
+    broadcast to (m, K), and the draws of each group taken as one flat array
+    in row order."""
+    K = shapes.size
+    sh = np.broadcast_to(shapes, (m, K))
+    out = np.empty((m, K))
+    big = sh >= 0.1
+    if big.any():
+        draws = rng.gamma(sh[big])
+        out[big] = np.log(np.clip(draws, np.finfo(float).tiny, None))
+    small = ~big
+    if small.any():
+        a = sh[small]
+        g1 = rng.gamma(a + 1.0)
+        u = rng.uniform(size=a.shape)
+        out[small] = np.log(np.clip(g1, np.finfo(float).tiny, None)) + np.log(u) / a
+    return out
+
+
 def mean_masses(post) -> np.ndarray:
     """Posterior mean bin masses of a `HistogramPosterior`."""
     return post.params / post.params.sum()

@@ -16,10 +16,17 @@ from supnorm.functions import (
     normalize_log,
 )
 from supnorm.wavelets import build_basis
-from supnorm import density as dens
+from supnorm import density as dens, whitenoise as wn
 from supnorm.rates import ExperimentConfig, plan_basis
 
-from oracles import constant, grid_counts, mean_masses, sample_points
+from oracles import (
+    constant,
+    grid_columns,
+    grid_counts,
+    mean_masses,
+    reference_log_gamma_draws,
+    sample_points,
+)
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +356,68 @@ class TestDirichletDraws:
         ).statistic
         assert ks < 1.63 / np.sqrt(m)
 
+    @pytest.mark.parametrize("shapes", [
+        pytest.param([0.05, 3.0, 0.01, 0.5, 1e-4, 0.1, 2.0, 0.0999], id="mixed"),
+        pytest.param([0.3, 1.0, 7.5], id="all-big"),
+        pytest.param([0.01, 0.09], id="all-small"),
+    ])
+    @pytest.mark.parametrize("m", [1, 9])
+    def test_bin_masks_match_the_draw_masks(self, shapes, m):
+        shapes = np.array(shapes)
+        got = dens._log_gamma_draws(np.random.default_rng(m), shapes, m)
+        want = reference_log_gamma_draws(np.random.default_rng(m), shapes, m)
+        np.testing.assert_array_equal(got, want)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _logd(law="laplace", **kw):
+    return dens.LogDensityPriorSpec(law, **{"alpha": 1.0, "cutoff_level": 2, **kw})
+
+
+def _simulate(level):
+    return wn.simulate_wn(np.zeros(4), 100, 1, truncation_level=level)
+
+
+SPEC_NUMBER_CASES = {
+    "hist-nan-alpha": (lambda: dens.HistogramPriorSpec.flat(2, NAN), "Dirichlet parameters"),
+    "hist-inf-alpha": (lambda: dens.HistogramPriorSpec.flat(2, INF), "Dirichlet parameters"),
+    "hist-one-nan-alpha": (lambda: dens.HistogramPriorSpec(1, np.array([1.0, NAN])),
+                           "Dirichlet parameters"),
+    "hist-float-level": (lambda: dens.HistogramPriorSpec(1.5, np.ones(2)), "level"),
+    "hist-bool-level": (lambda: dens.HistogramPriorSpec(True, np.ones(2)), "level"),
+    "hist-negative-level": (lambda: dens.HistogramPriorSpec(-1, np.ones(1)), "level"),
+    "logd-nan-alpha": (lambda: _logd(alpha=NAN), "alpha"),
+    "logd-nan-r": (lambda: _logd("gaussian", r=NAN), "r"),
+    "logd-nan-tau": (lambda: _logd("heavy-tail", tau=NAN), "tau"),
+    "logd-inf-scale": (lambda: _logd(scale=INF), "scale"),
+    "logd-float-cutoff": (lambda: _logd(cutoff_level=2.5), "cutoff level"),
+    "logd-bool-cutoff": (lambda: _logd(cutoff_level=True), "cutoff level"),
+    "logd-negative-cutoff": (lambda: _logd(cutoff_level=-1), "cutoff level"),
+    "wn-nan-alpha": (lambda: wn.ProductPriorSpec("uniform", NAN, 2), "alpha"),
+    "wn-inf-bound": (lambda: wn.ProductPriorSpec("uniform", 1.0, 2, bound=INF), "bound"),
+    "wn-nan-delta": (lambda: wn.ProductPriorSpec("exp-power", 1.0, 2, delta=NAN), "delta"),
+    "wn-float-truncation": (lambda: wn.ProductPriorSpec("uniform", 1.0, 1.5), "truncation level"),
+    "wn-bool-truncation": (lambda: wn.ProductPriorSpec("uniform", 1.0, True), "truncation level"),
+    "wn-negative-truncation": (lambda: wn.ProductPriorSpec("uniform", 1.0, -1), "truncation level"),
+    "truth-nan-alpha": (lambda: HolderTruthSpec(NAN), "alpha"),
+    "truth-inf-radius": (lambda: HolderTruthSpec(1.0, radius=INF), "radius"),
+    "truth-float-seed": (lambda: HolderTruthSpec(1.0, seed=1.5), "seed"),
+    "truth-bool-seed": (lambda: HolderTruthSpec(1.0, seed=True), "seed"),
+    "truth-negative-seed": (lambda: HolderTruthSpec(1.0, seed=-1), "seed"),
+    "simulate-float-truncation": (lambda: _simulate(1.5), "truncation level"),
+    "simulate-bool-truncation": (lambda: _simulate(True), "truncation level"),
+    "simulate-negative-truncation": (lambda: _simulate(-1), "truncation level"),
+}
+
+
+@pytest.mark.parametrize("make, message", SPEC_NUMBER_CASES.values(), ids=SPEC_NUMBER_CASES.keys())
+def test_spec_numbers_are_checked(make, message):
+    # each of these got through before, or failed with a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        make()
+
 
 class TestNormalizeLogDensity:
     def test_constant_shift_cancels(self, grid):
@@ -415,7 +484,7 @@ class TestMcmc:
         prior = dens.LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)
         chain = dens.logdensity_mcmc(prior, sample, basis, dens.McmcConfig(), seed=5)
         vals = chain.density_values(basis)
-        omega0 = vals[:, : basis.grid.size // 2].mean(axis=1) / 2.0
+        omega0 = vals[:, : vals.shape[1] // 2].mean(axis=1) / 2.0
         assert abs(omega0.mean() - 2.0 / 3.0) < 0.02
 
     def test_cutoff_beyond_the_basis_refused(self):
@@ -449,7 +518,7 @@ class TestMcmc:
         a00 = chain.states[:, 0]
 
         # direct quadrature of the marginal of a00 over the level-1 pair
-        B = basis.columns[:, 1:4]
+        B = grid_columns(basis)[:, 1:4]
         sig = chain.sigmas
         counts = grid_counts(points, basis.grid.resolution)
 
@@ -701,7 +770,7 @@ def reference_posterior_expected_losses(values, f0, densities=True):
 def reference_expected_losses(chain, basis, f0):
     """`McmcChain.expected_losses` with the fresh-temporary reduction for every block."""
     # K = 2^(L+1) - 1 coefficients for levels 0..L
-    B = basis.columns[:, 1:chain.sigmas.size + 1]
+    B = grid_columns(basis)[:, 1:chain.sigmas.size + 1]
 
     def density_values(rows):
         T = (chain.states[rows] * chain.sigmas) @ B.T
@@ -766,7 +835,7 @@ def reference_mcmc(prior, sample, basis, cfg, seed):
     """The slow reference: the MCMC loop before its exact reductions, which
     evaluates loglik(T) = counts @ T - n c(T) over the whole grid each time."""
     L = prior.cutoff_level
-    B = basis.columns[:, 1:2 ** (L + 1)]
+    B = grid_columns(basis)[:, 1:2 ** (L + 1)]
     K = B.shape[1]
     sigmas = np.concatenate([np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)])
     slices = []
@@ -846,7 +915,7 @@ class TestFastKernel:
     def test_log_ratio_matches_the_full_grid_likelihood(self, kernel_case, law):
         basis, sample = kernel_case
         prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
-        B = basis.columns[:, 1:16]
+        B = grid_columns(basis)[:, 1:16]
         counts = sample.counts
         sigmas = np.concatenate([np.full(2 ** l, prior.sigma(l)) for l in range(4)])
 
@@ -859,7 +928,7 @@ class TestFastKernel:
         for _ in range(25):
             a = rng.standard_normal(B.shape[1]) * rng.uniform(0.1, 3.0)
             log_mean_exp(B @ (sigmas * a), E)  # E = e^(T - max T)
-            for sl, Rs in dens._level_moves(prior, sample, basis, np.ascontiguousarray(B)):
+            for sl, Rs in dens._level_moves(prior, sample, np.ascontiguousarray(B)):
                 d = rng.standard_normal(sl.stop - sl.start) * rng.uniform(0.01, 1.0)
                 # d [R | s] = [X | d . s], and c(T + X) - c(T) = log(E . e^X / sum E)
                 G = d @ Rs
@@ -879,8 +948,8 @@ class TestFastKernel:
         # each edge point counts in the cell to its left, 0 in the first cell
         assert np.flatnonzero(counts).tolist() == [0, 63, 76, 127, 128, 191, 255]
         prior = dens.LogDensityPriorSpec("laplace", alpha=1.0, cutoff_level=3)
-        B = np.ascontiguousarray(basis.columns[:, 1:16])
-        for l, (sl, Rs) in enumerate(dens._level_moves(prior, sample, basis, B)):
+        B = np.ascontiguousarray(grid_columns(basis)[:, 1:16])
+        for l, (sl, Rs) in enumerate(dens._level_moves(prior, sample, B)):
             R = np.ascontiguousarray(Rs[:, :-1])
             np.testing.assert_array_equal(R, prior.sigma(l) * B[:, sl].T)
             np.testing.assert_array_equal(Rs[:, -1], R @ counts)
@@ -924,3 +993,35 @@ class TestFastKernel:
         np.testing.assert_array_equal(chain.states, states)
         np.testing.assert_array_equal(chain.acceptance, acceptance)
         np.testing.assert_array_equal(chain.step_scales, scales)
+
+
+class TestHaarChainOnBlocks:
+    """A Haar log-density chain works on the 2^(L_max+1) stored blocks, so
+    the grid under them changes nothing."""
+
+    @pytest.mark.parametrize("law", ["gaussian", "laplace"])
+    def test_chain_does_not_depend_on_the_grid(self, law):
+        fine, coarse = build_basis("haar", 3, 12), build_basis("haar", 3, 5)
+        f0 = make_density_truth(HolderTruthSpec(1.0, 1.0, seed=6), fine)
+        sample = dens.sample_data(f0, 8000, seed=6)
+        prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
+        cfg = dens.McmcConfig(iterations=600, burn_in=200, thin=2, adapt_every=10)
+        chains = []
+        for basis in (fine, coarse):
+            binned = dens.Sample(dens.bin_counts(sample, basis.grid.resolution))
+            chain = dens.logdensity_mcmc(prior, binned, basis, cfg, seed=3)
+            assert chain.density_values(basis).shape == (len(chain.states), 16)
+            # the losses of the block rows are those of the same draws on the grid
+            f0_b = make_density_truth(HolderTruthSpec(1.0, 1.0, seed=6), basis)
+            T = (chain.states * chain.sigmas) @ grid_columns(basis)[:, 1:16].T
+            grid_draws = np.exp(T - log_mean_exp(T)[:, None])
+            got = chain.expected_losses(basis, f0_b)
+            want = dens.posterior_expected_losses(grid_draws, f0_b)
+            np.testing.assert_allclose(got.per_draw, want.per_draw, rtol=1e-12, atol=0)
+            for field in ("sup", "l2", "hellinger", "q90_sup"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+            chains.append(chain)
+        a, b = chains
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.acceptance, b.acceptance)
+        np.testing.assert_array_equal(a.step_scales, b.step_scales)

@@ -364,13 +364,13 @@ class TestRunExperiment:
     @pytest.mark.parametrize("model", ["white-noise", "density-histogram"])
     def test_haar_runs_never_build_the_grid_columns(self, model):
         # white-noise and histogram cells read the Haar basis through its
-        # (2^(L_max+1))-row block matrix only; the N-row view stays unbuilt
+        # (2^(L_max+1))-row block matrix only, and leave no other array on it
         cfg = ExperimentConfig(**TINY[model])
         basis = rates.plan_basis(cfg)
         run_experiment(cfg, basis)
         side = 2 ** (basis.L_max + 1)
         assert basis.kind == "haar" and basis.blocks.shape == (side, side)
-        assert "columns" not in vars(basis)
+        assert [k for k, v in vars(basis).items() if isinstance(v, np.ndarray)] == ["blocks"]
 
     def test_histogram_median_sup_decreasing(self):
         cfg = ExperimentConfig(
