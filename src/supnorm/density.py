@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, check_number
-from .functions import block_moments, hellinger_rows, log_mean_exp, step_blocks, step_rms
+from .functions import log_mean_exp
 from .wavelets import WaveletBasis
 
 
@@ -201,6 +201,7 @@ class HistogramPriorSpec:
 
     @staticmethod
     def flat(level: int, alpha: float = 1.0) -> "HistogramPriorSpec":
+        check_number("level", level, integer=True, minimum=0)
         return HistogramPriorSpec(
             level, np.full(2 ** level, float(alpha)), a=0.0, c1=alpha, c2=alpha
         )
@@ -577,11 +578,15 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
 
     `draws` is an (m, K) array of draw rows.  A row of K values is a step
     function on K dyadic blocks of f0's grid (K = N: grid values; K must be
-    a power-of-two divisor of N), and its losses are exact,
-    from per-block statistics of f0 taken once per call: the sup loss is
-    max_k max(c_k - min_k f0, max_k f0 - c_k) and the L2 loss `step_rms`.
-    Also reports the 0.9 quantile of the sup loss over draws.  Density draws
-    below -1e-12 raise `functions.NegativeDensityError`, and draws whose
+    a power-of-two divisor of N), and its losses are exact, from per-block
+    statistics of f0 taken once per call: the sup loss is
+    max_k max(c_k - min_k f0, max_k f0 - c_k), the squared L2 loss
+    ((N / K) sum_k (c_k - mean_k f0)^2 + css) / N with css f0's centred sum
+    of squares over the blocks, and the Hellinger loss
+    h^2 = integral (sqrt c - sqrt f0)^2 the L2 loss of sqrt c to sqrt f0.
+    Also reports the 0.9 quantile of the sup loss over draws.  Density
+    values below -1e-12, in the draws or in f0, raise `NonDensityError`
+    (smaller ones are rounding dust, clamped to zero), and draws whose
     losses are not finite (a NaN or infinite value) raise ValueError.
 
     The draws are reduced a block of rows at a time, with the same result
@@ -594,12 +599,29 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
     """
     if len(draws) == 0:
         raise ValueError("need at least one draw")
-    if np.ndim(draws) != 2:
-        raise ValueError(f"draws must be an (m, K) array of rows (got shape {np.shape(draws)})")
+    if not isinstance(draws, np.ndarray):
+        raise ValueError(f"draws must be an (m, K) array of rows (got a {type(draws).__name__})")
+    if draws.ndim != 2:
+        raise ValueError(f"draws must be an (m, K) array of rows (got shape {draws.shape})")
     N, K = f0.grid.size, draws.shape[1]
-    blocks = step_blocks(f0.values, K)
+    if K < 1 or K & (K - 1) or N % K:
+        raise ValueError(f"row width {K} is not a power-of-two divisor of the grid size {N}")
+    if densities and (draws.min() < -1e-12 or f0.values.min() < -1e-12):
+        raise NonDensityError("density values below -1e-12")
+
+    def moments(blocks):  # each block's mean, and the centred sum of squares
+        mean = blocks.mean(axis=1)
+        return mean, float(((blocks - mean[:, None]) ** 2).sum())
+
+    def rms(w, css):  # over the grid, of rows w = c - block means, squared in place
+        np.square(w, out=w)
+        return np.sqrt(((N // K) * w.sum(axis=1) + css) / N)
+
+    blocks = f0.values.reshape(K, N // K)
     lo, hi = blocks.min(axis=1), blocks.max(axis=1)
-    mean, css = block_moments(blocks)
+    mean, css = moments(blocks)
+    if densities:
+        root_mean, root_css = moments(np.sqrt(np.clip(blocks, 0.0, None)))
     row_blocks = _row_blocks(*draws.shape)
     scratch = np.empty((max(b.stop - b.start for b in row_blocks), K))
 
@@ -612,8 +634,12 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
         sup = np.maximum(top, -w.min(axis=1))
         if K < N:
             np.subtract(c, mean, out=w)
-        rows = [sup, step_rms(w, css, N, out=w)]
-        out = np.array(rows + [hellinger_rows(c, f0.values, out=w)] if densities else rows)
+        rows = [sup, rms(w, css)]
+        if densities:
+            np.sqrt(np.clip(c, 0.0, None, out=w), out=w)
+            w -= root_mean
+            rows.append(rms(w, root_css))
+        out = np.array(rows)
         if not np.isfinite(out).all():
             raise ValueError("draws give non-finite losses (a NaN or infinite draw value)")
         return out

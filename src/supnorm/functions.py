@@ -1,8 +1,8 @@
-"""Distances and generators of Holder-ball truths.
+"""Holder-ball truths and the log-density normaliser.
 
-Distances are grid quadratures.  Truths are built directly from wavelet
-coefficients, so that they saturate the Besov ball of the computed levels
-l <= L_max exactly.
+Truths are built directly from wavelet coefficients, so that they saturate
+the Besov ball of the computed levels l <= L_max exactly.  `log_mean_exp`
+is the one log-normaliser c(T) = log integral e^T of the package.
 """
 from __future__ import annotations
 
@@ -12,60 +12,6 @@ import numpy as np
 
 from .grids import GridFunction, check_number
 from .wavelets import WaveletBasis, level_slice
-
-
-class NegativeDensityError(ValueError):
-    """A claimed density has significantly negative values."""
-
-
-def hellinger_rows(values: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized Hellinger distance, h^2 = integral (sqrt f - sqrt g)^2,
-    of each row f of `values` to the grid vector g.
-
-    A row of K values is a step function on K dyadic blocks of g's grid
-    (K = N: grid values); the distance is exact, from the per-block mean and
-    centred sum of squares of sqrt(g) (`step_rms`).  Values down to -1e-12
-    are rounding dust and are clamped to zero; anything more negative is not
-    a density.  `out`, shaped like `values`, takes the root differences and
-    their squares, so that the call allocates no array of that size.
-    """
-    root = step_blocks(np.sqrt(np.clip(g, 0.0, None)), values.shape[-1])
-    root_mean, root_css = block_moments(root)
-    if values.min() < -1e-12 or g.min() < -1e-12:
-        raise NegativeDensityError("density values below -1e-12")
-    diff = np.sqrt(np.clip(values, 0.0, None, out=out), out=out)
-    diff -= root_mean
-    return step_rms(diff, root_css, g.size, out=diff)
-
-
-def step_blocks(g: np.ndarray, width: int) -> np.ndarray:
-    """The grid vector g (N points) as `width` dyadic blocks: (width, N / width).
-
-    Raises ValueError unless `width` is a power-of-two divisor of N.
-    """
-    N = g.shape[-1]
-    if width < 1 or width & (width - 1) or N % width:
-        raise ValueError(f"row width {width} is not a power-of-two divisor of the grid size {N}")
-    return g.reshape(width, N // width)
-
-
-def block_moments(blocks: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mean of each block, and the centred sum of squares over all blocks."""
-    mean = blocks.mean(axis=1)
-    return mean, float(((blocks - mean[:, None]) ** 2).sum())
-
-
-def step_rms(centred: np.ndarray, css: float, size: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Root mean square over a `size`-point grid of step rows minus g.
-
-    `centred` holds each row's K values minus g's block means (last axis)
-    and `css` g's centred sum of squares, so that the sum over the grid is
-    (size / K) sum_k centred_k^2 + css.  With K = size, css is 0 and this is
-    the grid mean of the squared differences, rounded the same way.  The
-    squares go to `out` when given (`out=centred` squares in place).
-    """
-    squares = np.square(centred, out=out)
-    return np.sqrt(((size // centred.shape[-1]) * squares.sum(axis=-1) + css) / size)
 
 
 @dataclass(frozen=True)

@@ -64,17 +64,22 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def target_exponent(alpha: float) -> float:
-    """Minimax sup-norm exponent alpha / (2 alpha + 1)."""
+def _check_alpha(alpha) -> None:
+    check_number("alpha", alpha)
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
+
+
+def target_exponent(alpha: float) -> float:
+    """Minimax sup-norm exponent alpha / (2 alpha + 1)."""
+    _check_alpha(alpha)
     return alpha / (2.0 * alpha + 1.0)
 
 
 def cutoff(n: int, alpha: float) -> tuple[float, int]:
     """Bandwidth h_n = (n/log n)^{-1/(2 alpha + 1)} and L_n = floor(log2(1/h_n))."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    check_number("n", n, integer=True, minimum=3)
+    _check_alpha(alpha)
     h = (n / np.log(n)) ** (-1.0 / (2.0 * alpha + 1.0))
     L = int(np.floor(np.log2(1.0 / h)))
     return float(h), L

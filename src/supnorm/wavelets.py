@@ -52,8 +52,8 @@ class WaveletIndex:
     position: int
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
+        check_number("level", self.level, integer=True, minimum=0)
+        check_number("position", self.position, integer=True)
         if not 0 <= self.position <= 2 ** self.level - 1:
             raise ValueError(
                 f"position {self.position} out of range at level {self.level}"
@@ -521,6 +521,7 @@ class WaveletBasis:
 
     def localisation_sum(self, l: int) -> float:
         """max over grid points of sum_k |psi_lk(x)|."""
+        check_number("level", l, integer=True)
         if not 0 <= l <= self.L_max:
             raise IndexError(f"level {l} out of range 0..{self.L_max}")
         return float(np.abs(self.blocks[:, level_slice(l)]).sum(axis=1).max())

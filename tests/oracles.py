@@ -61,6 +61,46 @@ def grid_columns(basis: WaveletBasis) -> np.ndarray:
     return np.repeat(basis.blocks, basis.block_size, axis=0)
 
 
+def step_blocks(g: np.ndarray, width: int) -> np.ndarray:
+    """The grid vector g (N points) as `width` dyadic blocks: (width, N / width).
+
+    Raises ValueError unless `width` is a power-of-two divisor of N.
+    """
+    N = g.shape[-1]
+    if width < 1 or width & (width - 1) or N % width:
+        raise ValueError(f"row width {width} is not a power-of-two divisor of the grid size {N}")
+    return g.reshape(width, N // width)
+
+
+def block_moments(blocks: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean of each block, and the centred sum of squares over all blocks."""
+    mean = blocks.mean(axis=1)
+    return mean, float(((blocks - mean[:, None]) ** 2).sum())
+
+
+def step_rms(centred: np.ndarray, css: float, size: int) -> np.ndarray:
+    """Root mean square over a `size`-point grid of step rows minus g.
+
+    `centred` holds each row's K values minus g's block means (last axis)
+    and `css` g's centred sum of squares, so that the sum over the grid is
+    (size / K) sum_k centred_k^2 + css.
+    """
+    return np.sqrt(((size // centred.shape[-1]) * np.square(centred).sum(axis=-1) + css) / size)
+
+
+def hellinger_rows(values: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Unnormalized Hellinger distance, h^2 = integral (sqrt f - sqrt g)^2,
+    of each row f of `values` (K step values) to the grid vector g, from
+    the per-block mean and centred sum of squares of sqrt(g).  Values down
+    to -1e-12 are clamped to zero; anything more negative is not a density.
+    """
+    root = step_blocks(np.sqrt(np.clip(g, 0.0, None)), values.shape[-1])
+    root_mean, root_css = block_moments(root)
+    if values.min() < -1e-12 or g.min() < -1e-12:
+        raise dens.NonDensityError("density values below -1e-12")
+    return step_rms(np.sqrt(np.clip(values, 0.0, None)) - root_mean, root_css, g.size)
+
+
 def reference_log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: int) -> np.ndarray:
     """`density._log_gamma_draws` masking draws rather than bins: the shapes
     broadcast to (m, K), and the draws of each group taken as one flat array

@@ -9,8 +9,6 @@ from scipy import integrate, stats
 from supnorm.grids import DyadicGrid, GridFunction
 from supnorm.functions import (
     HolderTruthSpec,
-    NegativeDensityError,
-    hellinger_rows,
     log_mean_exp,
     make_density_truth,
     normalize_log,
@@ -20,12 +18,16 @@ from supnorm import density as dens, whitenoise as wn
 from supnorm.rates import ExperimentConfig, plan_basis
 
 from oracles import (
+    block_moments,
     constant,
     grid_columns,
     grid_counts,
+    hellinger_rows,
     mean_masses,
     reference_log_gamma_draws,
     sample_points,
+    step_blocks,
+    step_rms,
 )
 
 
@@ -388,6 +390,9 @@ SPEC_NUMBER_CASES = {
     "hist-float-level": (lambda: dens.HistogramPriorSpec(1.5, np.ones(2)), "level"),
     "hist-bool-level": (lambda: dens.HistogramPriorSpec(True, np.ones(2)), "level"),
     "hist-negative-level": (lambda: dens.HistogramPriorSpec(-1, np.ones(1)), "level"),
+    "hist-flat-float-level": (lambda: dens.HistogramPriorSpec.flat(1.5), "level"),
+    "hist-flat-negative-level": (lambda: dens.HistogramPriorSpec.flat(-1), "level"),
+    "hist-flat-bool-level": (lambda: dens.HistogramPriorSpec.flat(True), "level"),
     "logd-nan-alpha": (lambda: _logd(alpha=NAN), "alpha"),
     "logd-nan-r": (lambda: _logd("gaussian", r=NAN), "r"),
     "logd-nan-tau": (lambda: _logd("heavy-tail", tau=NAN), "tau"),
@@ -685,10 +690,10 @@ class TestStepLosses:
     def test_negative_entries_raise(self, f0):
         c = np.ones((4, 32))
         c[2, 5] = -1e-9
-        with pytest.raises(NegativeDensityError):
+        with pytest.raises(dens.NonDensityError):
             dens.posterior_expected_losses(c, f0)
         bad = GridFunction(f0.grid, np.where(np.arange(f0.grid.size) == 9, -1e-9, f0.values))
-        with pytest.raises(NegativeDensityError):
+        with pytest.raises(dens.NonDensityError):
             dens.posterior_expected_losses(np.ones((4, 32)), bad)
 
     @pytest.mark.parametrize("densities", [True, False])
@@ -696,6 +701,12 @@ class TestStepLosses:
         for draws in (np.empty((0, 32)), np.empty((0, f0.grid.size)), []):
             with pytest.raises(ValueError, match="need at least one draw"):
                 dens.posterior_expected_losses(draws, f0, densities=densities)
+
+    @pytest.mark.parametrize("densities", [True, False])
+    def test_non_array_draws_refused(self, f0, densities):
+        # a list of rows is refused by its type, before any array attribute is read
+        with pytest.raises(ValueError, match=r"\(m, K\) array of rows \(got a list\)"):
+            dens.posterior_expected_losses([[1.0] * 32] * 4, f0, densities=densities)
 
     @pytest.mark.parametrize("densities", [True, False])
     def test_one_row_vector_refused(self, f0, densities):
@@ -719,6 +730,8 @@ class TestStepLosses:
             dens.posterior_expected_losses(rows, f0)
         with pytest.raises(ValueError, match=f"width {width} .* grid size 256"):
             hellinger_rows(rows, f0.values)
+        with pytest.raises(ValueError, match=f"width {width} .* grid size 256"):
+            dens.posterior_expected_losses(rows, f0, densities=False)
 
 
 class TestChainLosses:
@@ -739,28 +752,18 @@ class TestChainLosses:
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
 
 
-def reference_step_rms(centred, css, size):
-    return np.sqrt(((size // centred.shape[-1]) * (centred ** 2).sum(axis=-1) + css) / size)
-
-
-def reference_hellinger_rows(values, g):
-    root = dens.step_blocks(np.sqrt(np.clip(g, 0.0, None)), values.shape[-1])
-    root_mean, root_css = dens.block_moments(root)
-    return reference_step_rms(np.sqrt(np.clip(values, 0.0, None)) - root_mean, root_css, g.size)
-
-
 def reference_posterior_expected_losses(values, f0, densities=True):
     """The loss reduction with fresh temporaries for every block of rows."""
-    blocks = dens.step_blocks(f0.values, values.shape[1])
+    blocks = step_blocks(f0.values, values.shape[1])
     lo, hi = blocks.min(axis=1), blocks.max(axis=1)
-    mean, css = dens.block_moments(blocks)
+    mean, css = block_moments(blocks)
 
     def losses(c):
         below = c - lo
         above, centred = (below, below) if blocks.shape[1] == 1 else (c - hi, c - mean)
         sup = np.maximum(below.max(axis=1), -above.min(axis=1))
-        rows = [sup, reference_step_rms(centred, css, f0.grid.size)]
-        return np.array(rows + [reference_hellinger_rows(c, f0.values)] if densities else rows)
+        rows = [sup, step_rms(centred, css, f0.grid.size)]
+        return np.array(rows + [hellinger_rows(c, f0.values)] if densities else rows)
 
     return dens.LossSummary.of_draws(
         *(losses(values[rows]) for rows in dens._row_blocks(*values.shape))

@@ -5,17 +5,15 @@ from hypothesis import given, settings, strategies as st
 from supnorm.grids import DyadicGrid, GridFunction
 from supnorm.functions import (
     HolderTruthSpec,
-    NegativeDensityError,
-    hellinger_rows,
     log_mean_exp,
     make_density_truth,
     make_holder_truth,
     normalize_log,
 )
-from supnorm.density import posterior_expected_losses
+from supnorm.density import NonDensityError, posterior_expected_losses
 from supnorm.wavelets import WaveletIndex, build_basis, level_slice
 
-from oracles import besov_norm, constant
+from oracles import besov_norm, constant, hellinger_rows
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +27,7 @@ def grid():
 
 
 def hellinger(f: GridFunction, g: GridFunction) -> float:
-    return float(hellinger_rows(f.values, g.values))
+    return float(posterior_expected_losses(f.values[None], g).per_draw[2, 0])
 
 
 class TestBesovNorm:
@@ -125,7 +123,7 @@ class TestHellinger:
 
     def test_negativity_error(self, grid):
         bad = GridFunction(grid, np.full(grid.size, -1e-6))
-        with pytest.raises(NegativeDensityError):
+        with pytest.raises(NonDensityError):
             hellinger(bad, constant(grid))
 
     def test_negative_dust_clamped(self, grid):
@@ -151,14 +149,15 @@ class TestRowwiseReductions:
         rng = np.random.default_rng(5)
         V = np.exp(rng.normal(size=(20, grid.size)))
         g = constant(grid)
-        rows = hellinger_rows(V, g.values)
+        rows = posterior_expected_losses(V, g).per_draw[2]
+        np.testing.assert_array_equal(rows, hellinger_rows(V, g.values))
         assert all(rows[i] == hellinger(GridFunction(grid, V[i]), g) for i in range(20))
 
     def test_hellinger_rows_negativity(self, grid):
         V = np.ones((3, grid.size))
         V[1, 7] = -1e-6
-        with pytest.raises(NegativeDensityError):
-            hellinger_rows(V, np.ones(grid.size))
+        with pytest.raises(NonDensityError):
+            posterior_expected_losses(V, constant(grid))
 
 
 class TestDyadicGrid:

@@ -80,14 +80,12 @@ class TestTargetExponent:
 
 class TestCutoff:
     def test_contrived_ratio(self):
-        # n with n / ln n = 4096 gives h_n = 4096^{-1/3} = 1/16, L_n = 4;
-        # nudge the fixed point up so the knife-edge floor lands on 4
-        n = 4096.0 * 9.0
-        for _ in range(60):
-            n = 4096.0 * np.log(n)
-        n *= 1.0 + 1e-12
-        assert n / np.log(n) == pytest.approx(4096.0, rel=1e-11)
-        h, L = cutoff(n, 1.0)
+        # alpha with (n / ln n)^{1/(2 alpha + 1)} = 16 gives h_n = 1/16, L_n = 4;
+        # nudge alpha down so the knife-edge floor lands on 4
+        n = 2 ** 16
+        alpha = (np.log(n / np.log(n)) / np.log(16.0) - 1.0) / 2.0 * (1.0 - 1e-12)
+        assert (n / np.log(n)) ** (1.0 / (2.0 * alpha + 1.0)) == pytest.approx(16.0, rel=1e-11)
+        h, L = cutoff(n, alpha)
         assert h == pytest.approx(1.0 / 16.0, rel=1e-9)
         assert L == 4
 
@@ -96,6 +94,23 @@ class TestCutoff:
         assert L >= 0
         with pytest.raises(ValueError):
             cutoff(2, 1.0)
+
+    @pytest.mark.parametrize("n, alpha, message", [
+        (100, -0.5, "alpha must be > 0"), (100, 0.0, "alpha must be > 0"),
+        (100, float("nan"), "alpha must be a finite number"),
+        (100, float("inf"), "alpha must be a finite number"),
+        (100, True, "alpha must be a finite number"),
+        (100.5, 1.0, "n must be an integer"),
+        (float("nan"), 1.0, "n must be an integer"), (True, 1.0, "n must be an integer"),
+    ])
+    def test_bad_arguments_refused(self, n, alpha, message):
+        # every bad argument is a ValueError: no division by zero at alpha = -1/2,
+        # no int() of NaN, and no NaN exponent
+        with pytest.raises(ValueError, match=message):
+            cutoff(n, alpha)
+        if n == 100:
+            with pytest.raises(ValueError, match=message):
+                target_exponent(alpha)
 
     def test_nondecreasing_in_n(self):
         Ls = [cutoff(n, 1.0)[1] for n in np.unique(np.logspace(1, 6, 300).astype(int))]

@@ -7,7 +7,7 @@ from supnorm.density import posterior_expected_losses
 from supnorm.functions import HolderTruthSpec, make_holder_truth
 from supnorm.grids import GridFunction
 from supnorm import whitenoise as wn
-from supnorm.wavelets import build_basis, level_slice
+from supnorm.wavelets import WaveletIndex, build_basis, level_slice
 from supnorm.whitenoise import (
     LIKELIHOOD_HALF_WIDTH,
     QUADRATURE_POINTS,
@@ -433,13 +433,22 @@ class TestLaplace:
 
     @pytest.mark.parametrize("level, position, bad", [
         (1, -1, "position -1"), (1, 2, "position 2"), (-1, 0, "got -1"), (5, 0, "level 5"),
+        (1.5, 0, "level must be an integer"), (True, 0, "level must be an integer"),
+        (2, 0.5, "position must be an integer"),
     ])
     def test_bad_coordinate_refused(self, haar, truth, level, position, bad):
-        # data observed up to level 4; a negative position used to wrap around
+        # data observed up to level 4; a negative position used to wrap around,
+        # and a float level or position must not be read as an index
         data = simulate_wn(haar.analyze(truth), 256, seed=0)
         assert data.max_level == 4
         with pytest.raises(ValueError, match=bad):
             laplace_check(data, uniform_prior(), level, position, 1.0)
+        if level <= data.max_level:  # a level beyond the data is still a wavelet index
+            with pytest.raises(ValueError, match=bad):
+                WaveletIndex(level, position)
+        if type(level) is not int:
+            with pytest.raises(ValueError, match=bad):
+                haar.localisation_sum(level)
 
     def test_sign_flip_symmetry(self, haar):
         # averaging over noise-flipped replication pairs gives two estimates
