@@ -185,6 +185,8 @@ class HistogramPriorSpec:
 
     def __post_init__(self):
         check_number("level", self.level, integer=True, minimum=0)
+        for name in ("a", "c1", "c2"):
+            check_number(name, getattr(self, name))
         al = np.asarray(self.alphas, dtype=float)
         if al.shape != (2 ** self.level,):
             raise ValueError(f"need 2^{self.level} Dirichlet parameters")
@@ -202,6 +204,7 @@ class HistogramPriorSpec:
     @staticmethod
     def flat(level: int, alpha: float = 1.0) -> "HistogramPriorSpec":
         check_number("level", level, integer=True, minimum=0)
+        check_number("Dirichlet parameters", alpha)
         return HistogramPriorSpec(
             level, np.full(2 ** level, float(alpha)), a=0.0, c1=alpha, c2=alpha
         )

@@ -201,6 +201,8 @@ _DEFAULTS = {
 
 # integer field -> least value (grid_resolution, which may be None, apart)
 _INTEGER_FIELDS = {"replications": 1, "draws": 1, "master_seed": 0, "basis_order": 1, "threads": 1}
+# checked even where a spec checks them too: the stray-key check compares a
+# field with its default, and True == 1.0
 _REAL_FIELDS = ("alpha", "radius", "bound", "delta", "dirichlet_alpha", "r", "tau", "prior_scale")
 
 

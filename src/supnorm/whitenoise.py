@@ -19,8 +19,8 @@ exactly per bin.
 Each coordinate has its own RNG stream, `SeedSequence(seed, spawn_key=
 (l + 1, k))` for wavelet (l, k) and key (0, 0) for the scaling
 coefficient.  `_coordinate_streams` derives all the streams of a call in
-one pass with numpy's SeedSequence hash, bit for bit: the seed's words are
-hashed once, the key words of every coordinate together as arrays.
+one pass, bit for bit: numpy hashes the seed into its pool once, and the key
+words of every coordinate are mixed into that pool together as arrays.
 """
 from __future__ import annotations
 
@@ -176,38 +176,22 @@ def _coordinate_streams(seed: int, width: int) -> Iterator[np.random.Generator]:
     Stream j is `default_rng(SeedSequence(seed, spawn_key=key))` bit for
     bit, with key (l + 1, k) for wavelet (l, k) at flat index j and (0, 0)
     for the scaling coordinate, so a stream never depends on the
-    truncation.  The seed's words are hashed into SeedSequence's pool once,
-    the key words of all j together, and each PCG64 is built from its row
-    of `generate_state(4, uint64)` when it is reached, so that one
-    generator is alive at a time.  A negative seed raises ValueError, a
-    non-integer one TypeError, as SeedSequence does; both are raised at the
-    call, before the first generator.
+    truncation.  The seed's pool is numpy's own `SeedSequence(seed).pool`;
+    the key words of all j are mixed into it together, and each PCG64 is
+    built from its row of `generate_state(4, uint64)` when it is reached,
+    so that one generator is alive at a time.  A negative seed raises
+    ValueError, a non-integer one TypeError, as SeedSequence does; both are
+    raised at the call, before the first generator.
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    # a spawn key is present, so the seed words are zero-padded to the pool
-    words += [0] * (4 - len(words))
-    a = _powers(_INIT_A, _MULT_A, 4 * len(words) + 1)
-    pool = [_hashmix(w, a[i], a[i + 1]) for i, w in enumerate(words[:4])]
-    call = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[call], a[call + 1]))
-                call += 1
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, a[call], a[call + 1]))
-            call += 1
-    keys = _spawn_key_hashes(call, width)
-    pool = _mix(_mix(np.array(pool, dtype=np.uint32)[:, None], keys[0]), keys[1])
+    # the pool took 4 hashmix calls per 32-bit word of the seed, and at least 16
+    keys = _spawn_key_hashes(4 * max(4, (seed.bit_length() + 31) // 32), width)
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    pool = _mix(_mix(pool, keys[0]), keys[1])
     out = _hashmix(pool[[0, 1, 2, 3] * 2], _B[:8], _B[1:])
     # little-endian pairs of output words make the 4 uint64 state words
     state = (out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32).T.copy()
@@ -263,13 +247,8 @@ class CoordPosterior:
 
     @property
     def pdf(self) -> np.ndarray:
-        """The weights over their trapezoid sum.
-
-        The sum is written out with the spacing computed once
-        (`np.trapezoid`'s own expression, so the same bits).
-        """
-        w = self.weights
-        return w / (np.diff(self.thetas) * (w[1:] + w[:-1]) / 2.0).sum()
+        """The weights over their trapezoid sum."""
+        return self.weights / np.trapezoid(self.weights, self.thetas)
 
     def sample(self, uniforms: np.ndarray) -> np.ndarray:
         """Inverse-CDF draws with linear interpolation on the table.

@@ -396,20 +396,31 @@ class TestReport:
 _NOT_NUMBERS = st.text(max_size=3) | st.booleans() | st.none() | st.lists(st.integers(), max_size=2)
 _NOT_INTEGERS = _NOT_NUMBERS | st.floats()
 _NEGATIVE = st.integers(max_value=-1)
+_NOT_POSITIVE = (_NOT_NUMBERS | _NEGATIVE | st.just(0) | st.floats(max_value=0.0)
+                 | st.sampled_from([float("nan"), float("inf")]))
+# no large valid grid_resolution or threads is drawn: one would allocate a
+# 2^J grid, the other start threads
+_NOT_COUNTS = _NOT_INTEGERS | _NEGATIVE | st.just(0)
 CORRUPTIONS = {
     "model": st.text(max_size=8).filter(lambda v: v not in MODELS) | _NOT_NUMBERS,
-    "alpha": (_NOT_NUMBERS | _NEGATIVE | st.just(0) | st.floats(max_value=0.0)
-              | st.sampled_from([float("nan"), float("inf")])),
+    "alpha": _NOT_POSITIVE,
     "n_grid": (st.text(max_size=3) | st.booleans() | st.none() | st.integers()
                | st.lists(_NEGATIVE | st.just(0) | st.text(max_size=2), min_size=1, max_size=3)),
-    "replications": _NOT_INTEGERS | _NEGATIVE | st.just(0),
-    "draws": _NOT_INTEGERS | _NEGATIVE | st.just(0),
+    "radius": _NOT_POSITIVE,
+    "replications": _NOT_COUNTS,
+    "draws": _NOT_COUNTS,
     "master_seed": _NOT_INTEGERS | _NEGATIVE,
+    # None is grid_resolution's default, so it is left out
+    "grid_resolution": _NOT_COUNTS.filter(lambda v: v is not None),
+    "basis_order": _NOT_COUNTS,
+    "truth_kind": st.text(max_size=8) | _NOT_NUMBERS,  # no truth kind is that short
+    "threads": _NOT_COUNTS,
     # TINY is a histogram config: every other model's key, off its default
     "prior_family": st.text(max_size=8).filter(lambda v: v != "uniform") | _NOT_NUMBERS,
     "coefficient_law": st.text(max_size=8).filter(lambda v: v != "gaussian") | _NOT_NUMBERS,
     "bound": st.floats().filter(lambda v: v != 2.0) | _NOT_NUMBERS,
     "delta": st.floats().filter(lambda v: v != 1.0) | _NOT_NUMBERS,
+    "dirichlet_alpha": _NOT_POSITIVE,
     "r": st.floats().filter(lambda v: v != 0.5) | _NOT_NUMBERS,
     "tau": st.floats().filter(lambda v: v != 0.5) | _NOT_NUMBERS,
     "prior_scale": st.floats().filter(lambda v: v != 1.0) | _NOT_NUMBERS,

@@ -393,6 +393,13 @@ SPEC_NUMBER_CASES = {
     "hist-flat-float-level": (lambda: dens.HistogramPriorSpec.flat(1.5), "level"),
     "hist-flat-negative-level": (lambda: dens.HistogramPriorSpec.flat(-1), "level"),
     "hist-flat-bool-level": (lambda: dens.HistogramPriorSpec.flat(True), "level"),
+    "hist-flat-bool-alpha": (lambda: dens.HistogramPriorSpec.flat(2, True), "Dirichlet parameters"),
+    "hist-flat-text-alpha": (lambda: dens.HistogramPriorSpec.flat(2, "1"), "Dirichlet parameters"),
+    "hist-nan-a": (lambda: dens.HistogramPriorSpec(1, np.ones(2), a=NAN), "a must be"),
+    "hist-text-a": (lambda: dens.HistogramPriorSpec(1, np.ones(2), a="0"), "a must be"),
+    "hist-nan-c1": (lambda: dens.HistogramPriorSpec(1, np.ones(2), c1=NAN), "c1"),
+    "hist-bool-c1": (lambda: dens.HistogramPriorSpec(1, np.ones(2), c1=True), "c1"),
+    "hist-nan-c2": (lambda: dens.HistogramPriorSpec(1, np.ones(2), c2=NAN), "c2"),
     "logd-nan-alpha": (lambda: _logd(alpha=NAN), "alpha"),
     "logd-nan-r": (lambda: _logd("gaussian", r=NAN), "r"),
     "logd-nan-tau": (lambda: _logd("heavy-tail", tau=NAN), "tau"),

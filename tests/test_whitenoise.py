@@ -65,8 +65,12 @@ def reference_coord_posterior(x, level, prior, n):
 # flat index -> spawn key of its coordinate stream
 STREAM_KEYS = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (2, 1), 5: (3, 1), 31: (5, 15)}
 
-# seeds of 1, 2, 3 and 4 uint32 words, and the integer types a seed may have
-STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 + 5, 2 ** 100 + 9, True, np.int64(7)]
+# seeds of 1, 2, 3, 4, 5 and 7 uint32 words (past 4, each word moves the
+# hashmix calls of the key words), and the integer types a seed may have
+STREAM_SEEDS = [
+    0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 + 5, 2 ** 100 + 9, 2 ** 128 + 3, 2 ** 200 + 77,
+    True, np.int64(7), np.uint64(2 ** 64 - 1),
+]
 STREAM_WIDTH = 2 ** 9
 
 # a draw may differ from the table sampler's by this fraction of the window width
