@@ -30,13 +30,13 @@ sample = sample_data(truth, n=4000, seed=2)
 L = 4
 counts = bin_counts(sample, L)
 prior = HistogramPriorSpec.flat(L, alpha=1.0)
-post = histogram_posterior(prior, counts)
+params = histogram_posterior(prior, counts)  # alpha_k + N_k
 print(f"level L = {L}: counts head {counts[:4]}, posterior params head "
-      f"{post.params[:4]}")
+      f"{params[:4]}")
 
-values = draw_histogram_values(post, m=500, seed=3)  # (500, 2^L) bin values
-grid_values = np.repeat(values, basis.grid.size // 2 ** L, axis=1)
-draws = [GridFunction(basis.grid, row) for row in grid_values]
+values = draw_histogram_values(params, m=500, seed=3)  # (500, 2^L) bin values
+grid_values = np.repeat(values, truth.values.size // 2 ** L, axis=1)
+draws = [GridFunction(row) for row in grid_values]
 sup_losses = [np.abs(d.values - truth.values).max() for d in draws]
 print(f"posterior-expected sup loss  : {np.mean(sup_losses):.4f}")
 print(f"0.9 posterior quantile (sup) : {np.quantile(sup_losses, 0.9):.4f}")

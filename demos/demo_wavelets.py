@@ -23,7 +23,7 @@ for l in range(7):
     print(f"   {l}      {rh:.3f}   {rs:.3f}")
 
 print("\n== supports shrink like 2^-l ==")
-N = smooth.grid.size
+N = 2 ** smooth.resolution
 for l in (3, 4, 5, 6):
     v = smooth.function(WaveletIndex(l, 2 ** (l - 1))).values
     nz = np.nonzero(np.abs(v) > 1e-9 * np.abs(v).max())[0]

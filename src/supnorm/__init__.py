@@ -9,7 +9,7 @@ alpha / (2 alpha + 1).
 
 __version__ = "0.1.0"
 
-from .grids import DyadicGrid, GridFunction
+from .grids import GridFunction
 from .wavelets import (
     WaveletBasis,
     WaveletIndex,
@@ -30,7 +30,6 @@ from .whitenoise import (
     simulate_wn,
 )
 from .density import (
-    HistogramPosterior,
     HistogramPriorSpec,
     LogDensityPriorSpec,
     McmcChain,
@@ -54,12 +53,12 @@ from .rates import (
 )
 
 __all__ = [
-    "DyadicGrid", "GridFunction",
+    "GridFunction",
     "WaveletBasis", "WaveletIndex", "build_basis", "level_slice",
     "HolderTruthSpec", "make_density_truth", "make_holder_truth",
     "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",
     "draw_posterior_coefficients", "laplace_check", "simulate_wn",
-    "HistogramPosterior", "HistogramPriorSpec", "LogDensityPriorSpec",
+    "HistogramPriorSpec", "LogDensityPriorSpec",
     "McmcChain", "McmcConfig", "Sample", "bin_counts",
     "draw_histogram_values", "histogram_posterior",
     "logdensity_mcmc", "posterior_expected_losses",

@@ -210,23 +210,17 @@ class HistogramPriorSpec:
         )
 
 
-@dataclass(frozen=True)
-class HistogramPosterior:
-    """Dirichlet posterior: parameters alpha_k + N_k."""
-
-    level: int
-    params: np.ndarray = field(repr=False)
-
-
-def histogram_posterior(prior: HistogramPriorSpec, counts) -> HistogramPosterior:
+def histogram_posterior(prior: HistogramPriorSpec, counts) -> np.ndarray:
+    """The Dirichlet posterior's parameters alpha_k + N_k, from the prior and
+    the bin counts N_k (non-negative integers, one per bin)."""
     counts = np.asarray(counts)
     if counts.shape != prior.alphas.shape:
         raise ValueError(
             f"counts length {counts.shape} does not match 2^{prior.level} bins"
         )
-    if counts.min() < 0:
-        raise ValueError("counts must be nonnegative")
-    return HistogramPosterior(prior.level, prior.alphas + counts)
+    if counts.dtype.kind not in "iu" or counts.min() < 0:
+        raise ValueError("counts must be non-negative integers")
+    return prior.alphas + counts
 
 
 def _log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: int) -> np.ndarray:
@@ -262,14 +256,15 @@ def dirichlet_draws(rng: np.random.Generator, params: np.ndarray, m: int) -> np.
     return w
 
 
-def draw_histogram_values(post: HistogramPosterior, m: int, seed: int) -> np.ndarray:
-    """(m, 2^L) posterior density draws: the bin values omega_k 2^L of each
+def draw_histogram_values(params: np.ndarray, m: int, seed: int) -> np.ndarray:
+    """(m, 2^L) posterior density draws from the 2^L Dirichlet parameters
+    `params` (`histogram_posterior`): the bin values omega_k 2^L of each
     draw, a step function on the 2^L dyadic bins.  `m` must be an integer
     >= 1 (ValueError)."""
     check_number("draw count m", m, integer=True, minimum=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(13,)))
-    w = dirichlet_draws(rng, post.params, m)
-    w *= 2 ** post.level
+    w = dirichlet_draws(rng, params, m)
+    w *= len(params)
     return w
 
 
@@ -606,7 +601,7 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
         raise ValueError(f"draws must be an (m, K) array of rows (got a {type(draws).__name__})")
     if draws.ndim != 2:
         raise ValueError(f"draws must be an (m, K) array of rows (got shape {draws.shape})")
-    N, K = f0.grid.size, draws.shape[1]
+    N, K = f0.values.size, draws.shape[1]
     if K < 1 or K & (K - 1) or N % K:
         raise ValueError(f"row width {K} is not a power-of-two divisor of the grid size {N}")
     if densities and (draws.min() < -1e-12 or f0.values.min() < -1e-12):

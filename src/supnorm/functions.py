@@ -79,4 +79,4 @@ def log_mean_exp(t: np.ndarray, out: np.ndarray | None = None):
 
 def normalize_log(t: GridFunction) -> GridFunction:
     """exp(T - c(T)) with c(T) = log integral e^T."""
-    return GridFunction(t.grid, np.exp(t.values - log_mean_exp(t.values)))
+    return GridFunction(np.exp(t.values - log_mean_exp(t.values)))

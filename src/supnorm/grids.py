@@ -1,8 +1,9 @@
-"""Dyadic grids and grid-sampled functions on [0, 1].
+"""Functions on [0, 1] sampled on a dyadic grid.
 
 Every function in this package (truths, posterior draws, densities) is carried
-as its values at the 2^J midpoints of a dyadic grid.  All inner products and
-integrals are midpoint-rule quadratures on that grid.
+as its values at the 2^J midpoints of a dyadic grid; the grid is no object of
+its own, J is log2 of the number of values.  All inner products and integrals
+are midpoint-rule quadratures on that grid.
 
 `check_number`, the package's one numeric argument check, lives here because
 this module imports nothing else of the package.
@@ -29,47 +30,31 @@ def check_number(name: str, value, integer: bool = False, minimum=None) -> None:
 
 
 class GridMismatchError(ValueError):
-    """Two grid functions do not share the same dyadic grid."""
-
-
-@dataclass(frozen=True)
-class DyadicGrid:
-    """Regular dyadic grid: the 2^J cells of [0, 1] and their midpoints."""
-
-    resolution: int
-
-    def __post_init__(self):
-        check_number("grid resolution J", self.resolution, integer=True, minimum=1)
-
-    @property
-    def size(self) -> int:
-        return 2 ** self.resolution
-
-    @property
-    def cell_width(self) -> float:
-        return 2.0 ** (-self.resolution)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return (np.arange(self.size) + 0.5) * self.cell_width
+    """A grid function and a basis do not share the same dyadic grid."""
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A real function on [0, 1] represented by its values per grid cell."""
+    """A real function on [0, 1] represented by its values on the 2^J cells
+    of a dyadic grid, J >= 1: the grid is the length of `values`."""
 
-    grid: DyadicGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.size,):
+        N = vals.size
+        if vals.ndim != 1 or N < 2 or N & (N - 1):
             raise ValueError(
-                f"values shape {vals.shape} does not match grid size {self.grid.size}"
+                f"values must be a 1-D array of 2^J cells, J >= 1 (got shape {vals.shape})"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
+
+    @property
+    def resolution(self) -> int:
+        """J, the level of the grid."""
+        return self.values.size.bit_length() - 1
 
     def quad(self) -> float:
         """Midpoint-rule integral over [0, 1]."""
@@ -77,7 +62,7 @@ class GridFunction:
 
     def to_csv(self, path) -> None:
         """Write two columns (midpoint, value) for plotting."""
-        mids = self.grid.midpoints
+        mids = (np.arange(self.values.size) + 0.5) * 2.0 ** (-self.resolution)
         with open(path, "w") as fh:
             fh.write("midpoint,value\n")
             for m, v in zip(mids, self.values):

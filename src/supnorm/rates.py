@@ -334,7 +334,7 @@ def _check_basis(cfg: ExperimentConfig, basis: WaveletBasis) -> None:
         return (kind, L_max, J) + ((order,) if kind == "boundary-smooth" else ())
 
     plan = key(*_basis_args(cfg), cfg.basis_order)
-    got = key(basis.kind, basis.L_max, basis.grid.resolution, basis.order)
+    got = key(basis.kind, basis.L_max, basis.resolution, basis.order)
     if got != plan:
         raise ValueError(
             f"basis (kind, L_max, J[, order]) {got} is not the config's plan {plan}"
@@ -376,8 +376,8 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis,
         prior = cfg.prior_spec(L_n)
         sample = dens.sample_data(f0, n, data_seed)
         if cfg.model == "density-histogram":
-            post = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
-            values = dens.draw_histogram_values(post, cfg.draws, draw_seed)
+            params = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
+            values = dens.draw_histogram_values(params, cfg.draws, draw_seed)
             losses = dens.posterior_expected_losses(values, f0)
         else:
             chain = dens.logdensity_mcmc(prior, sample, basis, cfg.mcmc, draw_seed)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from math import comb
 import numpy as np
 
-from .grids import DyadicGrid, GridFunction, GridMismatchError, check_number
+from .grids import GridFunction, GridMismatchError, check_number
 
 HAAR_GRAM_TOL = 1e-8
 SMOOTH_GRAM_TOL = 1e-6
@@ -421,7 +421,7 @@ class WaveletBasis:
     kind: str
     order: int
     L_max: int
-    grid: DyadicGrid
+    resolution: int  # J: the basis lives on the 2^J grid
     blocks: np.ndarray = field(repr=False)  # (N / r, 2^(L_max+1)); col 0 = scaling
 
     @property
@@ -431,7 +431,7 @@ class WaveletBasis:
     @property
     def block_size(self) -> int:
         """r: the grid points under one stored row."""
-        return self.grid.size // len(self.blocks)
+        return 2 ** self.resolution // len(self.blocks)
 
     def column_of(self, idx: WaveletIndex) -> int:
         if idx.level > self.L_max:
@@ -439,9 +439,7 @@ class WaveletBasis:
         return level_slice(idx.level).start + idx.position
 
     def function(self, idx: WaveletIndex) -> GridFunction:
-        return GridFunction(
-            self.grid, np.repeat(self.blocks[:, self.column_of(idx)], self.block_size)
-        )
+        return GridFunction(np.repeat(self.blocks[:, self.column_of(idx)], self.block_size))
 
     def gram_deviation(self) -> float:
         """max |B^T B / rows - I| over the stored rows B.  The Gram matrix is
@@ -459,13 +457,12 @@ class WaveletBasis:
     def analyze(self, f: GridFunction) -> np.ndarray:
         """Quadrature inner products of f with every basis function (flat
         layout): the sums of f over the stored blocks, times the stored rows."""
-        if f.grid.resolution != self.grid.resolution:
+        if f.resolution != self.resolution:
             raise GridMismatchError(
-                f"function grid J={f.grid.resolution} does not match basis grid "
-                f"J={self.grid.resolution}"
+                f"function grid J={f.resolution} does not match basis grid J={self.resolution}"
             )
         sums = f.values.reshape(len(self.blocks), self.block_size).sum(axis=1)
-        return self.blocks.T @ sums / self.grid.size
+        return self.blocks.T @ sums / f.values.size
 
     def _prefix_columns(self, width: int) -> np.ndarray:
         if width > self.dim:
@@ -479,7 +476,7 @@ class WaveletBasis:
         """The function of a flat coefficient vector, or of a prefix of one."""
         coeffs = np.asarray(coeffs, dtype=float)
         values = self._prefix_columns(coeffs.size) @ coeffs
-        return GridFunction(self.grid, np.repeat(values, self.block_size))
+        return GridFunction(np.repeat(values, self.block_size))
 
     def synthesize_flat(self, flat: np.ndarray) -> np.ndarray:
         """Batch synthesis: rows of `flat` are flat coefficient vectors, or
@@ -555,13 +552,12 @@ def build_basis(kind: str, L_max: int, J: int | None = None, order: int = 4) -> 
     kind: "haar" or "boundary-smooth"; see `check_basis_args` for J.
     """
     J = check_basis_args(kind, L_max, J, order)
-    grid = DyadicGrid(J)
     if kind == "haar":
-        basis = WaveletBasis("haar", 1, L_max, grid, _haar_columns(L_max))
+        basis = WaveletBasis("haar", 1, L_max, J, _haar_columns(L_max))
         tol = HAAR_GRAM_TOL
     else:
         cols = _boundary_smooth_columns(order, L_max, J)
-        basis = WaveletBasis("boundary-smooth", order, L_max, grid, cols)
+        basis = WaveletBasis("boundary-smooth", order, L_max, J, cols)
         tol = SMOOTH_GRAM_TOL
     dev = basis.gram_deviation()
     if dev > tol:

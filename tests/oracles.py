@@ -3,12 +3,12 @@ import numpy as np
 
 from supnorm import density as dens, rates, whitenoise as wn
 from supnorm.functions import HolderTruthSpec, make_holder_truth, normalize_log
-from supnorm.grids import DyadicGrid, GridFunction
+from supnorm.grids import GridFunction
 from supnorm.wavelets import WaveletBasis, WaveletIndex, level_slice
 
 
-def constant(grid: DyadicGrid, c: float = 1.0) -> GridFunction:
-    return GridFunction(grid, np.full(grid.size, float(c)))
+def constant(J: int, c: float = 1.0) -> GridFunction:
+    return GridFunction(np.full(2 ** J, float(c)))
 
 
 def besov_norm(f: GridFunction, s: float, basis: WaveletBasis) -> float:
@@ -121,9 +121,9 @@ def reference_log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: i
     return out
 
 
-def mean_masses(post) -> np.ndarray:
-    """Posterior mean bin masses of a `HistogramPosterior`."""
-    return post.params / post.params.sum()
+def mean_masses(params) -> np.ndarray:
+    """Posterior mean bin masses of the Dirichlet parameters `params`."""
+    return params / params.sum()
 
 
 def grid_counts(points, J: int) -> np.ndarray:
@@ -143,7 +143,7 @@ def sample_points(f0: GridFunction, n: int, seed: int) -> np.ndarray:
     probs = np.clip(f0.values, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
     cells = np.searchsorted(cum, rng.uniform(size=n), side="left")
-    x = (cells + rng.uniform(size=n)) * f0.grid.cell_width
+    x = (cells + rng.uniform(size=n)) * 2.0 ** (-f0.resolution)
     return np.clip(x, 0.0, 1.0)
 
 
@@ -214,8 +214,8 @@ def _reference_cell(cfg, basis, truth, n, rep):
     if cfg.model == "density-histogram":
         prior = cfg.prior_spec(L_n)
         sample = dens.sample_data(f0, n, data_seed)
-        post = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
-        values = dens.draw_histogram_values(post, cfg.draws, draw_seed)
+        params = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
+        values = dens.draw_histogram_values(params, cfg.draws, draw_seed)
         losses = dens.posterior_expected_losses(values, f0, densities=True)
         return rates.LossRecord(
             cfg.model, cfg.prior_label, cfg.alpha, n, rep,

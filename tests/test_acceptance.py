@@ -35,7 +35,7 @@ def test_criterion_1_wavelet_suite():
     # Haar orthonormality: disjoint same-level supports give exact zeros;
     # everything else is within an ulp of float(sqrt 2) arithmetic
     haar = build_basis("haar", 8, 10)
-    N = haar.grid.size
+    N = 2 ** haar.resolution
     cols = grid_columns(haar)
     B = cols / np.sqrt(N)
     G = B.T @ B
@@ -93,10 +93,10 @@ def test_criterion_3_conjugacy_oracle():
     den = integrate.quad(lambda w: w ** 3 * (1 - w), 0, 1, epsabs=1e-14)[0]
     oracle = num / den
     prior = dens.HistogramPriorSpec.flat(1, 1.0)
-    post = dens.histogram_posterior(prior, np.array([3, 1]))
-    gap = abs(mean_masses(post)[0] - oracle)
+    params = dens.histogram_posterior(prior, np.array([3, 1]))
+    gap = abs(mean_masses(params)[0] - oracle)
     assert gap < 1e-10
-    assert abs(mean_masses(post)[1] - (1.0 - oracle)) < 1e-10
+    assert abs(mean_masses(params)[1] - (1.0 - oracle)) < 1e-10
 
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -107,10 +107,10 @@ def test_criterion_3_conjugacy_oracle():
         once = dens.histogram_posterior(base, total)
         mid = dens.histogram_posterior(base, split)
         mid_prior = dens.HistogramPriorSpec(
-            3, mid.params, a=0.0, c1=mid.params.min(), c2=mid.params.max()
+            3, mid, a=0.0, c1=mid.min(), c2=mid.max()
         )
         twice = dens.histogram_posterior(mid_prior, total - split)
-        worst = max(worst, np.abs(once.params - twice.params).max())
+        worst = max(worst, np.abs(once - twice).max())
     assert worst < 1e-12
     rt = time.time() - t0
     assert rt < 1.0
@@ -123,7 +123,7 @@ def test_criterion_4_mcmc_vs_conjugate():
     # 2-bin histogram in log parametrization: logistic coefficient with
     # sigma_0 = 1/2 pushes forward to the uniform D(1,1) prior on bin mass
     basis = build_basis("haar", 0, 8)
-    sample = dens.Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), basis.grid.resolution)
+    sample = dens.Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), basis.resolution)
     assert dens.bin_counts(sample, 1).tolist() == [3, 1]
     prior = dens.LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)
     chain = dens.logdensity_mcmc(prior, sample, basis, dens.McmcConfig(), seed=5)

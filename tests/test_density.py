@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from supnorm.grids import DyadicGrid, GridFunction
+from supnorm.grids import GridFunction
 from supnorm.functions import (
     HolderTruthSpec,
     log_mean_exp,
@@ -32,14 +32,14 @@ from oracles import (
 
 
 @pytest.fixture(scope="module")
-def grid():
-    return DyadicGrid(10)
+def J():
+    return 10
 
 
 @pytest.fixture(scope="module")
-def two_bin(grid):
-    vals = np.r_[np.full(grid.size // 2, 4.0 / 3.0), np.full(grid.size // 2, 2.0 / 3.0)]
-    return GridFunction(grid, vals)
+def two_bin(J):
+    vals = np.r_[np.full(2 ** J // 2, 4.0 / 3.0), np.full(2 ** J // 2, 2.0 / 3.0)]
+    return GridFunction(vals)
 
 
 # bin weights with zero runs, zero heads and tails; small integers and their
@@ -110,7 +110,7 @@ def histogram_truth():
 
 def point_counts(f0, n, seed):
     """The counts of the oracle's points, binned by `Sample.from_points`."""
-    J = f0.grid.resolution
+    J = f0.resolution
     return dens.bin_counts(dens.Sample.from_points(sample_points(f0, n, seed), J), J)
 
 
@@ -147,20 +147,20 @@ class TestSampleData:
         assert peak <= 2 * 2 ** 20
 
     @pytest.mark.parametrize("n", [-3, 2.5, True, "4"])
-    def test_bad_n_refused(self, grid, n):
+    def test_bad_n_refused(self, J, n):
         with pytest.raises(ValueError, match="n must be"):
-            dens.sample_data(constant(grid), n, seed=0)
+            dens.sample_data(constant(J), n, seed=0)
 
-    def test_zero_n_gives_an_empty_sample(self, grid):
-        s = dens.sample_data(constant(grid), 0, seed=0)
-        assert s.n == 0 and s.counts.tolist() == [0] * grid.size
+    def test_zero_n_gives_an_empty_sample(self, J):
+        s = dens.sample_data(constant(J), 0, seed=0)
+        assert s.n == 0 and s.counts.tolist() == [0] * 2 ** J
 
-    def test_uniform_ks(self, grid):
+    def test_uniform_ks(self, J):
         # the empirical cdf is known at the cell edges, where it is the
         # cumulative count; the Kolmogorov bound of the points holds there
         n = 10_000
-        s = dens.sample_data(constant(grid), n, seed=0)
-        edges = np.arange(1, grid.size + 1) / grid.size
+        s = dens.sample_data(constant(J), n, seed=0)
+        edges = np.arange(1, 2 ** J + 1) / 2 ** J
         ks = np.abs(np.cumsum(s.counts) / n - edges).max()
         assert ks < 1.63 / np.sqrt(n)
         assert stats.chisquare(s.counts).pvalue > 1e-3
@@ -171,14 +171,14 @@ class TestSampleData:
         freq0 = dens.bin_counts(s, 1)[0] / n
         assert abs(freq0 - 2.0 / 3.0) < 3.0 / np.sqrt(n)
 
-    def test_determinism(self, grid):
-        a = dens.sample_data(constant(grid), 100, seed=5)
-        b = dens.sample_data(constant(grid), 100, seed=5)
+    def test_determinism(self, J):
+        a = dens.sample_data(constant(J), 100, seed=5)
+        b = dens.sample_data(constant(J), 100, seed=5)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_rejects_non_density(self, grid):
+    def test_rejects_non_density(self, J):
         with pytest.raises(dens.NonDensityError):
-            dens.sample_data(constant(grid, 2.0), 10, seed=0)
+            dens.sample_data(constant(J, 2.0), 10, seed=0)
 
 
 class TestBinCounts:
@@ -218,8 +218,8 @@ class TestBinCounts:
         s = dens.Sample.from_points(np.empty(0), 3)
         assert s.n == 0 and dens.bin_counts(s, 3).tolist() == [0] * 8
 
-    def test_refinement_consistency(self, grid):
-        s = dens.sample_data(constant(grid), 500, seed=2)
+    def test_refinement_consistency(self, J):
+        s = dens.sample_data(constant(J), 500, seed=2)
         fine = dens.bin_counts(s, 4)
         coarse = dens.bin_counts(s, 3)
         assert np.array_equal(fine.reshape(-1, 2).sum(axis=1), coarse)
@@ -230,10 +230,9 @@ class TestBinCounts:
             s = dens.Sample.from_points(np.array([0.0, 0.5, 1.0]), J)
             assert dens.bin_counts(s, 1).tolist() == [2, 1]
 
-    def test_matches_the_edge_search(self, grid):
+    def test_matches_the_edge_search(self, J):
         # random points, every cell edge of the grid, and both ends
-        J = grid.resolution
-        pts = np.r_[sample_points(constant(grid), 3000, 4), np.arange(grid.size + 1) / grid.size]
+        pts = np.r_[sample_points(constant(J), 3000, 4), np.arange(2 ** J + 1) / 2 ** J]
         s = dens.Sample.from_points(pts, J)
         assert s.n == pts.size
         for L in (0, 1, 5, J):
@@ -244,8 +243,8 @@ class TestBinCounts:
         (-1, "L must be >= 0"),
         (2.0, "L must be an integer"),
     ])
-    def test_bad_level_refused(self, grid, L, message):
-        s = dens.sample_data(constant(grid), 10, seed=0)
+    def test_bad_level_refused(self, J, L, message):
+        s = dens.sample_data(constant(J), 10, seed=0)
         with pytest.raises(ValueError, match=message):
             dens.bin_counts(s, L)
 
@@ -253,16 +252,16 @@ class TestBinCounts:
 class TestConjugacy:
     def test_spec_update(self):
         prior = dens.HistogramPriorSpec.flat(1, 1.0)
-        post = dens.histogram_posterior(prior, np.array([3, 1]))
-        assert post.params.tolist() == [4.0, 2.0]
-        md = np.repeat(mean_masses(post) * 2 ** 1, 16 // 2 ** 1)
+        params = dens.histogram_posterior(prior, np.array([3, 1]))
+        assert params.tolist() == [4.0, 2.0]
+        md = np.repeat(mean_masses(params) * 2 ** 1, 16 // 2 ** 1)
         assert md[0] == pytest.approx(4.0 / 3.0)
         assert md[-1] == pytest.approx(2.0 / 3.0)
 
     def test_zero_counts_returns_prior(self):
         prior = dens.HistogramPriorSpec.flat(2, 0.7)
-        post = dens.histogram_posterior(prior, np.zeros(4, dtype=int))
-        assert np.array_equal(post.params, prior.alphas)
+        params = dens.histogram_posterior(prior, np.zeros(4, dtype=int))
+        assert np.array_equal(params, prior.alphas)
 
     def test_quadrature_oracle(self):
         # brute-force posterior mean of omega0 under D(1,1) prior and
@@ -271,8 +270,8 @@ class TestConjugacy:
         den = integrate.quad(lambda w: w ** 3 * (1 - w), 0, 1)[0]
         oracle = num / den
         prior = dens.HistogramPriorSpec.flat(1, 1.0)
-        post = dens.histogram_posterior(prior, np.array([3, 1]))
-        assert mean_masses(post)[0] == pytest.approx(oracle, abs=1e-10)
+        params = dens.histogram_posterior(prior, np.array([3, 1]))
+        assert mean_masses(params)[0] == pytest.approx(oracle, abs=1e-10)
         assert oracle == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     @settings(max_examples=25, deadline=None)
@@ -286,15 +285,23 @@ class TestConjugacy:
         once = dens.histogram_posterior(prior, total)
         mid = dens.histogram_posterior(prior, split)
         mid_prior = dens.HistogramPriorSpec(
-            2, mid.params, a=0.0, c1=mid.params.min(), c2=mid.params.max()
+            2, mid, a=0.0, c1=mid.min(), c2=mid.max()
         )
         twice = dens.histogram_posterior(mid_prior, total - split)
-        assert np.abs(once.params - twice.params).max() < 1e-12
+        assert np.abs(once - twice).max() < 1e-12
 
     def test_length_mismatch(self):
         prior = dens.HistogramPriorSpec.flat(2, 1.0)
         with pytest.raises(ValueError):
             dens.histogram_posterior(prior, np.array([1, 2]))
+
+    @pytest.mark.parametrize("counts", [
+        [np.nan, 1.0], [np.inf, 1], [2.5, 1.0], [True, False], [-1, 2],
+    ], ids=["nan", "inf", "fraction", "bool", "negative"])
+    def test_non_counts_refused(self, counts):
+        prior = dens.HistogramPriorSpec.flat(1)
+        with pytest.raises(ValueError, match="counts must be non-negative integers"):
+            dens.histogram_posterior(prior, counts)
 
     def test_prior_invariant(self):
         with pytest.raises(ValueError):
@@ -302,24 +309,24 @@ class TestConjugacy:
 
 
 class TestDirichletDraws:
-    def test_unit_integral(self, grid):
+    def test_unit_integral(self, J):
         prior = dens.HistogramPriorSpec.flat(3, 0.3)
-        post = dens.histogram_posterior(prior, np.arange(8))
-        values = dens.draw_histogram_values(post, 20, seed=0)
+        params = dens.histogram_posterior(prior, np.arange(8))
+        values = dens.draw_histogram_values(params, 20, seed=0)
         assert values.shape == (20, 8)
-        grid_values = np.repeat(values, grid.size // 8, axis=1)
-        for d in (GridFunction(grid, row) for row in grid_values):
+        grid_values = np.repeat(values, 2 ** J // 8, axis=1)
+        for d in (GridFunction(row) for row in grid_values):
             assert d.quad() == pytest.approx(1.0, abs=1e-10)
             assert d.values.min() > 0.0
 
-    def test_mc_mean_matches_posterior_mean(self, grid):
+    def test_mc_mean_matches_posterior_mean(self, J):
         prior = dens.HistogramPriorSpec.flat(2, 1.0)
-        post = dens.histogram_posterior(prior, np.array([5, 10, 3, 2]))
+        params = dens.histogram_posterior(prior, np.array([5, 10, 3, 2]))
         m = 20_000
-        vals = dens.draw_histogram_values(post, m, seed=1)
+        vals = dens.draw_histogram_values(params, m, seed=1)
         emp = vals.mean(axis=0) / 4.0
-        mean = mean_masses(post)
-        a0 = post.params.sum()
+        mean = mean_masses(params)
+        a0 = params.sum()
         sd = np.sqrt(mean * (1 - mean) / (a0 + 1))
         assert np.all(np.abs(emp - mean) <= 3.0 * sd / np.sqrt(m))
 
@@ -327,15 +334,15 @@ class TestDirichletDraws:
         prior = dens.HistogramPriorSpec(
             2, np.full(4, 1e6), a=0.0, c1=1e6, c2=1e6
         )
-        post = dens.histogram_posterior(prior, np.zeros(4, dtype=int))
-        vals = dens.draw_histogram_values(post, 50, seed=2)
+        params = dens.histogram_posterior(prior, np.zeros(4, dtype=int))
+        vals = dens.draw_histogram_values(params, 50, seed=2)
         assert np.abs(vals - 1.0).max() < 1e-2
 
     @pytest.mark.parametrize("m", [0, 2.5, True, float("nan")])
     def test_bad_draw_count_refused(self, m):
-        post = dens.histogram_posterior(dens.HistogramPriorSpec.flat(2, 1.0), np.arange(4))
+        params = dens.histogram_posterior(dens.HistogramPriorSpec.flat(2, 1.0), np.arange(4))
         with pytest.raises(ValueError, match="draw count m"):
-            dens.draw_histogram_values(post, m, seed=0)
+            dens.draw_histogram_values(params, m, seed=0)
 
     def test_tiny_shapes_stay_on_simplex(self):
         rng = np.random.default_rng(3)
@@ -432,30 +439,30 @@ def test_spec_numbers_are_checked(make, message):
 
 
 class TestNormalizeLogDensity:
-    def test_constant_shift_cancels(self, grid):
-        f = normalize_log(constant(grid, 5.0))
+    def test_constant_shift_cancels(self, J):
+        f = normalize_log(constant(J, 5.0))
         assert np.allclose(f.values, 1.0, atol=1e-14)
 
-    def test_recovers_density(self, grid):
-        basis = build_basis("haar", 4, grid.resolution)
+    def test_recovers_density(self, J):
+        basis = build_basis("haar", 4, J)
         f0 = make_density_truth(HolderTruthSpec(1.0, 1.0, seed=7), basis)
-        t = GridFunction(grid, np.log(f0.values))
+        t = GridFunction(np.log(f0.values))
         back = normalize_log(t)
         assert np.abs(back.values - f0.values).max() < 1e-10
 
-    def test_shift_identity(self, grid):
+    def test_shift_identity(self, J):
         rng = np.random.default_rng(8)
-        t = GridFunction(grid, rng.normal(size=grid.size))
+        t = GridFunction(rng.normal(size=2 ** J))
         c1 = -np.log(normalize_log(t).values[0]) + t.values[0]
-        t2 = GridFunction(grid, t.values + 3.0)
+        t2 = GridFunction(t.values + 3.0)
         c2 = -np.log(normalize_log(t2).values[0]) + t2.values[0]
         assert c2 - c1 == pytest.approx(3.0, abs=1e-10)
         assert np.abs(
             normalize_log(t).values - normalize_log(t2).values
         ).max() < 1e-12
 
-    def test_overflow_guard(self, grid):
-        t = constant(grid, 800.0)
+    def test_overflow_guard(self, J):
+        t = constant(J, 800.0)
         f = normalize_log(t)
         assert np.allclose(f.values, 1.0)
 
@@ -483,7 +490,7 @@ class TestMcmc:
         basis = build_basis("boundary-smooth", 3, 9)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=2, r=0.5)
         cfg = dens.McmcConfig(iterations=12_000, burn_in=2_000, thin=2)
-        empty = dens.Sample.from_points(np.empty(0), basis.grid.resolution)
+        empty = dens.Sample.from_points(np.empty(0), basis.resolution)
         chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=0)
         states = chain.states
         for l in range(prior.cutoff_level + 1):
@@ -492,7 +499,7 @@ class TestMcmc:
 
     def test_two_bin_conjugate_oracle(self):
         basis = build_basis("haar", 0, 8)
-        sample = dens.Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), basis.grid.resolution)
+        sample = dens.Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), basis.resolution)
         prior = dens.LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)
         chain = dens.logdensity_mcmc(prior, sample, basis, dens.McmcConfig(), seed=5)
         vals = chain.density_values(basis)
@@ -523,7 +530,7 @@ class TestMcmc:
         # quadrature of the posterior, total variation <= 0.05
         basis = build_basis("haar", 1, 8)
         points = np.array([0.05, 0.3, 0.4, 0.8, 0.9, 0.95, 0.2, 0.6])
-        sample = dens.Sample.from_points(points, basis.grid.resolution)
+        sample = dens.Sample.from_points(points, basis.resolution)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=1, r=0.5)
         cfg = dens.McmcConfig(iterations=60_000, burn_in=5_000, thin=2)
         chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=11)
@@ -532,7 +539,7 @@ class TestMcmc:
         # direct quadrature of the marginal of a00 over the level-1 pair
         B = grid_columns(basis)[:, 1:4]
         sig = chain.sigmas
-        counts = grid_counts(points, basis.grid.resolution)
+        counts = grid_counts(points, basis.resolution)
 
         def loglik(coefs):
             T = B @ (sig * coefs)
@@ -575,7 +582,7 @@ class TestMcmc:
         basis = build_basis("haar", 0, 8)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=0, r=0.5)
         cfg = dens.McmcConfig(iterations=1_200, burn_in=1_000, thin=1)
-        empty = dens.Sample.from_points(np.empty(0), basis.grid.resolution)
+        empty = dens.Sample.from_points(np.empty(0), basis.resolution)
         chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=0)
         # empty sample accepts every proposal: acceptance 1.0 must be flagged
         assert chain.acceptance[0] > 0.6
@@ -612,28 +619,28 @@ class TestLossSummary:
         out = dens.posterior_expected_losses(two_bin.values[None], two_bin)
         assert (out.sup, out.l2, out.hellinger) == (0.0, 0.0, 0.0)
 
-    def test_permutation_invariance(self, grid, two_bin):
-        draws = np.array([constant(grid).values, two_bin.values, constant(grid, 1.0).values])
+    def test_permutation_invariance(self, J, two_bin):
+        draws = np.array([constant(J).values, two_bin.values, constant(J, 1.0).values])
         a = dens.posterior_expected_losses(draws, two_bin)
         b = dens.posterior_expected_losses(draws[::-1], two_bin)
         assert a == b
 
-    def test_mc_stability_across_seeds(self, grid):
+    def test_mc_stability_across_seeds(self, J):
         prior = dens.HistogramPriorSpec.flat(3, 1.0)
-        post = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
-        f0 = GridFunction(grid, np.repeat(mean_masses(post) * 2 ** 3, grid.size // 2 ** 3))
+        params = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
+        f0 = GridFunction(np.repeat(mean_masses(params) * 2 ** 3, 2 ** J // 2 ** 3))
         outs = []
         for seed in (0, 1):
-            vals = dens.draw_histogram_values(post, 10_000, seed=seed)
+            vals = dens.draw_histogram_values(params, 10_000, seed=seed)
             outs.append(dens.posterior_expected_losses(vals, f0).sup)
         assert abs(outs[0] - outs[1]) / outs[0] < 0.02
 
-    def test_blocks_match_one_pass(self, grid):
+    def test_blocks_match_one_pass(self, J):
         # 1000 draws on a 1024-cell grid span eight blocks of rows
         prior = dens.HistogramPriorSpec.flat(3, 1.0)
-        post = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
-        f0 = GridFunction(grid, np.repeat(mean_masses(post) * 2 ** 3, grid.size // 2 ** 3))
-        vals = np.repeat(dens.draw_histogram_values(post, 1000, seed=2), grid.size // 8, axis=1)
+        params = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
+        f0 = GridFunction(np.repeat(mean_masses(params) * 2 ** 3, 2 ** J // 2 ** 3))
+        vals = np.repeat(dens.draw_histogram_values(params, 1000, seed=2), 2 ** J // 8, axis=1)
         assert len(dens._row_blocks(*vals.shape)) > 1
         out = dens.posterior_expected_losses(vals, f0)
         diff = vals - f0.values
@@ -643,9 +650,9 @@ class TestLossSummary:
         assert out.hellinger == hellinger_rows(vals, f0.values).mean()
         assert out.q90_sup == np.quantile(sups, 0.9)
 
-    def test_pool_of_parts_is_the_whole(self, grid, two_bin):
+    def test_pool_of_parts_is_the_whole(self, J, two_bin):
         rng = np.random.default_rng(3)
-        vals = two_bin.values * rng.uniform(0.5, 1.5, (40, grid.size))
+        vals = two_bin.values * rng.uniform(0.5, 1.5, (40, 2 ** J))
         whole = dens.posterior_expected_losses(vals, two_bin)
         parts = [dens.posterior_expected_losses(vals[a:b], two_bin) for a, b in ((0, 7), (7, 40))]
         pooled = dens.LossSummary.of_draws(*(p.per_draw for p in parts))
@@ -667,16 +674,15 @@ class TestStepLosses:
 
     @pytest.fixture
     def f0(self):
-        grid = DyadicGrid(8)
-        vals = np.random.default_rng(7).uniform(0.0, 2.0, grid.size)
+        vals = np.random.default_rng(7).uniform(0.0, 2.0, 2 ** 8)
         vals[::5] = 0.0
-        return GridFunction(grid, vals)
+        return GridFunction(vals)
 
     @pytest.mark.parametrize("K", [1, 2, 32, 256])
     def test_match_the_grid_expansion(self, monkeypatch, f0, K):
         # smaller row blocks, so that every K spans several of them
         monkeypatch.setattr(dens, "_BLOCK_VALUES", 2 ** 10)
-        N = f0.grid.size
+        N = f0.values.size
         blocks = f0.values.reshape(K, -1)
         lo, hi = blocks.min(axis=1), blocks.max(axis=1)
         rng = np.random.default_rng(K)
@@ -699,13 +705,13 @@ class TestStepLosses:
         c[2, 5] = -1e-9
         with pytest.raises(dens.NonDensityError):
             dens.posterior_expected_losses(c, f0)
-        bad = GridFunction(f0.grid, np.where(np.arange(f0.grid.size) == 9, -1e-9, f0.values))
+        bad = GridFunction(np.where(np.arange(f0.values.size) == 9, -1e-9, f0.values))
         with pytest.raises(dens.NonDensityError):
             dens.posterior_expected_losses(np.ones((4, 32)), bad)
 
     @pytest.mark.parametrize("densities", [True, False])
     def test_no_draws_raise(self, f0, densities):
-        for draws in (np.empty((0, 32)), np.empty((0, f0.grid.size)), []):
+        for draws in (np.empty((0, 32)), np.empty((0, f0.values.size)), []):
             with pytest.raises(ValueError, match="need at least one draw"):
                 dens.posterior_expected_losses(draws, f0, densities=densities)
 
@@ -769,7 +775,7 @@ def reference_posterior_expected_losses(values, f0, densities=True):
         below = c - lo
         above, centred = (below, below) if blocks.shape[1] == 1 else (c - hi, c - mean)
         sup = np.maximum(below.max(axis=1), -above.min(axis=1))
-        rows = [sup, step_rms(centred, css, f0.grid.size)]
+        rows = [sup, step_rms(centred, css, f0.values.size)]
         return np.array(rows + [hellinger_rows(c, f0.values)] if densities else rows)
 
     return dens.LossSummary.of_draws(
@@ -789,7 +795,7 @@ def reference_expected_losses(chain, basis, f0):
 
     return dens.LossSummary.of_draws(*(
         reference_posterior_expected_losses(density_values(rows), f0).per_draw
-        for rows in dens._row_blocks(len(chain.states), basis.grid.size)
+        for rows in dens._row_blocks(len(chain.states), 2 ** basis.resolution)
     ))
 
 
@@ -816,7 +822,7 @@ class TestBufferedLosses:
 
     def test_chain_losses_match_fresh_temporaries(self, monkeypatch, chain_case):
         basis, f0, chain = chain_case
-        self.unequal_blocks(monkeypatch, len(chain.states), basis.grid.size, 7)
+        self.unequal_blocks(monkeypatch, len(chain.states), 2 ** basis.resolution, 7)
         got = chain.expected_losses(basis, f0)
         want = reference_expected_losses(chain, basis, f0)
         np.testing.assert_array_equal(got.per_draw, want.per_draw)
@@ -853,7 +859,7 @@ def reference_mcmc(prior, sample, basis, cfg, seed):
     for l in range(L + 1):
         slices.append(slice(pos, pos + 2 ** l))
         pos += 2 ** l
-    assert sample.resolution == basis.grid.resolution
+    assert sample.resolution == basis.resolution
     counts = sample.counts.astype(float)
     n = sample.n
 
@@ -934,7 +940,7 @@ class TestFastKernel:
             return counts @ T - sample.n * log_mean_exp(T)
 
         rng = np.random.default_rng(len(law))
-        E = np.empty(basis.grid.size)
+        E = np.empty(2 ** basis.resolution)
         for _ in range(25):
             a = rng.standard_normal(B.shape[1]) * rng.uniform(0.1, 3.0)
             log_mean_exp(B @ (sigmas * a), E)  # E = e^(T - max T)
@@ -997,7 +1003,7 @@ class TestFastKernel:
         basis, _ = kernel_case
         prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
         cfg = dens.McmcConfig(iterations=300, burn_in=100, thin=1, adapt_every=20)
-        empty = dens.Sample.from_points(np.empty(0), basis.grid.resolution)
+        empty = dens.Sample.from_points(np.empty(0), basis.resolution)
         chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=9)
         states, acceptance, scales = reference_mcmc(prior, empty, basis, cfg, 9)
         np.testing.assert_array_equal(chain.states, states)
@@ -1018,7 +1024,7 @@ class TestHaarChainOnBlocks:
         cfg = dens.McmcConfig(iterations=600, burn_in=200, thin=2, adapt_every=10)
         chains = []
         for basis in (fine, coarse):
-            binned = dens.Sample(dens.bin_counts(sample, basis.grid.resolution))
+            binned = dens.Sample(dens.bin_counts(sample, basis.resolution))
             chain = dens.logdensity_mcmc(prior, binned, basis, cfg, seed=3)
             assert chain.density_values(basis).shape == (len(chain.states), 16)
             # the losses of the block rows are those of the same draws on the grid

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supnorm.grids import DyadicGrid, GridFunction
+from supnorm.grids import GridFunction
 from supnorm.functions import (
     HolderTruthSpec,
     log_mean_exp,
@@ -22,8 +22,8 @@ def haar():
 
 
 @pytest.fixture(scope="module")
-def grid():
-    return DyadicGrid(10)
+def J():
+    return 10
 
 
 def hellinger(f: GridFunction, g: GridFunction) -> float:
@@ -46,7 +46,7 @@ class TestBesovNorm:
 
     def test_constant_has_zero_wavelet_norm(self, haar):
         # pure summation dust, amplified by the 2^{l(1/2+s)} level weights
-        f = constant(haar.grid)
+        f = constant(haar.resolution)
         assert besov_norm(f, 1.0, haar) < 1e-12
 
     def test_level_two_half_smoothness(self, haar):
@@ -58,14 +58,14 @@ class TestBesovNorm:
     def test_absolute_homogeneity(self, c):
         basis = build_basis("haar", 4, 8)
         rng = np.random.default_rng(0)
-        f = GridFunction(basis.grid, rng.normal(size=basis.grid.size))
-        assert besov_norm(GridFunction(basis.grid, c * f.values), 0.7, basis) == pytest.approx(
+        f = GridFunction(rng.normal(size=2 ** basis.resolution))
+        assert besov_norm(GridFunction(c * f.values), 0.7, basis) == pytest.approx(
             abs(c) * besov_norm(f, 0.7, basis), rel=1e-12
         )
 
     def test_rejects_nonpositive_smoothness(self, haar):
         with pytest.raises(ValueError):
-            besov_norm(constant(haar.grid), 0.0, haar)
+            besov_norm(constant(haar.resolution), 0.0, haar)
 
 
 def distances(f, g):
@@ -75,60 +75,60 @@ def distances(f, g):
 
 
 class TestDistances:
-    def test_zero_on_equal(self, grid):
-        f = GridFunction(grid, np.linspace(0, 1, grid.size))
+    def test_zero_on_equal(self, J):
+        f = GridFunction(np.linspace(0, 1, 2 ** J))
         assert distances(f, f) == (0.0, 0.0)
 
-    def test_constants(self, grid):
-        one, zero = constant(grid, 1.0), constant(grid, 0.0)
+    def test_constants(self, J):
+        one, zero = constant(J, 1.0), constant(J, 0.0)
         assert distances(one, zero) == (1.0, 1.0)
 
     def test_haar_normalization(self, haar):
         f = haar.function(WaveletIndex(1, 0))
-        sup, l2 = distances(f, constant(haar.grid, 0.0))
+        sup, l2 = distances(f, constant(haar.resolution, 0.0))
         assert sup == pytest.approx(np.sqrt(2.0))
         assert l2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHellinger:
-    def test_zero_on_equal(self, grid):
-        f = constant(grid)
+    def test_zero_on_equal(self, J):
+        f = constant(J)
         assert hellinger(f, f) == 0.0
 
-    def test_disjoint_supports(self, grid):
-        half = grid.size // 2
-        f = GridFunction(grid, np.r_[np.full(half, 2.0), np.zeros(half)])
-        g = GridFunction(grid, np.r_[np.zeros(half), np.full(half, 2.0)])
+    def test_disjoint_supports(self, J):
+        half = 2 ** J // 2
+        f = GridFunction(np.r_[np.full(half, 2.0), np.zeros(half)])
+        g = GridFunction(np.r_[np.zeros(half), np.full(half, 2.0)])
         assert hellinger(f, g) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
-    def test_two_formula_agreement(self, grid):
+    def test_two_formula_agreement(self, J):
         rng = np.random.default_rng(5)
-        f = np.exp(rng.normal(size=grid.size))
-        g = np.exp(rng.normal(size=grid.size))
+        f = np.exp(rng.normal(size=2 ** J))
+        g = np.exp(rng.normal(size=2 ** J))
         f /= f.mean()
         g /= g.mean()
-        ff, gg = GridFunction(grid, f), GridFunction(grid, g)
+        ff, gg = GridFunction(f), GridFunction(g)
         h2_direct = hellinger(ff, gg) ** 2
         h2_cross = 2.0 - 2.0 * np.sqrt(f * g).mean()
         assert h2_direct == pytest.approx(h2_cross, abs=1e-12)
 
-    def test_triangle_inequality(self, grid):
+    def test_triangle_inequality(self, J):
         rng = np.random.default_rng(6)
         fs = []
         for _ in range(3):
-            v = np.exp(rng.normal(size=grid.size))
-            fs.append(GridFunction(grid, v / v.mean()))
+            v = np.exp(rng.normal(size=2 ** J))
+            fs.append(GridFunction(v / v.mean()))
         f, g, k = fs
         assert hellinger(f, g) <= hellinger(f, k) + hellinger(k, g) + 1e-10
 
-    def test_negativity_error(self, grid):
-        bad = GridFunction(grid, np.full(grid.size, -1e-6))
+    def test_negativity_error(self, J):
+        bad = GridFunction(np.full(2 ** J, -1e-6))
         with pytest.raises(NonDensityError):
-            hellinger(bad, constant(grid))
+            hellinger(bad, constant(J))
 
-    def test_negative_dust_clamped(self, grid):
-        dusty = GridFunction(grid, np.full(grid.size, -1e-13))
-        assert np.isfinite(hellinger(dusty, constant(grid)))
+    def test_negative_dust_clamped(self, J):
+        dusty = GridFunction(np.full(2 ** J, -1e-13))
+        assert np.isfinite(hellinger(dusty, constant(J)))
 
 
 class TestRowwiseReductions:
@@ -145,45 +145,50 @@ class TestRowwiseReductions:
         t = np.random.default_rng(4).normal(size=1024)
         assert log_mean_exp(t) == pytest.approx(np.log(np.exp(t).mean()), rel=1e-12)
 
-    def test_hellinger_rows_bitwise(self, grid):
+    def test_hellinger_rows_bitwise(self, J):
         rng = np.random.default_rng(5)
-        V = np.exp(rng.normal(size=(20, grid.size)))
-        g = constant(grid)
+        V = np.exp(rng.normal(size=(20, 2 ** J)))
+        g = constant(J)
         rows = posterior_expected_losses(V, g).per_draw[2]
         np.testing.assert_array_equal(rows, hellinger_rows(V, g.values))
-        assert all(rows[i] == hellinger(GridFunction(grid, V[i]), g) for i in range(20))
+        assert all(rows[i] == hellinger(GridFunction(V[i]), g) for i in range(20))
 
-    def test_hellinger_rows_negativity(self, grid):
-        V = np.ones((3, grid.size))
+    def test_hellinger_rows_negativity(self, J):
+        V = np.ones((3, 2 ** J))
         V[1, 7] = -1e-6
         with pytest.raises(NonDensityError):
-            posterior_expected_losses(V, constant(grid))
+            posterior_expected_losses(V, constant(J))
 
 
-class TestDyadicGrid:
-    @pytest.mark.parametrize("J, message", [
-        (2.5, "must be an integer"), (True, "must be an integer"), (0, "must be >= 1"),
-    ])
-    def test_bad_resolution_refused(self, J, message):
-        with pytest.raises(ValueError, match=f"grid resolution J {message}"):
-            DyadicGrid(J)
+class TestGridFunction:
+    @pytest.mark.parametrize("values", [
+        np.empty(0), np.ones(1), np.ones(3), np.ones(6), np.ones((2, 2)),
+    ], ids=["length-0", "length-1", "length-3", "length-6", "2-D"])
+    def test_bad_shape_refused(self, values):
+        with pytest.raises(ValueError, match="values must be a 1-D array of 2\\^J cells"):
+            GridFunction(values)
 
-    def test_size(self):
-        assert DyadicGrid(3).size == 8 and DyadicGrid(np.int64(3)).size == 8
+    def test_non_finite_refused(self):
+        with pytest.raises(ValueError, match="values must be finite"):
+            GridFunction(np.r_[1.0, np.nan])
+
+    def test_resolution(self):
+        assert GridFunction(np.ones(2)).resolution == 1
+        assert GridFunction(np.ones(2 ** 12)).resolution == 12
 
 
 class TestGridFunctionCsv:
-    def test_round_trip(self, tmp_path, grid):
+    def test_round_trip(self, tmp_path, J):
         rng = np.random.default_rng(12)
-        f = GridFunction(grid, rng.normal(size=grid.size))
+        f = GridFunction(rng.normal(size=2 ** J))
         path = tmp_path / "f.csv"
         f.to_csv(path)
         head = path.read_text().splitlines()[0]
         assert head == "midpoint,value"
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        back = GridFunction(DyadicGrid(int(np.log2(rows.shape[0]))), rows[:, 1])
-        assert np.array_equal(rows[:, 0], grid.midpoints)
-        assert back.grid.resolution == grid.resolution
+        back = GridFunction(rows[:, 1])
+        assert np.array_equal(rows[:, 0], (np.arange(2 ** J) + 0.5) / 2 ** J)
+        assert back.resolution == J
         assert np.array_equal(back.values, f.values)
 
 
@@ -234,8 +239,8 @@ class TestHolderTruth:
 
 
 class TestDensityTruth:
-    def test_zero_log_gives_uniform(self, grid):
-        f0 = normalize_log(constant(grid, 0.0))
+    def test_zero_log_gives_uniform(self, J):
+        f0 = normalize_log(constant(J, 0.0))
         assert np.allclose(f0.values, 1.0, atol=1e-14)
 
     def test_unit_mass(self, haar):
@@ -249,7 +254,7 @@ class TestDensityTruth:
         spec = HolderTruthSpec(alpha=1.0, radius=1.0, seed=4)
         g0 = make_holder_truth(spec, haar)
         f0 = make_density_truth(spec, haar)
-        logf0 = GridFunction(haar.grid, np.log(f0.values))
+        logf0 = GridFunction(np.log(f0.values))
         assert besov_norm(logf0, 1.0, haar) == pytest.approx(
             besov_norm(g0, 1.0, haar), rel=1e-9
         )

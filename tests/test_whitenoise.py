@@ -376,8 +376,8 @@ class TestDraws:
         data = simulate_wn(haar.analyze(f0), 4, seed=0)
         flat = draw_posterior_coefficients(data, prior, 3, seed=1)
         rows = haar.synthesize_flat(flat)
-        for row in np.repeat(rows, haar.grid.size // rows.shape[1], axis=1):
-            c = haar.analyze(GridFunction(haar.grid, row))
+        for row in np.repeat(rows, 2 ** haar.resolution // rows.shape[1], axis=1):
+            c = haar.analyze(GridFunction(row))
             assert np.abs(c[level_slice(4)]).max() <= prior.bound * prior.sigma(4) + 1e-12
 
     def test_hard_support_constraint(self, haar, truth):
@@ -402,7 +402,7 @@ class TestDraws:
             flat = draw_posterior_coefficients(data, uniform_prior(L=L), 200, seed=9)
             rows = haar.synthesize_flat(flat)
             assert rows.shape == (200, 2 ** (L + 1))
-            grid = np.repeat(rows, haar.grid.size // rows.shape[1], axis=1)
+            grid = np.repeat(rows, 2 ** haar.resolution // rows.shape[1], axis=1)
             step = posterior_expected_losses(rows, truth, densities=False)
             ref = posterior_expected_losses(grid, truth, densities=False)
             assert step.sup == ref.sup and step.q90_sup == ref.q90_sup
@@ -418,7 +418,7 @@ class TestDraws:
                 data = simulate_wn(haar.analyze(truth), n, seed=100 + rep)
                 draws = draw_posterior_coefficients(data, prior, 40, seed=rep)
                 rows = haar.synthesize_flat(draws)
-                values = np.repeat(rows, haar.grid.size // rows.shape[1], axis=1)
+                values = np.repeat(rows, 2 ** haar.resolution // rows.shape[1], axis=1)
                 losses.append(np.abs(values - truth.values).max(axis=1).mean())
             med[n] = np.median(losses)
         assert med[1024] < med[64]
