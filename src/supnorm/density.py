@@ -38,6 +38,14 @@ e^(T - max T) into its scratch), which keeps the log ratio within about
 n 1e-14 of the direct one.  The chain is the one the direct evaluation of
 counts . T - n c(T) gives, up to the rounding of the log ratio.
 
+An iteration is one sweep over the levels.  The levels' blocks of
+coefficients are disjoint, so no proposal reads a block that another
+level's accept can change, and every proposal of a sweep can be made from
+the sweep's start state.  The draws are read from the stream in the order
+of one level at a time, so the proposals are the same, bit for bit; they,
+their moves d and the random-walk prior sums are each one vectorised pass
+over all K coefficients, and only the grid work above runs per level.
+
 The kept draws are step rows on the same R blocks, reduced about 1 MiB of
 values at a time (`McmcChain.expected_losses`, `posterior_expected_losses`).
 """
@@ -323,7 +331,9 @@ class LogDensityPriorSpec:
         if self.law == "laplace":
             return -np.abs(a)
         if self.law == "logistic":
-            return -a - 2.0 * np.log1p(np.exp(-np.clip(a, -700, None)))
+            # symmetric in a, and e^(-|a|) <= 1 cannot overflow
+            m = np.abs(a)
+            return -m - 2.0 * np.log1p(np.exp(-m))
         return -(1.0 + np.abs(a)) ** (1.0 - self.tau)
 
     def draw_standardized(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -441,14 +451,27 @@ def logdensity_mcmc(
     acceptance leaves [0.1, 0.6] on any level is flagged (never silently
     returned as clean).
 
-    The log likelihood ratio of a level move by d, with X = d R_l, is
-    d . s_l - n log(E . e^X / sum E), on the terms `_level_moves`
-    precomputes and the kept weights E = e^(T - max T): the log term is
-    c(T + X) - c(T) exactly (see the module docstring).  That is one exp
-    and one dot over the R stored rows of the basis per proposal, and one
-    product E *= e^X per accept.  E is recomputed from the coefficients
-    every `_REFRESH` iterations, so the rounding of those products does
-    not build up.
+    An iteration is one sweep over the levels.  A level's move changes only
+    its own block of a, so no proposal reads a block that another level's
+    accept can change, and all of a sweep's proposals are made from its
+    start state with the bits they would have one level at a time.  The
+    draws keep their stream order (per level a normal block, then the
+    uniform of its decision).  The proposals, their difference d from a and,
+    for the random-walk laws, each level's log prior sum are then one
+    vectorised pass over the K coefficients, with each level's step (and
+    pCN shrink factor) repeated over its block.  The prior sums are one
+    `np.add.reduceat` over the level starts, whose rounding can differ from
+    a per-block sum, so the initial sums are taken the same way.
+
+    Then, level by level, the log likelihood ratio of the move by d, with
+    X = d R_l, is d . s_l - n log(E . e^X / sum E), on the terms
+    `_level_moves` precomputes and the kept weights E = e^(T - max T): the
+    log term is c(T + X) - c(T) exactly (see the module docstring).  That
+    is one exp and one dot over the R stored rows of the basis per
+    proposal, and one product E *= e^X per accept; E carries the accepts
+    of the earlier levels into the later ones.  E is recomputed from the
+    coefficients every `_REFRESH` iterations, so the rounding of those
+    products does not build up.
     """
     cfg = cfg or McmcConfig()
     L = prior.cutoff_level
@@ -481,45 +504,61 @@ def logdensity_mcmc(
     S = refresh()
 
     gaussian = prior.law == "gaussian"
-    log_phi, add = prior.log_phi, np.add.reduce
-    # log prior of the current block of each level (random-walk ratio)
-    log_prior = [0.0 if gaussian else float(add(log_phi(a[sl]))) for sl, _ in levels]
+    log_phi, starts = prior.log_phi, [sl.start for sl, _ in levels]
+
+    def log_priors(a) -> list:
+        """The log prior of each level's block of a, or 0.0 for pCN, which
+        needs no prior ratio."""
+        return [0.0] * (L + 1) if gaussian else np.add.reduceat(log_phi(a), starts).tolist()
+
+    log_prior = log_priors(a)  # of the current blocks
     scales = np.full(L + 1, 0.5)  # beta_l for pCN, step for random walk
 
-    def step_sizes(scales):
-        """Per-level steps and pCN shrink factors sqrt(1 - beta^2), as floats."""
-        steps = [min(float(s), 1.0) if gaussian else float(s) for s in scales]
-        return steps, [math.sqrt(1.0 - b ** 2) for b in steps] if gaussian else None
+    sizes = [2 ** l for l in range(L + 1)]
 
-    steps, shrink = step_sizes(scales)
+    def step_vectors(scales):
+        """Per-coefficient copies of the per-level steps and pCN shrink
+        factors sqrt(1 - beta^2), each level's float repeated on its block."""
+        steps = [min(float(s), 1.0) if gaussian else float(s) for s in scales]
+        if not gaussian:
+            return np.repeat(steps, sizes), None
+        return np.repeat(steps, sizes), np.repeat([math.sqrt(1.0 - b ** 2) for b in steps], sizes)
+
+    step, shrink = step_vectors(scales)
     accepted = [0] * (L + 1)  # since the last adaptation, then after burn-in
     burn_in, thin, adapt_every = cfg.burn_in, cfg.thin, cfg.adapt_every
     states = np.empty((-(-(cfg.iterations - burn_in) // thin), K))
-    # (level, view of its block of a, block size, [R_l | s_l])
-    moves = [(l, a[sl], sl.stop - sl.start, Rs) for l, (sl, Rs) in enumerate(levels)]
+    # a sweep's normal draws, proposal and move; each level reads views of its block
+    xi, a_new, d = np.empty(K), np.empty(K), np.empty(K)
+    moves = [(l, a[sl], a_new[sl], d[sl], Rs) for l, (sl, Rs) in enumerate(levels)]
+    xi_blocks = [xi[sl] for sl, _ in levels]
+    u = [0.0] * (L + 1)
     dot, exp, log = np.dot, np.exp, math.log
 
     for it in range(cfg.iterations):
         if it == burn_in:
             accepted = [0] * (L + 1)
-        for l, a_blk, size, Rs in moves:
-            if gaussian:
-                a_new = shrink[l] * a_blk + steps[l] * normal(size)
-                log_prior_ratio = 0.0
-            else:
-                a_new = a_blk + steps[l] * normal(size)
-                lp_new = float(add(log_phi(a_new)))
-                log_prior_ratio = lp_new - log_prior[l]
-            d = a_new - a_blk
-            dot(d, Rs, out=G)
+        for l, xi_blk in enumerate(xi_blocks):
+            normal(out=xi_blk)
+            u[l] = uniform()
+        xi *= step
+        if gaussian:
+            np.multiply(shrink, a, out=a_new)
+            a_new += xi
+        else:
+            np.add(a, xi, out=a_new)
+        np.subtract(a_new, a, out=d)
+        log_prior_new = log_priors(a_new)
+        for l, a_blk, new_blk, d_blk, Rs in moves:
+            dot(d_blk, Rs, out=G)
             exp(X, out=X)
             S_new = float(dot(E, X))
-            if log(uniform()) < G.item(R) - n * log(S_new / S) + log_prior_ratio:
-                a_blk[...] = a_new
+            log_prior_ratio = log_prior_new[l] - log_prior[l]
+            if log(u[l]) < G.item(R) - n * log(S_new / S) + log_prior_ratio:
+                a_blk[...] = new_blk
                 E *= X
                 S = S_new
-                if not gaussian:
-                    log_prior[l] = lp_new
+                log_prior[l] = log_prior_new[l]
                 accepted[l] += 1
         if (it + 1) % _REFRESH == 0:
             S = refresh()
@@ -528,7 +567,7 @@ def logdensity_mcmc(
                 rate = np.array(accepted, dtype=float) / adapt_every
                 scales *= np.exp(0.66 * (rate - cfg.target_acceptance))
                 scales = np.clip(scales, 1e-3, 1.0 if gaussian else 10.0)
-                steps, shrink = step_sizes(scales)
+                step, shrink = step_vectors(scales)
                 accepted = [0] * (L + 1)
         elif (it - burn_in) % thin == 0:
             states[(it - burn_in) // thin] = a

@@ -485,6 +485,25 @@ class TestHeavyTailDraws:
         assert ks < 1.63 / np.sqrt(draws.size)
 
 
+class TestLogisticLogPhi:
+    A = [-800.0, -701.0, -30.0, -2.5, -1e-3, 0.0, 1e-3, 2.5, 30.0, 701.0, 800.0]
+
+    def test_matches_the_closed_form(self):
+        # log phi(a) = -a - 2 log(1 + e^(-a)), worked in 50-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        got = dens.LogDensityPriorSpec("logistic", 1.0, 2).log_phi(self.A)
+        with mpmath.workdps(50):
+            want = [float(-a - 2 * mpmath.log1p(mpmath.exp(-a))) for a in map(mpmath.mpf, self.A)]
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+        # far in the tails the value rounds to -|a|, on both sides
+        assert got[[0, 1, -2, -1]].tolist() == [-800.0, -701.0, -701.0, -800.0]
+
+    def test_symmetric(self):
+        log_phi = dens.LogDensityPriorSpec("logistic", 1.0, 2).log_phi
+        a = np.concatenate([self.A, np.random.default_rng(2).standard_normal(1000) * 40])
+        np.testing.assert_array_equal(log_phi(a), log_phi(-a))
+
+
 class TestMcmc:
     def test_prior_recovery_on_empty_sample(self):
         basis = build_basis("boundary-smooth", 3, 9)
@@ -972,8 +991,11 @@ class TestFastKernel:
 
     @pytest.mark.parametrize("level, law, seed", [
         *(pytest.param(2, law, seed, id=f"{law}-{seed}") for law in LAWS for seed in (0, 1, 2)),
-        # the n = 8000 benchmark cells run level 3, whose 8-row [R | s] is the widest product
-        *(pytest.param(3, law, 3, id=f"level3-{law}") for law in ("gaussian", "laplace")),
+        # the n = 8000 benchmark cells run level 3, whose 8-row [R | s] is the widest
+        # product, and whose 8-wide block the sweep's reduceat sums for the prior ratio
+        *(pytest.param(3, law, 3, id=f"level3-{law}") for law in LAWS),
+        # a single one-coefficient block
+        *(pytest.param(0, law, 5, id=f"level0-{law}") for law in ("gaussian", "laplace")),
     ])
     def test_chain_matches_the_reference_bit_for_bit(self, kernel_case, level, law, seed):
         basis, sample = kernel_case
