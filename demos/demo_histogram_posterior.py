@@ -15,7 +15,6 @@ from supnorm import (
     run_experiment,
     sample_data,
 )
-from supnorm.density import HistogramPriorSpec
 from supnorm.functions import HolderTruthSpec, make_density_truth
 from supnorm.grids import GridFunction
 from supnorm.wavelets import build_basis
@@ -29,8 +28,8 @@ print(f"truth density range: [{truth.values.min():.3f}, {truth.values.max():.3f}
 sample = sample_data(truth, n=4000, seed=2)
 L = 4
 counts = bin_counts(sample, L)
-prior = HistogramPriorSpec.flat(L, alpha=1.0)
-params = histogram_posterior(prior, counts)  # alpha_k + N_k
+alphas = np.ones(2 ** L)  # the flat Dirichlet prior, alpha_k = 1 on 2^L bins
+params = histogram_posterior(alphas, counts)  # alpha_k + N_k
 print(f"level L = {L}: counts head {counts[:4]}, posterior params head "
       f"{params[:4]}")
 

@@ -30,7 +30,6 @@ from .whitenoise import (
     simulate_wn,
 )
 from .density import (
-    HistogramPriorSpec,
     LogDensityPriorSpec,
     McmcChain,
     McmcConfig,
@@ -58,8 +57,7 @@ __all__ = [
     "HolderTruthSpec", "make_density_truth", "make_holder_truth",
     "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",
     "draw_posterior_coefficients", "laplace_check", "simulate_wn",
-    "HistogramPriorSpec", "LogDensityPriorSpec",
-    "McmcChain", "McmcConfig", "Sample", "bin_counts",
+    "LogDensityPriorSpec", "McmcChain", "McmcConfig", "Sample", "bin_counts",
     "draw_histogram_values", "histogram_posterior",
     "logdensity_mcmc", "posterior_expected_losses",
     "sample_data",

@@ -22,6 +22,8 @@ from .rates import (
     ConfigError,
     ExperimentConfig,
     fit_rate,
+    plan_basis,
+    plan_truths,
     read_records,
     record_group,
     run_experiment,
@@ -77,15 +79,15 @@ def parse_config(
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg, echo = parse_config(args.config, os.environ.get("SUPNORM_SEED"), args.threads)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
+        cfg, echo = parse_config(args.config, os.environ.get("SUPNORM_SEED"), args.threads)
+        # a truth the run cannot use is a config error, so the truths are
+        # checked before any output (the run makes them again, in milliseconds)
+        basis = plan_basis(cfg)
+        plan_truths(cfg, basis)
         os.makedirs(args.out, exist_ok=True)
-        records = run_experiment(cfg)
+        records = run_experiment(cfg, basis)
         csv_path = os.path.join(args.out, "records.csv")
         write_records(csv_path, records)
         manifest = {
@@ -102,6 +104,9 @@ def cmd_simulate(args) -> int:
         with open(os.path.join(args.out, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     except Exception as e:  # noqa: BLE001 - the CLI contract maps these to exit 3
         print(f"runtime error: {e}", file=sys.stderr)
         return 3

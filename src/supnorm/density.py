@@ -108,6 +108,14 @@ class Sample:
         return int(self.counts.sum())
 
 
+def check_density(f0: GridFunction) -> None:
+    """Raise `NonDensityError` unless f0 is a density on its grid: no value
+    below -1e-12, and a midpoint-rule integral within 1e-6 of 1."""
+    vals = f0.values
+    if vals.min() < -1e-12 or abs(vals.mean() - 1.0) > 1e-6:
+        raise NonDensityError("f0 must be nonnegative with unit integral")
+
+
 # inverse-CDF keys drawn and counted at once (256 KiB of float64), whatever n
 _CHUNK = 2 ** 15
 
@@ -121,9 +129,8 @@ def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
     time, so no array grows with n.
     """
     check_number("n", n, integer=True, minimum=0)
+    check_density(f0)
     vals = f0.values
-    if vals.min() < -1e-12 or abs(vals.mean() - 1.0) > 1e-6:
-        raise NonDensityError("f0 must be nonnegative with unit integral")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
     probs = np.clip(vals, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
@@ -181,54 +188,23 @@ def bin_counts(sample: Sample, L: int) -> np.ndarray:
     return sample.counts.reshape(2 ** L, -1).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class HistogramPriorSpec:
-    """Dirichlet prior on the bin masses of a 2^L-bin dyadic histogram."""
-
-    level: int
-    alphas: np.ndarray = field(repr=False)
-    a: float = 0.0
-    c1: float = 1.0
-    c2: float = 1.0
-
-    def __post_init__(self):
-        check_number("level", self.level, integer=True, minimum=0)
-        for name in ("a", "c1", "c2"):
-            check_number(name, getattr(self, name))
-        al = np.asarray(self.alphas, dtype=float)
-        if al.shape != (2 ** self.level,):
-            raise ValueError(f"need 2^{self.level} Dirichlet parameters")
-        for extreme in (al.min(), al.max()):  # a NaN makes both NaN
-            check_number("Dirichlet parameters", float(extreme))
-        if al.min() <= 0:
-            raise ValueError("Dirichlet parameters must be > 0")
-        lo = self.c1 * 2.0 ** (-self.level * self.a)
-        if al.min() < lo - 1e-12 or al.max() > self.c2 + 1e-12:
-            raise ValueError(
-                "Dirichlet parameters violate c1 2^{-La} <= alpha_k <= c2"
-            )
-        object.__setattr__(self, "alphas", al)
-
-    @staticmethod
-    def flat(level: int, alpha: float = 1.0) -> "HistogramPriorSpec":
-        check_number("level", level, integer=True, minimum=0)
-        check_number("Dirichlet parameters", alpha)
-        return HistogramPriorSpec(
-            level, np.full(2 ** level, float(alpha)), a=0.0, c1=alpha, c2=alpha
-        )
-
-
-def histogram_posterior(prior: HistogramPriorSpec, counts) -> np.ndarray:
-    """The Dirichlet posterior's parameters alpha_k + N_k, from the prior and
-    the bin counts N_k (non-negative integers, one per bin)."""
+def histogram_posterior(alphas, counts) -> np.ndarray:
+    """The Dirichlet posterior's parameters alpha_k + N_k, from the prior's
+    parameters alpha_k (a 1-D array of finite numbers > 0) and the bin
+    counts N_k (non-negative integers), one of each per bin."""
+    al = np.asarray(alphas)
+    # a bool or text array is no array of numbers, and a NaN fails both bounds
+    if (al.ndim != 1 or not al.size or al.dtype.kind not in "iuf"
+            or not 0.0 < al.min() <= al.max() < math.inf):
+        raise ValueError("Dirichlet parameters must be a 1-D array of finite numbers > 0")
     counts = np.asarray(counts)
-    if counts.shape != prior.alphas.shape:
+    if counts.shape != al.shape:
         raise ValueError(
-            f"counts length {counts.shape} does not match 2^{prior.level} bins"
+            f"counts length {counts.shape} does not match the {al.size} Dirichlet parameters"
         )
     if counts.dtype.kind not in "iu" or counts.min() < 0:
         raise ValueError("counts must be non-negative integers")
-    return prior.alphas + counts
+    return al.astype(float, copy=False) + counts
 
 
 def _log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 Every (n, replication) cell of every model runs the same stages:
 
 - truth: a function from the replication seed, shared by the n-grid of its
-  replication (`_truth_for_rep`);
+  replication (`plan_truths`);
 - data: white-noise observations, or an i.i.d. sample of the density;
 - posterior: the product prior's coordinate posteriors, the Dirichlet
   update of the histogram, or the log-density MCMC chain;
@@ -122,8 +122,6 @@ class ExperimentConfig:
                 check_number(name, getattr(self, name), integer=True, minimum=minimum)
             if self.grid_resolution is not None:
                 check_number("grid_resolution", self.grid_resolution, integer=True, minimum=1)
-            for name in _REAL_FIELDS:
-                check_number(name, getattr(self, name))
             if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
                 raise ValueError("n-grid must be a non-empty list of integers")
             ns = tuple(self.n_grid)
@@ -145,7 +143,9 @@ class ExperimentConfig:
         if not isinstance(self.mcmc, dens.McmcConfig):
             raise ConfigError("mcmc must be an object of MCMC settings")
         for model, facts in _MODELS.items():
-            stray = [k for k in facts.keys if model != self.model and getattr(self, k) != _DEFAULTS[k]]
+            # no default is a bool, and a bool is no number, though True == 1.0
+            stray = [k for k in facts.keys if model != self.model
+                     and (isinstance(v := getattr(self, k), (bool, np.bool_)) or v != _DEFAULTS[k])]
             if stray:
                 raise ConfigError(
                     f"{', '.join(stray)}: read only by the {model} model, not by {self.model}"
@@ -170,13 +170,17 @@ class ExperimentConfig:
         return HolderTruthSpec(self.alpha, self.radius, _truth_seed(self, rep), self.truth_kind)
 
     def prior_spec(self, level: int):
-        """The model's prior, truncated at `level`."""
+        """The model's prior, truncated at `level`: its spec, or for the
+        histogram its 2^level Dirichlet parameters."""
         if self.model == "white-noise":
             return wn.ProductPriorSpec(
                 self.prior_family, self.alpha, level, bound=self.bound, delta=self.delta
             )
         if self.model == "density-histogram":
-            return dens.HistogramPriorSpec.flat(level, self.dirichlet_alpha)
+            check_number("dirichlet_alpha", self.dirichlet_alpha)
+            if self.dirichlet_alpha <= 0:
+                raise ValueError("dirichlet_alpha must be > 0")
+            return np.full(2 ** level, float(self.dirichlet_alpha))
         return dens.LogDensityPriorSpec(
             self.coefficient_law, self.alpha, level,
             r=self.r, tau=self.tau, scale=self.prior_scale,
@@ -201,9 +205,6 @@ _DEFAULTS = {
 
 # integer field -> least value (grid_resolution, which may be None, apart)
 _INTEGER_FIELDS = {"replications": 1, "draws": 1, "master_seed": 0, "basis_order": 1, "threads": 1}
-# checked even where a spec checks them too: the stray-key check compares a
-# field with its default, and True == 1.0
-_REAL_FIELDS = ("alpha", "radius", "bound", "delta", "dirichlet_alpha", "r", "tau", "prior_scale")
 
 
 CSV_HEADER = (
@@ -341,19 +342,28 @@ def _check_basis(cfg: ExperimentConfig, basis: WaveletBasis) -> None:
         )
 
 
-def _truth_for_rep(
-    cfg: ExperimentConfig, basis: WaveletBasis, rep: int
-) -> tuple[GridFunction, np.ndarray | None]:
-    """Truth stage, (f0, coefficients): the replication's truth, shared by its n-grid.
+def plan_truths(cfg: ExperimentConfig, basis: WaveletBasis) -> dict:
+    """Truth stage: {rep: (f0, coefficients)}, each replication's truth,
+    shared by its n-grid.
 
     A white-noise truth comes with its analysed coefficients, computed once
-    here rather than in every cell; other models carry None.
+    here rather than in every cell; other models carry None.  A truth that
+    does not build (its values overflow) or is no density on the grid
+    (`check_density`: at a large radius c(T) loses digits) depends on the
+    config alone, so it raises ConfigError.
     """
-    spec = cfg.truth_spec(rep)
-    if cfg.model == "white-noise":
-        f0 = make_holder_truth(spec, basis)
-        return f0, basis.analyze(f0)
-    return make_density_truth(spec, basis), None
+    truths = {}
+    for rep in range(cfg.replications):
+        try:
+            if cfg.model == "white-noise":
+                f0 = make_holder_truth(cfg.truth_spec(rep), basis)
+            else:
+                f0 = make_density_truth(cfg.truth_spec(rep), basis)
+                dens.check_density(f0)
+        except ValueError as e:
+            raise ConfigError(f"the truth of replication {rep} (radius {cfg.radius!r}): {e}") from None
+        truths[rep] = f0, basis.analyze(f0) if cfg.model == "white-noise" else None
+    return truths
 
 
 def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis,
@@ -405,7 +415,7 @@ def run_experiment(cfg: ExperimentConfig, basis: WaveletBasis | None = None) -> 
         basis = plan_basis(cfg)
     else:
         _check_basis(cfg, basis)
-    truths = {rep: _truth_for_rep(cfg, basis, rep) for rep in range(cfg.replications)}
+    truths = plan_truths(cfg, basis)
     cells = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
 
     def work(cell):

@@ -92,8 +92,7 @@ def test_criterion_3_conjugacy_oracle():
     num = integrate.quad(lambda w: w * w ** 3 * (1 - w), 0, 1, epsabs=1e-14)[0]
     den = integrate.quad(lambda w: w ** 3 * (1 - w), 0, 1, epsabs=1e-14)[0]
     oracle = num / den
-    prior = dens.HistogramPriorSpec.flat(1, 1.0)
-    params = dens.histogram_posterior(prior, np.array([3, 1]))
+    params = dens.histogram_posterior(np.ones(2), np.array([3, 1]))
     gap = abs(mean_masses(params)[0] - oracle)
     assert gap < 1e-10
     assert abs(mean_masses(params)[1] - (1.0 - oracle)) < 1e-10
@@ -103,13 +102,11 @@ def test_criterion_3_conjugacy_oracle():
     for trial in range(20):
         total = rng.integers(0, 30, size=8)
         split = rng.binomial(total, 0.4)
-        base = dens.HistogramPriorSpec.flat(3, 0.5)
+        base = np.full(8, 0.5)
         once = dens.histogram_posterior(base, total)
+        # the posterior after `split` is the prior of the rest of the counts
         mid = dens.histogram_posterior(base, split)
-        mid_prior = dens.HistogramPriorSpec(
-            3, mid, a=0.0, c1=mid.min(), c2=mid.max()
-        )
-        twice = dens.histogram_posterior(mid_prior, total - split)
+        twice = dens.histogram_posterior(mid, total - split)
         worst = max(worst, np.abs(once - twice).max())
     assert worst < 1e-12
     rt = time.time() - t0

@@ -211,6 +211,32 @@ class TestSimulate:
         assert m1["config_hash"] == m2["config_hash"]
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("radius, rc", [(1e10, 0), (1e12, 2), (1e308, 2)])
+    def test_truth_the_run_cannot_use_exits_2_before_output(self, radius, rc, tmp_path, capsys):
+        # at 1e12 c(T) loses digits and f0 is no density on the grid; at
+        # 1e308 the truth's values overflow.  Both used to exit 3 at run
+        # time, after creating the output directory
+        path = tmp_path / "radius.json"
+        path.write_text(json.dumps({**TINY, "grid_resolution": 8, "n_grid": [64, 256, 1024],
+                                    "replications": 1, "radius": radius}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert (out / "records.csv").exists()
+        else:
+            assert f"config error: the truth of replication 0 (radius {radius!r})" in err
+            assert not out.exists()
+
+    def test_json_int_equal_to_a_default_is_that_default(self, tiny_config, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({**TINY, "bound": 2, "delta": 1, "prior_scale": 1}))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", tiny_config, "--out", str(out1)]) == 0
+        assert main(["simulate", str(path), "--out", str(out2)]) == 0
+        assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
     def test_unwritable_out_exit_3(self, tiny_config, tmp_path):
         # a regular file where the output directory should go (permission
         # tricks do not stop root)

@@ -251,17 +251,16 @@ class TestBinCounts:
 
 class TestConjugacy:
     def test_spec_update(self):
-        prior = dens.HistogramPriorSpec.flat(1, 1.0)
-        params = dens.histogram_posterior(prior, np.array([3, 1]))
+        params = dens.histogram_posterior(np.ones(2), np.array([3, 1]))
         assert params.tolist() == [4.0, 2.0]
         md = np.repeat(mean_masses(params) * 2 ** 1, 16 // 2 ** 1)
         assert md[0] == pytest.approx(4.0 / 3.0)
         assert md[-1] == pytest.approx(2.0 / 3.0)
 
     def test_zero_counts_returns_prior(self):
-        prior = dens.HistogramPriorSpec.flat(2, 0.7)
-        params = dens.histogram_posterior(prior, np.zeros(4, dtype=int))
-        assert np.array_equal(params, prior.alphas)
+        alphas = np.full(4, 0.7)
+        params = dens.histogram_posterior(alphas, np.zeros(4, dtype=int))
+        assert np.array_equal(params, alphas)
 
     def test_quadrature_oracle(self):
         # brute-force posterior mean of omega0 under D(1,1) prior and
@@ -269,8 +268,7 @@ class TestConjugacy:
         num = integrate.quad(lambda w: w * w ** 3 * (1 - w), 0, 1)[0]
         den = integrate.quad(lambda w: w ** 3 * (1 - w), 0, 1)[0]
         oracle = num / den
-        prior = dens.HistogramPriorSpec.flat(1, 1.0)
-        params = dens.histogram_posterior(prior, np.array([3, 1]))
+        params = dens.histogram_posterior(np.ones(2), np.array([3, 1]))
         assert mean_masses(params)[0] == pytest.approx(oracle, abs=1e-10)
         assert oracle == pytest.approx(2.0 / 3.0, abs=1e-10)
 
@@ -281,37 +279,41 @@ class TestConjugacy:
         rng = np.random.default_rng(seed)
         total = np.array(total)
         split = rng.binomial(total, 0.5)
-        prior = dens.HistogramPriorSpec.flat(2, 0.5)
-        once = dens.histogram_posterior(prior, total)
-        mid = dens.histogram_posterior(prior, split)
-        mid_prior = dens.HistogramPriorSpec(
-            2, mid, a=0.0, c1=mid.min(), c2=mid.max()
-        )
-        twice = dens.histogram_posterior(mid_prior, total - split)
+        alphas = np.full(4, 0.5)
+        once = dens.histogram_posterior(alphas, total)
+        # the posterior after `split` is the prior of the rest of the counts
+        mid = dens.histogram_posterior(alphas, split)
+        twice = dens.histogram_posterior(mid, total - split)
         assert np.abs(once - twice).max() < 1e-12
 
     def test_length_mismatch(self):
-        prior = dens.HistogramPriorSpec.flat(2, 1.0)
-        with pytest.raises(ValueError):
-            dens.histogram_posterior(prior, np.array([1, 2]))
+        with pytest.raises(ValueError, match="does not match the 4 Dirichlet parameters"):
+            dens.histogram_posterior(np.ones(4), np.array([1, 2]))
 
     @pytest.mark.parametrize("counts", [
         [np.nan, 1.0], [np.inf, 1], [2.5, 1.0], [True, False], [-1, 2],
     ], ids=["nan", "inf", "fraction", "bool", "negative"])
     def test_non_counts_refused(self, counts):
-        prior = dens.HistogramPriorSpec.flat(1)
         with pytest.raises(ValueError, match="counts must be non-negative integers"):
-            dens.histogram_posterior(prior, counts)
+            dens.histogram_posterior(np.ones(2), counts)
 
-    def test_prior_invariant(self):
-        with pytest.raises(ValueError):
-            dens.HistogramPriorSpec(1, np.array([0.5, 3.0]), a=0.0, c1=1.0, c2=1.0)
+    @pytest.mark.parametrize("alphas", [
+        [0.0, 1.0], [-1.0, 1.0], [[1.0, 1.0]], [], 1.0, [1.0, 1e-300, 7.5e3],
+    ], ids=["zero", "negative", "2-D", "empty", "scalar", "any-positive"])
+    def test_parameters_are_positive_numbers(self, alphas):
+        # any finite parameters > 0 are a Dirichlet prior; others are refused
+        alphas = np.asarray(alphas)
+        if alphas.ndim == 1 and alphas.size and alphas.min() > 0:
+            counts = np.arange(alphas.size)
+            assert np.array_equal(dens.histogram_posterior(alphas, counts), alphas + counts)
+        else:
+            with pytest.raises(ValueError, match="Dirichlet parameters must be a 1-D array"):
+                dens.histogram_posterior(alphas, np.zeros(alphas.shape, dtype=int))
 
 
 class TestDirichletDraws:
     def test_unit_integral(self, J):
-        prior = dens.HistogramPriorSpec.flat(3, 0.3)
-        params = dens.histogram_posterior(prior, np.arange(8))
+        params = dens.histogram_posterior(np.full(8, 0.3), np.arange(8))
         values = dens.draw_histogram_values(params, 20, seed=0)
         assert values.shape == (20, 8)
         grid_values = np.repeat(values, 2 ** J // 8, axis=1)
@@ -320,8 +322,7 @@ class TestDirichletDraws:
             assert d.values.min() > 0.0
 
     def test_mc_mean_matches_posterior_mean(self, J):
-        prior = dens.HistogramPriorSpec.flat(2, 1.0)
-        params = dens.histogram_posterior(prior, np.array([5, 10, 3, 2]))
+        params = dens.histogram_posterior(np.ones(4), np.array([5, 10, 3, 2]))
         m = 20_000
         vals = dens.draw_histogram_values(params, m, seed=1)
         emp = vals.mean(axis=0) / 4.0
@@ -331,16 +332,13 @@ class TestDirichletDraws:
         assert np.all(np.abs(emp - mean) <= 3.0 * sd / np.sqrt(m))
 
     def test_concentration_at_huge_alpha(self):
-        prior = dens.HistogramPriorSpec(
-            2, np.full(4, 1e6), a=0.0, c1=1e6, c2=1e6
-        )
-        params = dens.histogram_posterior(prior, np.zeros(4, dtype=int))
+        params = dens.histogram_posterior(np.full(4, 1e6), np.zeros(4, dtype=int))
         vals = dens.draw_histogram_values(params, 50, seed=2)
         assert np.abs(vals - 1.0).max() < 1e-2
 
     @pytest.mark.parametrize("m", [0, 2.5, True, float("nan")])
     def test_bad_draw_count_refused(self, m):
-        params = dens.histogram_posterior(dens.HistogramPriorSpec.flat(2, 1.0), np.arange(4))
+        params = dens.histogram_posterior(np.ones(4), np.arange(4))
         with pytest.raises(ValueError, match="draw count m"):
             dens.draw_histogram_values(params, m, seed=0)
 
@@ -385,28 +383,30 @@ def _logd(law="laplace", **kw):
     return dens.LogDensityPriorSpec(law, **{"alpha": 1.0, "cutoff_level": 2, **kw})
 
 
+def _hist(alphas):
+    return dens.histogram_posterior(alphas, np.zeros(len(alphas), dtype=int))
+
+
+def _hist_config(dirichlet_alpha):
+    return ExperimentConfig(model="density-histogram", alpha=0.75, n_grid=(64, 256, 4096),
+                            dirichlet_alpha=dirichlet_alpha)
+
+
 def _simulate(level):
     return wn.simulate_wn(np.zeros(4), 100, 1, truncation_level=level)
 
 
 SPEC_NUMBER_CASES = {
-    "hist-nan-alpha": (lambda: dens.HistogramPriorSpec.flat(2, NAN), "Dirichlet parameters"),
-    "hist-inf-alpha": (lambda: dens.HistogramPriorSpec.flat(2, INF), "Dirichlet parameters"),
-    "hist-one-nan-alpha": (lambda: dens.HistogramPriorSpec(1, np.array([1.0, NAN])),
-                           "Dirichlet parameters"),
-    "hist-float-level": (lambda: dens.HistogramPriorSpec(1.5, np.ones(2)), "level"),
-    "hist-bool-level": (lambda: dens.HistogramPriorSpec(True, np.ones(2)), "level"),
-    "hist-negative-level": (lambda: dens.HistogramPriorSpec(-1, np.ones(1)), "level"),
-    "hist-flat-float-level": (lambda: dens.HistogramPriorSpec.flat(1.5), "level"),
-    "hist-flat-negative-level": (lambda: dens.HistogramPriorSpec.flat(-1), "level"),
-    "hist-flat-bool-level": (lambda: dens.HistogramPriorSpec.flat(True), "level"),
-    "hist-flat-bool-alpha": (lambda: dens.HistogramPriorSpec.flat(2, True), "Dirichlet parameters"),
-    "hist-flat-text-alpha": (lambda: dens.HistogramPriorSpec.flat(2, "1"), "Dirichlet parameters"),
-    "hist-nan-a": (lambda: dens.HistogramPriorSpec(1, np.ones(2), a=NAN), "a must be"),
-    "hist-text-a": (lambda: dens.HistogramPriorSpec(1, np.ones(2), a="0"), "a must be"),
-    "hist-nan-c1": (lambda: dens.HistogramPriorSpec(1, np.ones(2), c1=NAN), "c1"),
-    "hist-bool-c1": (lambda: dens.HistogramPriorSpec(1, np.ones(2), c1=True), "c1"),
-    "hist-nan-c2": (lambda: dens.HistogramPriorSpec(1, np.ones(2), c2=NAN), "c2"),
+    "hist-nan-alpha": (lambda: _hist(np.full(4, NAN)), "Dirichlet parameters"),
+    "hist-inf-alpha": (lambda: _hist(np.full(4, INF)), "Dirichlet parameters"),
+    "hist-one-nan-alpha": (lambda: _hist(np.array([1.0, NAN])), "Dirichlet parameters"),
+    "hist-bool-alpha": (lambda: _hist(np.full(4, True)), "Dirichlet parameters"),
+    "hist-text-alpha": (lambda: _hist(np.full(4, "1")), "Dirichlet parameters"),
+    "config-nan-dirichlet-alpha": (lambda: _hist_config(NAN), "dirichlet_alpha"),
+    "config-inf-dirichlet-alpha": (lambda: _hist_config(INF), "dirichlet_alpha"),
+    "config-bool-dirichlet-alpha": (lambda: _hist_config(True), "dirichlet_alpha"),
+    "config-text-dirichlet-alpha": (lambda: _hist_config("1"), "dirichlet_alpha"),
+    "config-zero-dirichlet-alpha": (lambda: _hist_config(0.0), "dirichlet_alpha"),
     "logd-nan-alpha": (lambda: _logd(alpha=NAN), "alpha"),
     "logd-nan-r": (lambda: _logd("gaussian", r=NAN), "r"),
     "logd-nan-tau": (lambda: _logd("heavy-tail", tau=NAN), "tau"),
@@ -645,8 +645,7 @@ class TestLossSummary:
         assert a == b
 
     def test_mc_stability_across_seeds(self, J):
-        prior = dens.HistogramPriorSpec.flat(3, 1.0)
-        params = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
+        params = dens.histogram_posterior(np.ones(8), np.arange(1, 9) * 10)
         f0 = GridFunction(np.repeat(mean_masses(params) * 2 ** 3, 2 ** J // 2 ** 3))
         outs = []
         for seed in (0, 1):
@@ -656,8 +655,7 @@ class TestLossSummary:
 
     def test_blocks_match_one_pass(self, J):
         # 1000 draws on a 1024-cell grid span eight blocks of rows
-        prior = dens.HistogramPriorSpec.flat(3, 1.0)
-        params = dens.histogram_posterior(prior, np.arange(1, 9) * 10)
+        params = dens.histogram_posterior(np.ones(8), np.arange(1, 9) * 10)
         f0 = GridFunction(np.repeat(mean_masses(params) * 2 ** 3, 2 ** J // 2 ** 3))
         vals = np.repeat(dens.draw_histogram_values(params, 1000, seed=2), 2 ** J // 8, axis=1)
         assert len(dens._row_blocks(*vals.shape)) > 1

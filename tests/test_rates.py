@@ -269,6 +269,21 @@ class TestConfig:
         assert cfg.truth_spec(1).alpha == 1.0
         assert cfg.truth_spec(1) == cfg.truth_spec(1) != cfg.truth_spec(2)
 
+    def test_histogram_prior_is_its_flat_parameters(self):
+        cfg = ExperimentConfig(
+            model="density-histogram", alpha=0.75, n_grid=(64, 256, 4096), dirichlet_alpha=0.5,
+        )
+        assert np.array_equal(cfg.prior_spec(3), np.full(8, 0.5))
+
+    @pytest.mark.parametrize("model, key", [
+        ("density-histogram", "delta"), ("density-histogram", "prior_scale"),
+        ("density-logdensity", "dirichlet_alpha"), ("white-noise", "prior_scale"),
+    ])
+    def test_stray_bool_is_no_default_number(self, model, key):
+        # True == 1.0, the default of each of these keys
+        with pytest.raises(ConfigError, match=f"{key}: read only by the"):
+            ExperimentConfig(model=model, alpha=1.0, n_grid=(64, 256, 4096), **{key: True})
+
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(model="white-noise", alpha=1.0, n_grid=(256, 64, 16))

@@ -350,8 +350,10 @@ class TestReferenceBuilds:
         assert np.array_equal(grid_columns(build_basis("haar", L_max, J)), haar_columns(L_max, J))
 
     def test_runtime_loads_no_scipy(self):
+        # numpy.random, too, loads on first use only (whitenoise._state_row_type)
         code = (
             "import sys, supnorm\n"
+            "assert 'numpy.random' not in sys.modules\n"
             "supnorm.build_basis('boundary-smooth', 3, 8)\n"
             "supnorm.build_basis('haar', 3, 8)\n"
             "assert 'scipy' not in sys.modules\n"
