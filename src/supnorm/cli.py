@@ -50,10 +50,14 @@ def parse_config(
     the raw input with all defaults filled in.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as e:  # a directory, or a file that cannot be read
+        raise ConfigError(f"cannot read config: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):

@@ -9,10 +9,10 @@ The histogram model is conjugate: a Dirichlet prior on the 2^L bin masses
 updates by bin counts, and posterior draws are normalized independent Gamma
 variates (with a log-space boost for small shapes, which the allowed
 small-alpha Dirichlet parameters make common).  A draw is kept as its 2^L
-bin values, never expanded to the grid: its sup, L2 and Hellinger losses
-are exact finite sums over bins, from the minimum, maximum, mean and
-centred sum of squares of f0 (and of sqrt f0) on each bin
-(`posterior_expected_losses`).
+bin values, bin-major, never expanded to the grid: its sup, L2 and
+Hellinger losses are exact finite sums over bins, from the minimum,
+maximum, mean and centred sum of squares of f0 (and of sqrt f0) on each
+bin (`posterior_expected_losses`).
 
 The log-density model exp(T - c(T)), with T a truncated wavelet series, has
 no conjugate posterior; a Metropolis-Hastings sampler with per-level block
@@ -145,21 +145,36 @@ def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
     return Sample(counts)
 
 
+def _guide_table(cum: np.ndarray, M: int) -> np.ndarray:
+    """`np.searchsorted(cum, np.arange(M) / M)`, counted in O(N + M) for a
+    non-negative table `cum` and M a power of two.
+
+    Entry b is the number of entries c below b / M.  Since M is a power of
+    two, c M is exact, so c < b / M iff b >= floor(c M) + 1: each entry is
+    counted once, at that index (past M it is below no edge), and a running
+    sum gives the table with the same integers as the binary searches.
+    """
+    first = (cum * M).astype(np.intp)  # floor, since cum >= 0
+    first += 1
+    return np.cumsum(np.bincount(np.minimum(first, M, out=first), minlength=M + 1)[:M])
+
+
 def _guided_search(cum: np.ndarray):
     """The function `u -> np.searchsorted(cum, u, side="left")`, bit for bit,
-    for a non-decreasing table whose size is a power of two and keys in [0, 1).
+    for a non-decreasing, non-negative table whose size is a power of two
+    and keys in [0, 1).
 
     Guide table (Chen and Asau 1974), built once for all the keys searched:
     M = 4 cum.size buckets of width 1/M, so that u M and b / M are exact.
     Bucket b = floor(u M) holds the number of entries below its left edge
-    b / M, a lower bound on the answer for every key in it; the few keys
-    with more entries below them step forward one entry at a time.  Where
-    f0 is small a bucket spans many entries: with one bucket per entry the
-    scan takes about 1 / min f0 passes, with four buckets about a quarter
-    of that.
+    b / M (`_guide_table`, counted, not searched), a lower bound on the
+    answer for every key in it; the few keys with more entries below them
+    step forward one entry at a time.  Where f0 is small a bucket spans
+    many entries: with one bucket per entry the scan takes about
+    1 / min f0 passes, with four buckets about a quarter of that.
     """
     M = 4 * cum.size
-    start = np.searchsorted(cum, np.arange(M) / M)
+    start = _guide_table(cum, M)
     ext = np.append(cum, np.inf)
 
     def search(u: np.ndarray) -> np.ndarray:
@@ -208,30 +223,39 @@ def histogram_posterior(alphas, counts) -> np.ndarray:
 
 
 def _log_gamma_draws(rng: np.random.Generator, shapes: np.ndarray, m: int) -> np.ndarray:
-    """(m, K) log-Gamma(shape, 1) draws, safe for tiny shapes.
+    """(m, K) log-Gamma(shape, 1) draws, safe for tiny shapes, in Fortran
+    (bin-major) order.
 
-    Bins with shape >= 0.1 use the library sampler; below that the boost
-    G_a = G_{a+1} U^{1/a} is applied in log space, which never underflows.
-    Each group is one (m, bins) draw, read from the stream in row order.
+    Bins with shape >= 0.1 use the library sampler (`standard_gamma`, the
+    bits of `gamma(shape, 1.0)` without its scale pass); below that the
+    boost G_a = G_{a+1} U^{1/a} is applied in log space, which never
+    underflows.  Each group is one (m, bins) draw, read from the stream in
+    row order.
     """
     tiny = np.finfo(float).tiny
     big = shapes >= 0.1
     if big.all():
-        out = rng.gamma(shapes, size=(m, shapes.size))
+        out = np.asfortranarray(rng.standard_gamma(shapes, size=(m, shapes.size)))
         return np.log(np.clip(out, tiny, None, out=out), out=out)
-    out = np.empty((m, shapes.size))
+    out = np.empty((m, shapes.size), order="F")
     if big.any():
-        g = rng.gamma(shapes[big], size=(m, np.count_nonzero(big)))
+        g = rng.standard_gamma(shapes[big], size=(m, np.count_nonzero(big)))
         out[:, big] = np.log(np.clip(g, tiny, None, out=g), out=g)
     a = shapes[~big]
-    g1 = rng.gamma(a + 1.0, size=(m, a.size))
+    g1 = rng.standard_gamma(a + 1.0, size=(m, a.size))
     u = rng.uniform(size=g1.shape)
     out[:, ~big] = np.log(np.clip(g1, tiny, None, out=g1), out=g1) + np.log(u, out=u) / a
     return out
 
 
 def dirichlet_draws(rng: np.random.Generator, params: np.ndarray, m: int) -> np.ndarray:
-    """(m, K) rows on the simplex via normalized independent Gamma variates."""
+    """(m, K) rows on the simplex via normalized independent Gamma variates.
+
+    The rows are kept in Fortran (bin-major) order, as `_log_gamma_draws`
+    gives them: a histogram has only 4-32 bins, and each row's max, sum
+    and divide then run over m contiguous values per bin instead of many
+    short rows.  A row's sum adds its bins in order.
+    """
     w = _log_gamma_draws(rng, np.asarray(params, dtype=float), m)
     w -= w.max(axis=1, keepdims=True)
     np.exp(w, out=w)
@@ -243,8 +267,8 @@ def dirichlet_draws(rng: np.random.Generator, params: np.ndarray, m: int) -> np.
 def draw_histogram_values(params: np.ndarray, m: int, seed: int) -> np.ndarray:
     """(m, 2^L) posterior density draws from the 2^L Dirichlet parameters
     `params` (`histogram_posterior`): the bin values omega_k 2^L of each
-    draw, a step function on the 2^L dyadic bins.  `m` must be an integer
-    >= 1 (ValueError)."""
+    draw, a step function on the 2^L dyadic bins, in the Fortran order of
+    `dirichlet_draws`.  `m` must be an integer >= 1 (ValueError)."""
     check_number("draw count m", m, integer=True, minimum=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(13,)))
     w = dirichlet_draws(rng, params, m)
@@ -608,7 +632,11 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
     (rows, K) scratch taken once per call: fresh MiB temporaries per block
     can be handed back to the kernel when freed and fault their pages back
     in on the next block.  The arithmetic, and so every loss bit, is the
-    same as with fresh arrays.
+    same as with fresh arrays.  The scratch takes the memory order of the
+    draws, so Fortran-ordered histogram draws (`dirichlet_draws`) are
+    reduced a contiguous bin column at a time.  The order changes only how
+    a row's squares are summed: the sup loss is the same in either order,
+    and the L2 and Hellinger losses agree to rounding.
     """
     if len(draws) == 0:
         raise ValueError("need at least one draw")
@@ -636,7 +664,8 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
     if densities:
         root_mean, root_css = moments(np.sqrt(np.clip(blocks, 0.0, None)))
     row_blocks = _row_blocks(*draws.shape)
-    scratch = np.empty((max(b.stop - b.start for b in row_blocks), K))
+    scratch = np.empty((max(b.stop - b.start for b in row_blocks), K),
+                       order="F" if np.isfortran(draws) else "C")
 
     def losses(c):
         w = np.subtract(c, lo, out=scratch[:len(c)])

@@ -167,6 +167,20 @@ class TestSimulate:
         bad.write_text("{not json")
         assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda p: p.mkdir(), "cannot read config"),
+        (lambda p: p.write_bytes(b'{"model": "\xff"}'), "config is not UTF-8"),
+    ], ids=["directory", "invalid-utf8"])
+    def test_unreadable_config_exits_2_before_work(self, make, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        make(path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
     def test_spec_errors_exit_2_before_work(self, name, tmp_path, capsys):
         path = tmp_path / "bad.json"

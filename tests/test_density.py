@@ -65,11 +65,29 @@ class TestGuidedSearch:
             rng.uniform(size=200),
         ])
 
+    @staticmethod
+    def check_table(cum):
+        M = 4 * cum.size
+        table = dens._guide_table(cum, M)
+        np.testing.assert_array_equal(table, np.searchsorted(cum, np.arange(M) / M))
+        assert table.dtype == np.intp
+
     def check(self, w, seed=0):
         w = np.asarray(w, dtype=float)
         cum = np.cumsum(w / w.sum())
+        self.check_table(cum)
         u = self.keys(cum, np.random.default_rng(seed))
         assert np.array_equal(dens._guided_search(cum)(u), np.searchsorted(cum, u, side="left"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights, st.sampled_from([1.0, np.nextafter(1.0, 0.0)]))
+    def test_counted_table_with_last_entry_at_or_below_one(self, w, last):
+        # the counted guide table against one binary search per bucket edge,
+        # with cum[-1] exactly 1 and one ulp below it
+        w = np.asarray(w, dtype=float)
+        cum = np.minimum(np.cumsum(w / w.sum()), last)
+        cum[-1] = last
+        self.check_table(cum)
 
     @settings(max_examples=300, deadline=None)
     @given(weights, st.integers(0, 2 ** 32 - 1))
@@ -370,10 +388,13 @@ class TestDirichletDraws:
     ])
     @pytest.mark.parametrize("m", [1, 9])
     def test_bin_masks_match_the_draw_masks(self, shapes, m):
+        # the oracle draws with rng.gamma(shape) in C order; the draws are
+        # its bits, laid out bin-major
         shapes = np.array(shapes)
         got = dens._log_gamma_draws(np.random.default_rng(m), shapes, m)
         want = reference_log_gamma_draws(np.random.default_rng(m), shapes, m)
         np.testing.assert_array_equal(got, want)
+        assert got.flags.f_contiguous
 
 
 NAN, INF = float("nan"), float("inf")
@@ -716,6 +737,25 @@ class TestStepLosses:
         np.testing.assert_allclose(step.per_draw[1:], grid.per_draw[1:], rtol=1e-12, atol=0)
         assert step.l2 == pytest.approx(grid.l2, rel=1e-12)
         assert step.hellinger == pytest.approx(grid.hellinger, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 4, 32])
+    def test_fortran_rows_match_c_rows(self, monkeypatch, f0, K):
+        # the scratch follows the draws' order, which moves only the order of
+        # each row's sum of squares
+        monkeypatch.setattr(dens, "_BLOCK_VALUES", 2 ** 10)
+        params = dens.histogram_posterior(np.full(K, 0.5), np.arange(K) % 3)
+        F = dens.draw_histogram_values(params, 1500, seed=K)
+        C = np.ascontiguousarray(F)
+        assert F.flags.f_contiguous and C.flags.c_contiguous
+        assert len(dens._row_blocks(*F.shape)) > 1
+        for densities in (True, False):
+            f, c = (dens.posterior_expected_losses(d, f0, densities) for d in (F, C))
+            assert (f.sup, f.q90_sup) == (c.sup, c.q90_sup)
+            np.testing.assert_array_equal(f.per_draw[0], c.per_draw[0])
+            np.testing.assert_allclose(f.per_draw[1:], c.per_draw[1:], rtol=1e-15, atol=0)
+            assert f.l2 == pytest.approx(c.l2, rel=1e-15, abs=0)
+            if densities:
+                assert f.hellinger == pytest.approx(c.hellinger, rel=1e-15, abs=0)
 
     def test_negative_entries_raise(self, f0):
         c = np.ones((4, 32))
