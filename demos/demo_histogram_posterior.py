@@ -25,7 +25,7 @@ truth = make_density_truth(HolderTruthSpec(alpha=0.75, radius=1.0, seed=1), basi
 print(f"truth density range: [{truth.values.min():.3f}, {truth.values.max():.3f}], "
       f"integral {truth.quad():.6f}")
 
-sample = sample_data(truth, n=4000, seed=2)
+sample = sample_data(truth, n=4000, seed=2)  # counts on the 2^12 grid cells
 L = 4
 counts = bin_counts(sample, L)
 alphas = np.ones(2 ** L)  # the flat Dirichlet prior, alpha_k = 1 on 2^L bins

@@ -23,7 +23,6 @@ from .functions import (
 )
 from .whitenoise import (
     ProductPriorSpec,
-    WhiteNoiseData,
     coord_posterior,
     draw_posterior_coefficients,
     laplace_check,
@@ -33,11 +32,11 @@ from .density import (
     LogDensityPriorSpec,
     McmcChain,
     McmcConfig,
-    Sample,
     bin_counts,
     draw_histogram_values,
     histogram_posterior,
     logdensity_mcmc,
+    point_counts,
     posterior_expected_losses,
     sample_data,
 )
@@ -55,11 +54,11 @@ __all__ = [
     "GridFunction",
     "WaveletBasis", "WaveletIndex", "build_basis", "level_slice",
     "HolderTruthSpec", "make_density_truth", "make_holder_truth",
-    "ProductPriorSpec", "WhiteNoiseData", "coord_posterior",
+    "ProductPriorSpec", "coord_posterior",
     "draw_posterior_coefficients", "laplace_check", "simulate_wn",
-    "LogDensityPriorSpec", "McmcChain", "McmcConfig", "Sample", "bin_counts",
+    "LogDensityPriorSpec", "McmcChain", "McmcConfig", "bin_counts",
     "draw_histogram_values", "histogram_posterior",
-    "logdensity_mcmc", "posterior_expected_losses",
+    "logdensity_mcmc", "point_counts", "posterior_expected_losses",
     "sample_data",
     "ExperimentConfig", "LossRecord", "RateFit", "cutoff", "fit_rate",
     "run_experiment", "target_exponent",

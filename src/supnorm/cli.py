@@ -84,13 +84,17 @@ def parse_config(
 
 def cmd_simulate(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    made = False  # whether this call created --out
     try:
         cfg, echo = parse_config(args.config, os.environ.get("SUPNORM_SEED"), args.threads)
         # a truth the run cannot use is a config error, so the truths are
         # checked before any output (the run makes them again, in milliseconds)
         basis = plan_basis(cfg)
         plan_truths(cfg, basis)
+        # made before the run, so that an unwritable path fails fast
+        existed = os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)
+        made = not existed
         records = run_experiment(cfg, basis)
         csv_path = os.path.join(args.out, "records.csv")
         write_records(csv_path, records)
@@ -110,12 +114,17 @@ def cmd_simulate(args) -> int:
             fh.write("\n")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as e:  # noqa: BLE001 - the CLI contract maps these to exit 3
         print(f"runtime error: {e}", file=sys.stderr)
-        return 3
-    print(csv_path)
-    return 0
+        code = 3
+    else:
+        print(csv_path)
+        return 0
+    # a failed run leaves no empty output directory of its own making
+    if made and not os.listdir(args.out):
+        os.rmdir(args.out)
+    return code
 
 
 def cmd_fit_rate(args) -> int:

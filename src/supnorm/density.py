@@ -1,9 +1,11 @@
 """Density estimation on [0, 1]: dyadic histogram and log-density posteriors.
 
 Both likelihoods see the data only through its counts on dyadic cells, so a
-`Sample` is those counts on f0's 2^J grid, never the n points:
-`sample_data` draws inverse-CDF keys a chunk at a time and adds up the
-cells they fall in, and `bin_counts` sums the counts to a coarser level.
+sample is the (2^J,) integer array of those counts on f0's grid, never the
+n points: `sample_data` draws inverse-CDF keys a chunk at a time and adds
+up the cells they fall in, `point_counts` counts given points, and
+`bin_counts`, the one reader of a sample in both models, checks the counts
+and sums them to a coarser level.
 
 The histogram model is conjugate: a Dirichlet prior on the 2^L bin masses
 updates by bin counts, and posterior draws are normalized independent Gamma
@@ -65,49 +67,6 @@ class NonDensityError(ValueError):
     """Input function is not a probability density on the grid."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """n i.i.d. observations in [0, 1], kept as their counts on a dyadic grid.
-
-    `counts[k]` is the number of observations in the cell
-    (k 2^-J, (k+1) 2^-J] of the 2^J = `counts.size` cells, with 0 counted
-    in the first cell; n is their sum.  Both density likelihoods read the
-    data only through counts at level J or coarser (`bin_counts`).
-    """
-
-    counts: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        if c.ndim != 1 or not c.size or c.size & (c.size - 1):
-            raise ValueError(f"counts must be a 1-D array of 2^J cells (got shape {c.shape})")
-        if c.dtype.kind not in "iu" or c.min() < 0:
-            raise ValueError("counts must be non-negative integers")
-        object.__setattr__(self, "counts", c)
-
-    @classmethod
-    def from_points(cls, values, J: int) -> "Sample":
-        """The sample of the points `values` in [0, 1], counted on the 2^J grid."""
-        check_number("J", J, integer=True, minimum=0)
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"observations must be a 1-D array (got shape {v.shape})")
-        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # a NaN min or max fails
-            raise ValueError("observations must be finite and lie in [0, 1]")
-        N = 2 ** J
-        k = np.ceil(v * N).astype(np.intp) - 1
-        return cls(np.bincount(np.clip(k, 0, N - 1, out=k), minlength=N))
-
-    @property
-    def resolution(self) -> int:
-        """J, the level of the grid the counts are kept on."""
-        return self.counts.size.bit_length() - 1
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-
 def check_density(f0: GridFunction) -> None:
     """Raise `NonDensityError` unless f0 is a density on its grid: no value
     below -1e-12, and a midpoint-rule integral within 1e-6 of 1."""
@@ -120,8 +79,9 @@ def check_density(f0: GridFunction) -> None:
 _CHUNK = 2 ** 15
 
 
-def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
-    """n i.i.d. draws from the grid density f0, counted on f0's grid.
+def sample_data(f0: GridFunction, n: int, seed: int) -> np.ndarray:
+    """The (2^J,) counts of n i.i.d. draws from the grid density f0 on the
+    cells (k 2^-J, (k+1) 2^-J] of its grid.
 
     A draw is an inverse-CDF key u; its cell is the number of CDF entries
     below u, found exactly by `_guided_search`, and a key above cum[-1]
@@ -142,7 +102,21 @@ def sample_data(f0: GridFunction, n: int, seed: int) -> Sample:
         # keys drawn a chunk at a time are the keys of one draw of n
         cells = search(rng.random(min(_CHUNK, n - done)))
         counts += np.bincount(np.minimum(cells, N - 1, out=cells), minlength=N)
-    return Sample(counts)
+    return counts
+
+
+def point_counts(values, J: int) -> np.ndarray:
+    """The (2^J,) counts of the points `values` in [0, 1] on the cells
+    (k 2^-J, (k+1) 2^-J], with 0 counted in the first cell."""
+    check_number("J", J, integer=True, minimum=0)
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"observations must be a 1-D array (got shape {v.shape})")
+    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # a NaN min or max fails
+        raise ValueError("observations must be finite and lie in [0, 1]")
+    N = 2 ** J
+    k = np.ceil(v * N).astype(np.intp) - 1
+    return np.bincount(np.clip(k, 0, N - 1, out=k), minlength=N)
 
 
 def _guide_table(cum: np.ndarray, M: int) -> np.ndarray:
@@ -188,19 +162,27 @@ def _guided_search(cum: np.ndarray):
     return search
 
 
-def bin_counts(sample: Sample, L: int) -> np.ndarray:
+def bin_counts(counts, L: int) -> np.ndarray:
     """Counts over the dyadic partition at level L, for 0 <= L <= J, the
-    sample's level: the sums of its counts over 2^(J-L) cells at a time.
+    level of the sample `counts` (non-negative integers on 2^J cells): the
+    sums of the counts over 2^(J-L) cells at a time.
 
     Bins are (k 2^{-L}, (k+1) 2^{-L}], closed to the left at k = 0; each is
     a union of the sample's cells, so the sums are exact.  This is the one
-    binning rule of both density models: the histogram's Dirichlet update
-    reads it at its level L_n, and the log-density sampler on the basis blocks.
+    binning rule, and the one check of a sample, of both density models: the
+    histogram's Dirichlet update reads it at its level L_n, and the
+    log-density sampler on the basis blocks.
     """
+    c = np.asarray(counts)
+    if c.ndim != 1 or not c.size or c.size & (c.size - 1):
+        raise ValueError(f"counts must be a 1-D array of 2^J cells (got shape {c.shape})")
+    if c.dtype.kind not in "iu" or c.min() < 0:
+        raise ValueError("counts must be non-negative integers")
     check_number("L", L, integer=True, minimum=0)
-    if L > sample.resolution:
-        raise ValueError(f"level L={L} is finer than the sample's grid J={sample.resolution}")
-    return sample.counts.reshape(2 ** L, -1).sum(axis=1)
+    J = c.size.bit_length() - 1
+    if L > J:
+        raise ValueError(f"level L={L} is finer than the sample's grid J={J}")
+    return c.reshape(2 ** L, -1).sum(axis=1)
 
 
 def histogram_posterior(alphas, counts) -> np.ndarray:
@@ -314,8 +296,17 @@ class LogDensityPriorSpec:
                 f"gaussian log-density prior requires 0 < r <= alpha - 1/4 "
                 f"(got r={self.r}, alpha={self.alpha})"
             )
-        if self.law == "heavy-tail" and not 0.0 <= self.tau < 1.0:
-            raise ValueError("heavy-tail prior requires 0 <= tau < 1")
+        if self.law == "heavy-tail":
+            if not 0.0 <= self.tau < 1.0:
+                raise ValueError("heavy-tail prior requires 0 <= tau < 1")
+            # a draw is W^beta - 1 with beta = 1/(1 - tau) and W ~ Gamma(beta), rarely
+            # above beta + 10 sqrt(beta); past exp(709.78), the float maximum, it overflows
+            beta = 1.0 / (1.0 - self.tau)
+            if beta * math.log(beta + 10.0 * math.sqrt(beta)) > 709.78:
+                raise ValueError(
+                    f"heavy-tail prior with tau={self.tau} draws coefficients that "
+                    "overflow a float: tau must be below about 0.9922"
+                )
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
 
@@ -414,14 +405,14 @@ class McmcChain:
         ))
 
 
-def _level_moves(prior: LogDensityPriorSpec, sample: Sample, B: np.ndarray) -> list:
+def _level_moves(prior: LogDensityPriorSpec, counts: np.ndarray, B: np.ndarray) -> list:
     """(slice, [R_l | s_l]) per level of the (R, K) wavelet columns B on R
     equal dyadic blocks: a move of the level's standardized coefficients by
     d changes T by d @ R_l, with R_l = sigma_l times the level's wavelets as
-    (2^l, R) rows, and sum_i T(X_i) by d @ s_l, with s_l = R_l @ the sample's
-    counts on the R blocks.  s_l is column R of the contiguous (2^l, R + 1)
-    matrix, so one product gives both."""
-    counts = bin_counts(sample, len(B).bit_length() - 1).astype(float)
+    (2^l, R) rows, and sum_i T(X_i) by d @ s_l, with s_l = R_l @ the sample
+    `counts` summed to the R blocks (`bin_counts`).  s_l is column R of the
+    contiguous (2^l, R + 1) matrix, so one product gives both."""
+    counts = bin_counts(counts, len(B).bit_length() - 1).astype(float)
     moves = []
     for l in range(prior.cutoff_level + 1):
         sl = slice(2 ** l - 1, 2 ** (l + 1) - 1)
@@ -436,7 +427,7 @@ _REFRESH = 25
 
 def logdensity_mcmc(
     prior: LogDensityPriorSpec,
-    sample: Sample,
+    counts: np.ndarray,
     basis: WaveletBasis,
     cfg: McmcConfig | None = None,
     seed: int = 0,
@@ -483,8 +474,8 @@ def logdensity_mcmc(
     sigmas = np.concatenate(
         [np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)]
     )
-    levels = _level_moves(prior, sample, B)
-    n = float(sample.n)
+    levels = _level_moves(prior, counts, B)  # checks the counts
+    n = float(np.sum(counts))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     # the gaussian law's draw_standardized is rng.standard_normal itself, and

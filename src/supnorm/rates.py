@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import GridFunction, check_number
 from .functions import HolderTruthSpec, make_density_truth, make_holder_truth
-from .wavelets import WaveletBasis, build_basis, check_basis_args
+from .wavelets import WaveletBasis, build_basis, check_basis_args, level_slice
 from . import density as dens
 from . import whitenoise as wn
 
@@ -377,20 +377,20 @@ def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis,
 
     if cfg.model == "white-noise":
         prior = cfg.prior_spec(L_n + 2)
-        data = wn.simulate_wn(coeffs, n, data_seed, truncation_level=prior.truncation_level)
-        flat = wn.draw_posterior_coefficients(data, prior, cfg.draws, draw_seed)
+        x = wn.simulate_wn(coeffs[:level_slice(prior.truncation_level).stop], n, data_seed)
+        flat = wn.draw_posterior_coefficients(x, n, prior, cfg.draws, draw_seed)
         # Haar rows stay step functions on 2^(L_n+3) bins, reduced exactly per bin
         losses = dens.posterior_expected_losses(basis.synthesize_flat(flat), f0, densities=False)
         trunc_bias = wn.truncation_bias_bound(prior)
     else:
         prior = cfg.prior_spec(L_n)
-        sample = dens.sample_data(f0, n, data_seed)
+        counts = dens.sample_data(f0, n, data_seed)
         if cfg.model == "density-histogram":
-            params = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
+            params = dens.histogram_posterior(prior, dens.bin_counts(counts, L_n))
             values = dens.draw_histogram_values(params, cfg.draws, draw_seed)
             losses = dens.posterior_expected_losses(values, f0)
         else:
-            chain = dens.logdensity_mcmc(prior, sample, basis, cfg.mcmc, draw_seed)
+            chain = dens.logdensity_mcmc(prior, counts, basis, cfg.mcmc, draw_seed)
             losses = chain.expected_losses(basis, f0)
             flag = 0 if chain.converged else 1
 

@@ -1,6 +1,7 @@
 """Gaussian white noise sequence model with coordinate-wise product priors.
 
-Observations are noisy wavelet coefficients x_lk = f_lk + eps_lk / sqrt(n).
+Observations are noisy wavelet coefficients x_lk = f_lk + eps_lk / sqrt(n),
+kept as one flat vector x; the functions that read it take n beside it.
 The product structure makes the posterior factorize across coordinates, so
 each coordinate posterior is tabulated by quadrature on a theta grid:
 density proportional to exp(-n (x - theta)^2 / 2) * phi(theta / sigma_l).
@@ -89,18 +90,6 @@ class ProductPriorSpec:
         if self.family == "uniform":
             return self.bound
         return 50.0 ** (1.0 / (1.0 + self.delta))
-
-
-@dataclass(frozen=True)
-class WhiteNoiseData:
-    """Observed coefficients up to the truncation level, in the flat layout."""
-
-    n: int
-    x: np.ndarray = field(repr=False)  # length 2^(max_level + 1)
-
-    @property
-    def max_level(self) -> int:
-        return self.x.size.bit_length() - 2
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for its pool
@@ -199,36 +188,31 @@ def _coordinate_streams(seed: int, width: int) -> Iterator[np.random.Generator]:
     return (np.random.Generator(np.random.PCG64(state_row(row))) for row in state)
 
 
-def simulate_wn(
-    coeffs: np.ndarray,
-    n: int,
-    seed: int,
-    truncation_level: int | None = None,
-) -> WhiteNoiseData:
-    """x_lk = f_lk + eps_lk / sqrt(n), independent across (l, k).
+def _flat_level(v: np.ndarray) -> int:
+    """L of the flat vector v of width 2^(L+1); ValueError unless v is 1-D
+    with such a width."""
+    width = v.size
+    if v.ndim != 1 or width < 2 or width & (width - 1):
+        raise ValueError(f"array of shape {v.shape} is not one flat vector of width 2^(L+1)")
+    return width.bit_length() - 2
 
-    `coeffs` is the truth's flat coefficient vector (`basis.analyze(f0)`),
-    of width 2^(L_max + 1); observations stop at `truncation_level`
-    (>= 0; default L_max, at most L_max).  One RNG stream per coordinate,
-    keyed by (seed, level, position) (`_coordinate_streams`), so the
-    observation of a coordinate does not depend on the truncation level or
-    on evaluation order.  `n` must be an integer >= 1 (ValueError).
+
+def simulate_wn(coeffs: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """The observations x_lk = f_lk + eps_lk / sqrt(n), independent across
+    (l, k), of the truth's flat coefficient vector `coeffs` (`basis.analyze(f0)`),
+    with its width 2^(L+1).
+
+    One RNG stream per coordinate, keyed by (seed, level, position)
+    (`_coordinate_streams`), so the observations of a prefix of `coeffs`
+    (a truncation) are the prefix of its observations, bit for bit.  `n`
+    must be an integer >= 1 (ValueError).
     """
     check_number("n", n, integer=True, minimum=1)
-    coeffs = np.asarray(coeffs, dtype=float)
-    width = coeffs.size
-    if coeffs.ndim != 1 or width < 2 or width & (width - 1):
-        raise ValueError(
-            f"coefficients of shape {coeffs.shape} are not one flat vector of width 2^(L+1)"
-        )
-    L = width.bit_length() - 2
-    if truncation_level is not None:
-        check_number("truncation level", truncation_level, integer=True, minimum=0)
-        L = min(truncation_level, L)
-    x = coeffs[: level_slice(L).stop].copy()
+    x = np.array(coeffs, dtype=float)
+    _flat_level(x)
     noise = [g.standard_normal() for g in _coordinate_streams(seed, x.size)]
     x += (1.0 / np.sqrt(n)) * np.array(noise)
-    return WhiteNoiseData(n=n, x=x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -320,14 +304,16 @@ def coord_posterior(
 
 
 def draw_posterior_coefficients(
-    data: WhiteNoiseData,
+    x: np.ndarray,
+    n: int,
     prior: ProductPriorSpec,
     m: int,
     seed: int,
 ) -> np.ndarray:
-    """m independent coefficient vectors from the posterior, one per row.
+    """m independent coefficient vectors from the posterior given the flat
+    observations x (`simulate_wn`) at noise level n, one per row.
 
-    A row holds levels 0..L, L = min(data.max_level,
+    A row holds levels 0..L, L = min(the level of x,
     prior.truncation_level): the prefix of a flat vector that the truncated
     prior leaves non-zero, so the rows of `basis.synthesize_flat(flat)` are
     the posterior function draws.  Coordinate j is sampled by inverse CDF
@@ -337,45 +323,48 @@ def draw_posterior_coefficients(
     integer >= 1 (ValueError).
     """
     check_number("draw count m", m, integer=True, minimum=1)
-    L = min(data.max_level, prior.truncation_level)
+    x = np.asarray(x, dtype=float)
+    L = min(_flat_level(x), prior.truncation_level)
     flat = np.empty((m, level_slice(L).stop))
     for j, stream in enumerate(_coordinate_streams(seed, flat.shape[1])):
         # the scaling coordinate (j = 0) behaves like level 0
-        post = coord_posterior(float(data.x[j]), max(j.bit_length() - 1, 0), prior, data.n)
+        post = coord_posterior(float(x[j]), max(j.bit_length() - 1, 0), prior, n)
         flat[:, j] = post.sample(stream.random(m))
     return flat
 
 
 def laplace_check(
-    data,
+    x: np.ndarray,
+    n: int,
     prior: ProductPriorSpec,
     level: int,
     position: int,
     t: float,
 ) -> float:
-    """E^pi[exp(t sqrt(n) (theta - x_lk)) | data], averaged over replications.
+    """E^pi[exp(t sqrt(n) (theta - x_lk)) | x], averaged over replications.
 
-    `data` may be one WhiteNoiseData or a sequence of them; each term is a
-    quadrature on the coordinate posterior.  A level outside the observed
-    levels or a position outside 0..2^level - 1 raises ValueError, and so
-    does a t with |t| > 3 or t = NaN.
+    `x` is one flat observation vector (`simulate_wn`) or a (replications,
+    width) array of them, all at noise level n; each term is a quadrature
+    on the coordinate posterior.  An x of another shape, a level outside
+    the observed levels or a position outside 0..2^level - 1 raises
+    ValueError, and so does a t with |t| > 3 or t = NaN.
     """
     if not abs(t) <= 3.0 + 1e-12:
         raise ValueError("|t| <= 3 required")
-    datas = [data] if isinstance(data, WhiteNoiseData) else list(data)
-    if not datas:
-        raise ValueError("need at least one WhiteNoiseData")
+    xs = np.asarray(x, dtype=float)
+    rows = xs if xs.ndim == 2 else xs[None]
+    if not len(rows):
+        raise ValueError("need at least one observation vector")
+    top = _flat_level(rows[0])
     WaveletIndex(level, position)  # ValueError for a negative level or a bad position
-    j = level_slice(level).start + position
-    top = min(d.max_level for d in datas)
     if level > top:
         raise ValueError(f"level {level} is beyond the observed levels 0..{top}")
+    j = level_slice(level).start + position
+    root_n = np.sqrt(n)
     vals = []
-    for d in datas:
-        x = float(d.x[j])
-        post = coord_posterior(x, level, prior, d.n)
-        root_n = np.sqrt(d.n)
-        vals.append(post.expectation(lambda th: np.exp(t * root_n * (th - x))))
+    for xj in rows[:, j].tolist():
+        post = coord_posterior(xj, level, prior, n)
+        vals.append(post.expectation(lambda th: np.exp(t * root_n * (th - xj))))
     return float(np.mean(vals))
 
 

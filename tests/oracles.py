@@ -201,8 +201,8 @@ def _reference_cell(cfg, basis, truth, n, rep):
     if cfg.model == "white-noise":
         L_trunc = min(L_n + 2, basis.L_max)
         prior = cfg.prior_spec(L_trunc)
-        data = wn.simulate_wn(coeffs, n, data_seed, truncation_level=L_trunc)
-        flat = wn.draw_posterior_coefficients(data, prior, cfg.draws, draw_seed)
+        x = wn.simulate_wn(coeffs[:level_slice(L_trunc).stop], n, data_seed)
+        flat = wn.draw_posterior_coefficients(x, n, prior, cfg.draws, draw_seed)
         values = basis.synthesize_flat(flat)
         losses = dens.posterior_expected_losses(values, f0, densities=False)
         return rates.LossRecord(
@@ -213,8 +213,8 @@ def _reference_cell(cfg, basis, truth, n, rep):
 
     if cfg.model == "density-histogram":
         prior = cfg.prior_spec(L_n)
-        sample = dens.sample_data(f0, n, data_seed)
-        params = dens.histogram_posterior(prior, dens.bin_counts(sample, L_n))
+        counts = dens.sample_data(f0, n, data_seed)
+        params = dens.histogram_posterior(prior, dens.bin_counts(counts, L_n))
         values = dens.draw_histogram_values(params, cfg.draws, draw_seed)
         losses = dens.posterior_expected_losses(values, f0, densities=True)
         return rates.LossRecord(
@@ -224,8 +224,8 @@ def _reference_cell(cfg, basis, truth, n, rep):
         )
 
     prior = cfg.prior_spec(min(L_n, basis.L_max))
-    sample = dens.sample_data(f0, n, data_seed)
-    chain = dens.logdensity_mcmc(prior, sample, basis, cfg.mcmc, draw_seed)
+    counts = dens.sample_data(f0, n, data_seed)
+    chain = dens.logdensity_mcmc(prior, counts, basis, cfg.mcmc, draw_seed)
     losses = chain.expected_losses(basis, f0)
     return rates.LossRecord(
         cfg.model, cfg.prior_label, cfg.alpha, n, rep,

@@ -120,7 +120,7 @@ def test_criterion_4_mcmc_vs_conjugate():
     # 2-bin histogram in log parametrization: logistic coefficient with
     # sigma_0 = 1/2 pushes forward to the uniform D(1,1) prior on bin mass
     basis = build_basis("haar", 0, 8)
-    sample = dens.Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), basis.resolution)
+    sample = dens.point_counts(np.array([0.1, 0.2, 0.3, 0.7]), basis.resolution)
     assert dens.bin_counts(sample, 1).tolist() == [3, 1]
     prior = dens.LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)
     chain = dens.logdensity_mcmc(prior, sample, basis, dens.McmcConfig(), seed=5)
@@ -144,18 +144,19 @@ def test_criterion_5_laplace_transform_bound():
         prior = wn.ProductPriorSpec(
             "uniform", 1.0, truncation_level=L_n + 2, bound=2.0
         )
-        datas = []
-        for rep in range(reps):
-            f0 = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=rep), basis)
-            datas.append(
-                wn.simulate_wn(basis.analyze(f0), n, seed=10_000 + rep,
-                               truncation_level=L_n + 2)
+        # the basis stops at the truncation level L_n + 2, so x observes levels 0..L_n + 2
+        x = np.array([
+            wn.simulate_wn(
+                basis.analyze(make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=rep), basis)),
+                n, seed=10_000 + rep,
             )
+            for rep in range(reps)
+        ])
         worst = 0.0
         for t in (-2.0, -1.0, 1.0, 2.0):
             for l in range(L_n + 1):
                 for k in range(2 ** l):
-                    est = wn.laplace_check(datas, prior, l, k, t)
+                    est = wn.laplace_check(x, n, prior, l, k, t)
                     worst = max(worst, est / np.exp(t * t / 2.0))
         ratios[n] = worst
     assert max(ratios.values()) <= 10.0

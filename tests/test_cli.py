@@ -259,6 +259,43 @@ class TestSimulate:
         rc = main(["simulate", tiny_config, "--out", str(blocker)])
         assert rc == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("existed", [False, True], ids=["new-out", "existing-out"])
+    def test_run_time_failure_leaves_no_empty_out_of_its_own(self, existed, tmp_path, capsys):
+        # the exp-power quadrature of a coordinate far outside the prior's
+        # mass underflows; that is found only at run time, after --out is made
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps({
+            "model": "white-noise", "alpha": 1.0, "prior_family": "exp-power",
+            "grid_resolution": 8, "n_grid": [64, 256, 1024], "replications": 1, "radius": 1e200,
+        }))
+        out = tmp_path / "out"
+        if existed:
+            out.mkdir()
+        assert main(["simulate", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: posterior mass underflows at level 0" in err
+        assert "Traceback" not in err
+        assert out.exists() == existed
+
+    @pytest.mark.parametrize("tau, rc", [(0.99, 0), (0.992, 0), (0.993, 2), (0.995, 2), (0.999, 2)])
+    def test_heavy_tail_tau_that_cannot_be_drawn_exits_2_before_work(self, tau, rc, tmp_path, capsys):
+        # from tau = 0.993 heavy-tail draws overflow a float, so a chain would run on NaN
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({
+            **LOGD, "coefficient_law": "heavy-tail", "tau": tau, "grid_resolution": 8,
+            "n_grid": [64, 256, 1024], "replications": 1,
+            "mcmc": {"iterations": 300, "burn_in": 100},
+        }))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert "nan" not in (out / "records.csv").read_text()
+        else:
+            assert f"config error: heavy-tail prior with tau={tau}" in err
+            assert not out.exists()
+
     def test_env_seed_override(self, tiny_config, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", tiny_config, "--out", str(out1)])

@@ -126,10 +126,9 @@ def histogram_truth():
     return make_density_truth(cfg.truth_spec(0), plan_basis(cfg))
 
 
-def point_counts(f0, n, seed):
-    """The counts of the oracle's points, binned by `Sample.from_points`."""
-    J = f0.resolution
-    return dens.bin_counts(dens.Sample.from_points(sample_points(f0, n, seed), J), J)
+def oracle_counts(f0, n, seed):
+    """The counts of the oracle's points, binned by `point_counts`."""
+    return dens.point_counts(sample_points(f0, n, seed), f0.resolution)
 
 
 class TestSampleData:
@@ -144,15 +143,15 @@ class TestSampleData:
         )
         f0 = make_density_truth(cfg.truth_spec(0), plan_basis(cfg))
         got = dens.sample_data(f0, 2 ** 18, seed)
-        np.testing.assert_array_equal(got.counts, point_counts(f0, 2 ** 18, seed))
+        np.testing.assert_array_equal(got, oracle_counts(f0, 2 ** 18, seed))
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("n", [0, 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 18 + 12345])
     def test_chunked_counts_match_the_point_path(self, histogram_truth, n, seed):
         # below, at and above one chunk of keys, and a ragged last chunk
         got = dens.sample_data(histogram_truth, n, seed)
-        assert got.n == n and got.resolution == 12
-        np.testing.assert_array_equal(got.counts, point_counts(histogram_truth, n, seed))
+        assert got.sum() == n and got.shape == (2 ** 12,) and got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, oracle_counts(histogram_truth, n, seed))
 
     def test_memory_does_not_grow_with_n(self, histogram_truth):
         # the point path held 25 MiB of points and temporaries at n = 2^20
@@ -171,7 +170,7 @@ class TestSampleData:
 
     def test_zero_n_gives_an_empty_sample(self, J):
         s = dens.sample_data(constant(J), 0, seed=0)
-        assert s.n == 0 and s.counts.tolist() == [0] * 2 ** J
+        assert s.tolist() == [0] * 2 ** J
 
     def test_uniform_ks(self, J):
         # the empirical cdf is known at the cell edges, where it is the
@@ -179,9 +178,9 @@ class TestSampleData:
         n = 10_000
         s = dens.sample_data(constant(J), n, seed=0)
         edges = np.arange(1, 2 ** J + 1) / 2 ** J
-        ks = np.abs(np.cumsum(s.counts) / n - edges).max()
+        ks = np.abs(np.cumsum(s) / n - edges).max()
         assert ks < 1.63 / np.sqrt(n)
-        assert stats.chisquare(s.counts).pvalue > 1e-3
+        assert stats.chisquare(s).pvalue > 1e-3
 
     def test_two_bin_frequencies(self, two_bin):
         n = 10_000
@@ -192,7 +191,7 @@ class TestSampleData:
     def test_determinism(self, J):
         a = dens.sample_data(constant(J), 100, seed=5)
         b = dens.sample_data(constant(J), 100, seed=5)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
 
     def test_rejects_non_density(self, J):
         with pytest.raises(dens.NonDensityError):
@@ -203,12 +202,12 @@ class TestBinCounts:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
     def test_observation_outside_unit_interval_refused(self, bad):
         with pytest.raises(ValueError, match="observations"):
-            dens.Sample.from_points(np.array([0.5, bad]), 4)
+            dens.point_counts(np.array([0.5, bad]), 4)
 
     @pytest.mark.parametrize("values", [[[0.1, 0.2], [0.3, 0.7]], 0.5, [[0.5]]])
     def test_observations_not_one_dimensional_refused(self, values):
         with pytest.raises(ValueError, match="observations must be a 1-D array"):
-            dens.Sample.from_points(np.array(values), 4)
+            dens.point_counts(np.array(values), 4)
 
     @pytest.mark.parametrize("counts, message", [
         (np.zeros((2, 2), dtype=int), "1-D array of 2"),
@@ -219,22 +218,23 @@ class TestBinCounts:
         (np.array([True, False]), "non-negative integers"),
     ])
     def test_bad_counts_refused(self, counts, message):
+        # the sample is checked before the level: L = 0 is valid for every grid
         with pytest.raises(ValueError, match=message):
-            dens.Sample(counts)
+            dens.bin_counts(counts, 0)
 
     @pytest.mark.parametrize("J", [-1, 2.5, True])
     def test_bad_point_grid_refused(self, J):
         with pytest.raises(ValueError, match="J must be"):
-            dens.Sample.from_points(np.array([0.5]), J)
+            dens.point_counts(np.array([0.5]), J)
 
     def test_spec_example(self):
-        s = dens.Sample.from_points(np.array([0.1, 0.6, 0.7]), 4)
-        assert s.n == 3
+        s = dens.point_counts(np.array([0.1, 0.6, 0.7]), 4)
+        assert s.sum() == 3
         assert dens.bin_counts(s, 1).tolist() == [1, 2]
 
     def test_empty_sample(self):
-        s = dens.Sample.from_points(np.empty(0), 3)
-        assert s.n == 0 and dens.bin_counts(s, 3).tolist() == [0] * 8
+        s = dens.point_counts(np.empty(0), 3)
+        assert s.sum() == 0 and dens.bin_counts(s, 3).tolist() == [0] * 8
 
     def test_refinement_consistency(self, J):
         s = dens.sample_data(constant(J), 500, seed=2)
@@ -245,16 +245,30 @@ class TestBinCounts:
     def test_boundary_convention(self):
         # 0 belongs to bin 0; bin boundaries belong to the left bin
         for J in (1, 4):
-            s = dens.Sample.from_points(np.array([0.0, 0.5, 1.0]), J)
+            s = dens.point_counts(np.array([0.0, 0.5, 1.0]), J)
             assert dens.bin_counts(s, 1).tolist() == [2, 1]
 
     def test_matches_the_edge_search(self, J):
         # random points, every cell edge of the grid, and both ends
         pts = np.r_[sample_points(constant(J), 3000, 4), np.arange(2 ** J + 1) / 2 ** J]
-        s = dens.Sample.from_points(pts, J)
-        assert s.n == pts.size
+        s = dens.point_counts(pts, J)
+        assert s.sum() == pts.size
         for L in (0, 1, 5, J):
             np.testing.assert_array_equal(dens.bin_counts(s, L), grid_counts(pts, L))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 12),
+        st.lists(st.floats(0.0, 1.0), max_size=40),
+        st.lists(st.integers(0, 2 ** 12), max_size=20),
+    )
+    def test_point_counts_match_the_edge_search(self, J, points, edges):
+        # arbitrary points, points exactly on cell edges k 2^-J, and both ends
+        N = 2 ** J
+        pts = np.array(points + [k % (N + 1) / N for k in edges] + [0.0, 1.0])
+        got = dens.point_counts(pts, J)
+        assert got.shape == (N,) and got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, grid_counts(pts, J))
 
     @pytest.mark.parametrize("L, message", [
         (11, "level L=11 is finer than the sample's grid J=10"),
@@ -413,10 +427,6 @@ def _hist_config(dirichlet_alpha):
                             dirichlet_alpha=dirichlet_alpha)
 
 
-def _simulate(level):
-    return wn.simulate_wn(np.zeros(4), 100, 1, truncation_level=level)
-
-
 SPEC_NUMBER_CASES = {
     "hist-nan-alpha": (lambda: _hist(np.full(4, NAN)), "Dirichlet parameters"),
     "hist-inf-alpha": (lambda: _hist(np.full(4, INF)), "Dirichlet parameters"),
@@ -446,9 +456,6 @@ SPEC_NUMBER_CASES = {
     "truth-float-seed": (lambda: HolderTruthSpec(1.0, seed=1.5), "seed"),
     "truth-bool-seed": (lambda: HolderTruthSpec(1.0, seed=True), "seed"),
     "truth-negative-seed": (lambda: HolderTruthSpec(1.0, seed=-1), "seed"),
-    "simulate-float-truncation": (lambda: _simulate(1.5), "truncation level"),
-    "simulate-bool-truncation": (lambda: _simulate(True), "truncation level"),
-    "simulate-negative-truncation": (lambda: _simulate(-1), "truncation level"),
 }
 
 
@@ -530,7 +537,7 @@ class TestMcmc:
         basis = build_basis("boundary-smooth", 3, 9)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=2, r=0.5)
         cfg = dens.McmcConfig(iterations=12_000, burn_in=2_000, thin=2)
-        empty = dens.Sample.from_points(np.empty(0), basis.resolution)
+        empty = dens.point_counts(np.empty(0), basis.resolution)
         chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=0)
         states = chain.states
         for l in range(prior.cutoff_level + 1):
@@ -539,7 +546,7 @@ class TestMcmc:
 
     def test_two_bin_conjugate_oracle(self):
         basis = build_basis("haar", 0, 8)
-        sample = dens.Sample.from_points(np.array([0.1, 0.2, 0.3, 0.7]), basis.resolution)
+        sample = dens.point_counts(np.array([0.1, 0.2, 0.3, 0.7]), basis.resolution)
         prior = dens.LogDensityPriorSpec("logistic", alpha=1.0, cutoff_level=0, scale=0.5)
         chain = dens.logdensity_mcmc(prior, sample, basis, dens.McmcConfig(), seed=5)
         vals = chain.density_values(basis)
@@ -550,7 +557,19 @@ class TestMcmc:
         basis = build_basis("haar", 2, 8)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=3, r=0.5)
         with pytest.raises(ValueError, match="cutoff level 3 beyond basis L_max=2"):
-            dens.logdensity_mcmc(prior, dens.Sample.from_points(np.array([0.5]), 8), basis)
+            dens.logdensity_mcmc(prior, dens.point_counts(np.array([0.5]), 8), basis)
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.array([1, -1]), "non-negative integers"),
+        (np.array([1.0, 2.0]), "non-negative integers"),
+        (np.zeros(6, dtype=int), "1-D array of 2"),
+    ])
+    def test_bad_counts_refused(self, counts, message):
+        # the chain reads its sample only through `bin_counts`, which checks it
+        basis = build_basis("haar", 0, 8)
+        prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=0, r=0.5)
+        with pytest.raises(ValueError, match=message):
+            dens.logdensity_mcmc(prior, counts, basis, dens.McmcConfig(iterations=200, burn_in=50))
 
     def test_edge_point_counts_in_the_left_half_as_in_bin_counts(self):
         # with Haar at L = 0 the likelihood reads only the two half counts, so
@@ -558,8 +577,8 @@ class TestMcmc:
         basis = build_basis("haar", 0, 8)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=0, r=0.5)
         cfg = dens.McmcConfig(iterations=400, burn_in=100, thin=3)
-        on_edge = dens.Sample.from_points(np.array([0.1, 0.5, 0.5, 0.7]), 8)
-        inside = dens.Sample.from_points(np.array([0.1, 0.25, 0.25, 0.7]), 8)
+        on_edge = dens.point_counts(np.array([0.1, 0.5, 0.5, 0.7]), 8)
+        inside = dens.point_counts(np.array([0.1, 0.25, 0.25, 0.7]), 8)
         assert dens.bin_counts(on_edge, 1).tolist() == dens.bin_counts(inside, 1).tolist() == [3, 1]
         a = dens.logdensity_mcmc(prior, on_edge, basis, cfg, seed=3)
         b = dens.logdensity_mcmc(prior, inside, basis, cfg, seed=3)
@@ -570,7 +589,7 @@ class TestMcmc:
         # quadrature of the posterior, total variation <= 0.05
         basis = build_basis("haar", 1, 8)
         points = np.array([0.05, 0.3, 0.4, 0.8, 0.9, 0.95, 0.2, 0.6])
-        sample = dens.Sample.from_points(points, basis.resolution)
+        sample = dens.point_counts(points, basis.resolution)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=1, r=0.5)
         cfg = dens.McmcConfig(iterations=60_000, burn_in=5_000, thin=2)
         chain = dens.logdensity_mcmc(prior, sample, basis, cfg, seed=11)
@@ -584,7 +603,7 @@ class TestMcmc:
         def loglik(coefs):
             T = B @ (sig * coefs)
             c = np.log(np.exp(T - T.max()).mean()) + T.max()
-            return counts @ T - sample.n * c
+            return counts @ T - points.size * c
 
         g = np.linspace(-4, 4, 41)
         marg = np.zeros(g.size)
@@ -622,7 +641,7 @@ class TestMcmc:
         basis = build_basis("haar", 0, 8)
         prior = dens.LogDensityPriorSpec("gaussian", alpha=1.0, cutoff_level=0, r=0.5)
         cfg = dens.McmcConfig(iterations=1_200, burn_in=1_000, thin=1)
-        empty = dens.Sample.from_points(np.empty(0), basis.resolution)
+        empty = dens.point_counts(np.empty(0), basis.resolution)
         chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=0)
         # empty sample accepts every proposal: acceptance 1.0 must be flagged
         assert chain.acceptance[0] > 0.6
@@ -638,6 +657,21 @@ class TestMcmc:
         vals = chain.density_values(basis)
         assert np.all(vals > 0.0)
         assert np.abs(vals.mean(axis=1) - 1.0).max() < 1e-8
+
+    @pytest.mark.parametrize("tau", [0.99, 0.992])
+    def test_heavy_tail_tau_near_one_draws_finite(self, tau):
+        prior = dens.LogDensityPriorSpec("heavy-tail", alpha=1.0, cutoff_level=2, tau=tau)
+        assert np.isfinite(prior.draw_standardized(np.random.default_rng(0), 10_000)).all()
+
+    @pytest.mark.parametrize("tau", [0.993, 0.995, 0.999])
+    def test_heavy_tail_tau_whose_draws_overflow_refused(self, tau):
+        # W^beta - 1 with W ~ Gamma(beta), beta = 1/(1 - tau), overflows a float:
+        # for some draws at 0.993, for all of them at 0.995
+        with pytest.raises(ValueError, match=f"tau={tau} draws coefficients that overflow"):
+            dens.LogDensityPriorSpec("heavy-tail", alpha=1.0, cutoff_level=2, tau=tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            draws = dens._heavy_tail_draws(np.random.default_rng(0), tau, 1000)
+        assert not np.isfinite(draws).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -916,9 +950,9 @@ def reference_mcmc(prior, sample, basis, cfg, seed):
     for l in range(L + 1):
         slices.append(slice(pos, pos + 2 ** l))
         pos += 2 ** l
-    assert sample.resolution == basis.resolution
-    counts = sample.counts.astype(float)
-    n = sample.n
+    assert sample.size == 2 ** basis.resolution
+    counts = sample.astype(float)
+    n = int(sample.sum())
 
     def loglik(T):
         return float(counts @ T - n * log_mean_exp(T))
@@ -989,12 +1023,12 @@ class TestFastKernel:
         basis, sample = kernel_case
         prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
         B = grid_columns(basis)[:, 1:16]
-        counts = sample.counts
+        counts, n = sample, sample.sum()
         sigmas = np.concatenate([np.full(2 ** l, prior.sigma(l)) for l in range(4)])
 
         def loglik(a):
             T = B @ (sigmas * a)
-            return counts @ T - sample.n * log_mean_exp(T)
+            return counts @ T - n * log_mean_exp(T)
 
         rng = np.random.default_rng(len(law))
         E = np.empty(2 ** basis.resolution)
@@ -1005,7 +1039,7 @@ class TestFastKernel:
                 d = rng.standard_normal(sl.stop - sl.start) * rng.uniform(0.01, 1.0)
                 # d [R | s] = [X | d . s], and c(T + X) - c(T) = log(E . e^X / sum E)
                 G = d @ Rs
-                fast = G[-1] - sample.n * np.log(E @ np.exp(G[:-1]) / E.sum())
+                fast = G[-1] - n * np.log(E @ np.exp(G[:-1]) / E.sum())
                 a_new = a.copy()
                 a_new[sl] += d
                 want = loglik(a_new) - loglik(a)
@@ -1014,7 +1048,7 @@ class TestFastKernel:
 
     def test_data_term_reads_bin_counts_on_cell_edges(self):
         basis = build_basis("boundary-smooth", 3, 8)
-        sample = dens.Sample.from_points(
+        sample = dens.point_counts(
             np.array([0.0, 0.25, 0.25, 0.5, 0.3, 0.75, 129 / 256, 1.0]), 8
         )
         counts = dens.bin_counts(sample, 8).astype(float)
@@ -1063,7 +1097,7 @@ class TestFastKernel:
         basis, _ = kernel_case
         prior = dens.LogDensityPriorSpec(law, alpha=1.0, cutoff_level=3)
         cfg = dens.McmcConfig(iterations=300, burn_in=100, thin=1, adapt_every=20)
-        empty = dens.Sample.from_points(np.empty(0), basis.resolution)
+        empty = dens.point_counts(np.empty(0), basis.resolution)
         chain = dens.logdensity_mcmc(prior, empty, basis, cfg, seed=9)
         states, acceptance, scales = reference_mcmc(prior, empty, basis, cfg, 9)
         np.testing.assert_array_equal(chain.states, states)
@@ -1084,7 +1118,7 @@ class TestHaarChainOnBlocks:
         cfg = dens.McmcConfig(iterations=600, burn_in=200, thin=2, adapt_every=10)
         chains = []
         for basis in (fine, coarse):
-            binned = dens.Sample(dens.bin_counts(sample, basis.resolution))
+            binned = dens.bin_counts(sample, basis.resolution)
             chain = dens.logdensity_mcmc(prior, binned, basis, cfg, seed=3)
             assert chain.density_values(basis).shape == (len(chain.states), 16)
             # the losses of the block rows are those of the same draws on the grid

@@ -13,7 +13,6 @@ from supnorm.whitenoise import (
     QUADRATURE_POINTS,
     PosteriorUnderflowError,
     ProductPriorSpec,
-    WhiteNoiseData,
     coord_posterior,
     draw_posterior_coefficients,
     laplace_check,
@@ -105,14 +104,14 @@ class TestPriorSpec:
 
 
 class TestSimulate:
-    @pytest.mark.parametrize("truncation_level, width", [(None, 32), (2, 8)])
-    def test_truth_plus_coordinate_noise(self, haar, truth, truncation_level, width):
+    @pytest.mark.parametrize("width", [32, 8])
+    def test_truth_plus_coordinate_noise(self, haar, truth, width):
         # x_j = c_j + z_j / sqrt(n), z_j the first normal of coordinate j's stream
         c = haar.analyze(truth)
         n, seed = 100, 3
-        data = simulate_wn(c, n, seed, truncation_level)
+        x = simulate_wn(c[:width], n, seed)
         z = np.array([coordinate_rng(seed, j).standard_normal() for j in range(width)])
-        assert np.array_equal(data.x, c[:width] + (1.0 / np.sqrt(n)) * z)
+        assert np.array_equal(x, c[:width] + (1.0 / np.sqrt(n)) * z)
 
     def test_noise_variance(self, haar, truth):
         n = 64
@@ -120,33 +119,33 @@ class TestSimulate:
         reps = 10_000
         devs = np.empty(reps)
         for r in range(reps):
-            d = simulate_wn(c, n, seed=r, truncation_level=0)
-            devs[r] = d.x[level_slice(0)][0] - c[level_slice(0)][0]
+            x = simulate_wn(c[:level_slice(0).stop], n, seed=r)
+            devs[r] = x[level_slice(0)][0] - c[level_slice(0)][0]
         assert devs.var() == pytest.approx(1.0 / n, rel=0.05)
 
     def test_seed_contract(self, haar, truth):
         a = simulate_wn(haar.analyze(truth), 50, seed=7)
         b = simulate_wn(haar.analyze(truth), 50, seed=7)
         c = simulate_wn(haar.analyze(truth), 50, seed=8)
-        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a, b)
         assert any(
-            not np.array_equal(a.x[level_slice(l)], c.x[level_slice(l)]) for l in range(5)
+            not np.array_equal(a[level_slice(l)], c[level_slice(l)]) for l in range(5)
         )
 
-    def test_coordinate_streams_survive_truncation_change(self, haar, truth):
-        full = simulate_wn(haar.analyze(truth), 50, seed=7, truncation_level=4)
-        part = simulate_wn(haar.analyze(truth), 50, seed=7, truncation_level=2)
-        for l in range(3):
-            assert np.array_equal(full.x[level_slice(l)], part.x[level_slice(l)])
+    @pytest.mark.parametrize("seed", [7, 2 ** 64 + 5])
+    def test_prefix_observations_are_the_observations_prefix(self, seed):
+        # a truncation observes a prefix of the truth: the coordinate streams
+        # are keyed by flat index, so it sees the prefix of the full observations
+        c = np.random.default_rng(1).standard_normal(2 ** 6)
+        full = simulate_wn(c, 50, seed)
+        for w in (2, 4, 8, 16, 32, 64):
+            part = simulate_wn(c[:w], 50, seed)
+            assert part.shape == (w,) and np.array_equal(part, full[:w])
 
-    def test_negative_truncation_level_refused(self, haar, truth):
-        with pytest.raises(ValueError, match="-1"):
-            simulate_wn(haar.analyze(truth), 50, seed=7, truncation_level=-1)
-
-    @pytest.mark.parametrize("width", [1, 3, 24])
-    def test_non_flat_coefficients_refused(self, width):
+    @pytest.mark.parametrize("shape", [(1,), (3,), (5,), (24,), (), (2, 4), (1, 8)])
+    def test_non_flat_coefficients_refused(self, shape):
         with pytest.raises(ValueError, match="flat vector"):
-            simulate_wn(np.zeros(width), 50, seed=7)
+            simulate_wn(np.zeros(shape), 50, seed=7)
 
     def test_noise_streams_keep_their_level_position_keys(self, haar, truth):
         # flat index j draws from SeedSequence(seed, spawn_key=(l + 1, k)),
@@ -154,10 +153,10 @@ class TestSimulate:
         n = 50
         c = haar.analyze(truth)
         for seed in STREAM_SEEDS:
-            data = simulate_wn(c, n, seed=seed)
+            x = simulate_wn(c, n, seed=seed)
             for j, key in STREAM_KEYS.items():
                 eps = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).standard_normal()
-                assert data.x[j] == c[j] + (1.0 / np.sqrt(n)) * eps
+                assert x[j] == c[j] + (1.0 / np.sqrt(n)) * eps
             # the streams derived together are the streams built one by one
             for j, stream in enumerate(wn._coordinate_streams(seed, STREAM_WIDTH)):
                 assert stream.standard_normal() == coordinate_rng(seed, j).standard_normal()
@@ -310,34 +309,40 @@ class TestCoordPosterior:
 
 class TestDraws:
     def test_deterministic(self, haar, truth):
-        data = simulate_wn(haar.analyze(truth), 200, seed=3)
+        x = simulate_wn(haar.analyze(truth), 200, seed=3)
         prior = uniform_prior()
-        a = draw_posterior_coefficients(data, prior, 5, seed=9)
-        b = draw_posterior_coefficients(data, prior, 5, seed=9)
+        a = draw_posterior_coefficients(x, 200, prior, 5, seed=9)
+        b = draw_posterior_coefficients(x, 200, prior, 5, seed=9)
         assert np.array_equal(a, b)
 
     def test_uniform_streams_keep_their_level_position_keys(self, haar, truth):
-        data = simulate_wn(haar.analyze(truth), 200, seed=3)
+        x = simulate_wn(haar.analyze(truth), 200, seed=3)
         prior = uniform_prior()
         for seed in STREAM_SEEDS:
-            flat = draw_posterior_coefficients(data, prior, 6, seed=seed)
+            flat = draw_posterior_coefficients(x, 200, prior, 6, seed=seed)
             for j, key in STREAM_KEYS.items():
                 u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).uniform(size=6)
                 level = max(key[0] - 1, 0)
-                assert_draws_match_the_table(flat[:, j], data.x[j], level, prior, data.n, u)
+                assert_draws_match_the_table(flat[:, j], x[j], level, prior, 200, u)
             for j, stream in enumerate(wn._coordinate_streams(seed, STREAM_WIDTH)):
                 assert np.array_equal(stream.random(200), coordinate_rng(seed, j).random(200))
 
     @pytest.mark.parametrize("m", [0, 2.5, True, float("nan")])
     def test_bad_draw_count_refused(self, haar, truth, m):
-        data = simulate_wn(haar.analyze(truth), 200, seed=3)
+        x = simulate_wn(haar.analyze(truth), 200, seed=3)
         with pytest.raises(ValueError, match="draw count m"):
-            draw_posterior_coefficients(data, uniform_prior(), m, seed=9)
+            draw_posterior_coefficients(x, 200, uniform_prior(), m, seed=9)
 
     def test_non_integer_seed_refused(self, haar, truth):
-        data = simulate_wn(haar.analyze(truth), 200, seed=3)
+        x = simulate_wn(haar.analyze(truth), 200, seed=3)
         with pytest.raises(TypeError, match="integer"):
-            draw_posterior_coefficients(data, uniform_prior(), 6, seed=9.0)
+            draw_posterior_coefficients(x, 200, uniform_prior(), 6, seed=9.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (1,), (2, 8)])
+    def test_non_flat_observations_refused(self, shape):
+        # a width-5 x is no levels 0..L (read as 0..1 it would lose x[4])
+        with pytest.raises(ValueError, match="flat vector"):
+            draw_posterior_coefficients(np.zeros(shape), 100, uniform_prior(), 3, seed=0)
 
     @pytest.mark.parametrize("n", [1, 4, 200, 2 ** 16, 2 ** 20])
     @pytest.mark.parametrize("prior", [uniform_prior(L=6), ep_prior(L=6)], ids=["uniform", "exp-power"])
@@ -349,7 +354,7 @@ class TestDraws:
         sign = np.where(np.arange(2 ** 7) % 2, -1.0, 1.0)
         half = LIKELIHOOD_HALF_WIDTH / np.sqrt(n)
         for x in (0.3 * sign * radius, sign * radius, sign * (radius + 2.0 * half)):
-            flat = draw_posterior_coefficients(WhiteNoiseData(n=n, x=x), prior, 200, seed=4)
+            flat = draw_posterior_coefficients(x, n, prior, 200, seed=4)
             for j, level in enumerate(levels):
                 u = coordinate_rng(4, j).uniform(size=200)
                 assert_draws_match_the_table(flat[:, j], x[j], level, prior, n, u)
@@ -359,37 +364,38 @@ class TestDraws:
         x = np.zeros(2 ** 7)
         x[j] = np.inf
         with pytest.raises(PosteriorUnderflowError, match=f"level {level} "):
-            draw_posterior_coefficients(WhiteNoiseData(n=100, x=x), uniform_prior(L=6), 3, seed=0)
+            draw_posterior_coefficients(x, 100, uniform_prior(L=6), 3, seed=0)
 
     def test_width_follows_truncation_rule(self, haar, truth):
-        # 2^(L + 1) columns, L = min(data truncation, prior truncation)
-        full = simulate_wn(haar.analyze(truth), 200, seed=3)
-        part = simulate_wn(haar.analyze(truth), 200, seed=3, truncation_level=1)
-        for data, L_prior, width in ((full, 4, 32), (full, 2, 8), (part, 4, 4), (part, 0, 2)):
-            flat = draw_posterior_coefficients(data, uniform_prior(L=L_prior), 3, seed=1)
+        # 2^(L + 1) columns, L = min(observed level, prior truncation)
+        c = haar.analyze(truth)
+        full = simulate_wn(c, 200, seed=3)
+        part = simulate_wn(c[:level_slice(1).stop], 200, seed=3)
+        for x, L_prior, width in ((full, 4, 32), (full, 2, 8), (part, 4, 4), (part, 0, 2)):
+            flat = draw_posterior_coefficients(x, 200, uniform_prior(L=L_prior), 3, seed=1)
             assert flat.shape == (3, width)
 
     def test_prior_collapse_draws_near_zero(self, haar):
         # tiny n with a fast-decaying prior: draws at high levels are ~ 0
         f0 = make_holder_truth(HolderTruthSpec(alpha=3.0, radius=0.5, seed=1), haar)
         prior = ProductPriorSpec("uniform", 3.0, truncation_level=4, bound=1.0)
-        data = simulate_wn(haar.analyze(f0), 4, seed=0)
-        flat = draw_posterior_coefficients(data, prior, 3, seed=1)
+        x = simulate_wn(haar.analyze(f0), 4, seed=0)
+        flat = draw_posterior_coefficients(x, 4, prior, 3, seed=1)
         rows = haar.synthesize_flat(flat)
         for row in np.repeat(rows, 2 ** haar.resolution // rows.shape[1], axis=1):
             c = haar.analyze(GridFunction(row))
             assert np.abs(c[level_slice(4)]).max() <= prior.bound * prior.sigma(4) + 1e-12
 
     def test_hard_support_constraint(self, haar, truth):
-        data = simulate_wn(haar.analyze(truth), 100, seed=4)
+        x = simulate_wn(haar.analyze(truth), 100, seed=4)
         prior = uniform_prior()
-        flat = draw_posterior_coefficients(data, prior, 50, seed=5)
+        flat = draw_posterior_coefficients(x, 100, prior, 50, seed=5)
         for l in range(5):
             assert np.abs(flat[:, level_slice(l)]).max() <= prior.bound * prior.sigma(l) + 1e-12
 
     def test_coordinate_independence(self, haar, truth):
-        data = simulate_wn(haar.analyze(truth), 100, seed=4)
-        flat = draw_posterior_coefficients(data, uniform_prior(), 4000, seed=6)
+        x = simulate_wn(haar.analyze(truth), 100, seed=4)
+        flat = draw_posterior_coefficients(x, 100, uniform_prior(), 4000, seed=6)
         a, b = flat[:, 2], flat[:, 5]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(4000)
@@ -397,9 +403,9 @@ class TestDraws:
     def test_step_rows_give_the_grid_losses(self, haar, truth):
         # Haar draws stay step rows on 2^(L+1) bins; their losses are those of
         # the grid rows, sup and q90 bit for bit, L2 up to summation order
-        data = simulate_wn(haar.analyze(truth), 1024, seed=3)
+        x = simulate_wn(haar.analyze(truth), 1024, seed=3)
         for L in range(5):
-            flat = draw_posterior_coefficients(data, uniform_prior(L=L), 200, seed=9)
+            flat = draw_posterior_coefficients(x, 1024, uniform_prior(L=L), 200, seed=9)
             rows = haar.synthesize_flat(flat)
             assert rows.shape == (200, 2 ** (L + 1))
             grid = np.repeat(rows, 2 ** haar.resolution // rows.shape[1], axis=1)
@@ -415,8 +421,8 @@ class TestDraws:
         for n in (64, 1024):
             losses = []
             for rep in range(10):
-                data = simulate_wn(haar.analyze(truth), n, seed=100 + rep)
-                draws = draw_posterior_coefficients(data, prior, 40, seed=rep)
+                x = simulate_wn(haar.analyze(truth), n, seed=100 + rep)
+                draws = draw_posterior_coefficients(x, n, prior, 40, seed=rep)
                 rows = haar.synthesize_flat(draws)
                 values = np.repeat(rows, 2 ** haar.resolution // rows.shape[1], axis=1)
                 losses.append(np.abs(values - truth.values).max(axis=1).mean())
@@ -426,14 +432,26 @@ class TestDraws:
 
 class TestLaplace:
     def test_t_zero_is_one(self, haar, truth):
-        data = simulate_wn(haar.analyze(truth), 256, seed=0)
-        assert laplace_check(data, uniform_prior(), 1, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        x = simulate_wn(haar.analyze(truth), 256, seed=0)
+        assert laplace_check(x, 256, uniform_prior(), 1, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_range_guard(self, haar, truth):
-        data = simulate_wn(haar.analyze(truth), 256, seed=0)
+        x = simulate_wn(haar.analyze(truth), 256, seed=0)
         for t in (4.0, -3.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=r"\|t\| <= 3"):
-                laplace_check(data, uniform_prior(), 1, 0, t)
+                laplace_check(x, 256, uniform_prior(), 1, 0, t)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5), (2, 2, 8), (0, 8)])
+    def test_non_flat_observations_refused(self, shape):
+        with pytest.raises(ValueError, match="flat vector|at least one"):
+            laplace_check(np.zeros(shape), 256, uniform_prior(), 1, 0, 1.0)
+
+    def test_replications_are_the_mean_of_their_rows(self, haar, truth):
+        c = haar.analyze(truth)
+        xs = np.array([simulate_wn(c, 256, seed=s) for s in range(5)])
+        for level, position, t in ((0, 0, 1.0), (2, 3, -2.0), (4, 15, 0.5)):
+            rows = [laplace_check(x, 256, uniform_prior(), level, position, t) for x in xs]
+            assert laplace_check(xs, 256, uniform_prior(), level, position, t) == np.mean(rows)
 
     @pytest.mark.parametrize("level, position, bad", [
         (1, -1, "position -1"), (1, 2, "position 2"), (-1, 0, "got -1"), (5, 0, "level 5"),
@@ -443,11 +461,11 @@ class TestLaplace:
     def test_bad_coordinate_refused(self, haar, truth, level, position, bad):
         # data observed up to level 4; a negative position used to wrap around,
         # and a float level or position must not be read as an index
-        data = simulate_wn(haar.analyze(truth), 256, seed=0)
-        assert data.max_level == 4
+        x = simulate_wn(haar.analyze(truth), 256, seed=0)
+        assert x.size == 2 ** 5
         with pytest.raises(ValueError, match=bad):
-            laplace_check(data, uniform_prior(), level, position, 1.0)
-        if level <= data.max_level:  # a level beyond the data is still a wavelet index
+            laplace_check(x, 256, uniform_prior(), level, position, 1.0)
+        if level <= 4:  # a level beyond the data is still a wavelet index
             with pytest.raises(ValueError, match=bad):
                 WaveletIndex(level, position)
         if type(level) is not int:
@@ -481,9 +499,9 @@ class TestLaplace:
         worst = 0.0
         for rep in range(50):
             f0 = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=rep), haar)
-            data = simulate_wn(haar.analyze(f0), 256, seed=500 + rep)
+            x = simulate_wn(haar.analyze(f0), 256, seed=500 + rep)
             for t in (-2.0, 2.0):
-                v = laplace_check(data, prior, 1, 1, t)
+                v = laplace_check(x, 256, prior, 1, 1, t)
                 worst = max(worst, v / np.exp(t * t / 2.0))
         assert worst <= 10.0
 
