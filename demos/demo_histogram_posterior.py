@@ -16,14 +16,13 @@ from supnorm import (
     sample_data,
 )
 from supnorm.functions import HolderTruthSpec, make_density_truth
-from supnorm.grids import GridFunction
 from supnorm.wavelets import build_basis
 
 # --- one posterior, step by step -----------------------------------------
 basis = build_basis("haar", L_max=6, J=12)
 truth = make_density_truth(HolderTruthSpec(alpha=0.75, radius=1.0, seed=1), basis)
-print(f"truth density range: [{truth.values.min():.3f}, {truth.values.max():.3f}], "
-      f"integral {truth.quad():.6f}")
+print(f"truth density range: [{truth.min():.3f}, {truth.max():.3f}], "
+      f"integral {truth.mean():.6f}")
 
 sample = sample_data(truth, n=4000, seed=2)  # counts on the 2^12 grid cells
 L = 4
@@ -34,13 +33,12 @@ print(f"level L = {L}: counts head {counts[:4]}, posterior params head "
       f"{params[:4]}")
 
 values = draw_histogram_values(params, m=500, seed=3)  # (500, 2^L) bin values
-grid_values = np.repeat(values, truth.values.size // 2 ** L, axis=1)
-draws = [GridFunction(row) for row in grid_values]
-sup_losses = [np.abs(d.values - truth.values).max() for d in draws]
+grid_values = np.repeat(values, truth.size // 2 ** L, axis=1)
+sup_losses = np.abs(grid_values - truth).max(axis=1)
 print(f"posterior-expected sup loss  : {np.mean(sup_losses):.4f}")
 print(f"0.9 posterior quantile (sup) : {np.quantile(sup_losses, 0.9):.4f}")
 print(f"all draws integrate to one   : "
-      f"{max(abs(d.quad() - 1.0) for d in draws):.2e}")
+      f"{np.abs(grid_values.mean(axis=1) - 1.0).max():.2e}")
 
 # --- the loss curve and its slope -----------------------------------------
 cfg = ExperimentConfig(

@@ -25,20 +25,22 @@ for l in range(7):
 print("\n== supports shrink like 2^-l ==")
 N = 2 ** smooth.resolution
 for l in (3, 4, 5, 6):
-    v = smooth.function(WaveletIndex(l, 2 ** (l - 1))).values
+    v = smooth.function(WaveletIndex(l, 2 ** (l - 1)))
     nz = np.nonzero(np.abs(v) > 1e-9 * np.abs(v).max())[0]
     print(f"  level {l}: interior support diameter = {(nz[-1]-nz[0]+1)/N:.4f} "
           f"(= {(nz[-1]-nz[0]+1)/N * 2**l:.2f} x 2^-{l})")
 
 print("\n== every wavelet has zero mean (constants live in the scaling space) ==")
 worst = max(
-    abs(smooth.function(WaveletIndex(l, k)).quad())
+    abs(smooth.function(WaveletIndex(l, k)).mean())
     for l in range(7) for k in range(2 ** l)
 )
 print(f"  max |integral psi_lk| = {worst:.2e}")
 
 # plot-ready samples: an interior and a left-edge wavelet at level 4
+mids = (np.arange(N) + 0.5) / N
 for name, idx in [("interior", WaveletIndex(4, 8)), ("edge", WaveletIndex(4, 0))]:
     path = f"demo_wavelet_{name}.csv"
-    smooth.function(idx).to_csv(path)
+    np.savetxt(path, np.column_stack([mids, smooth.function(idx)]), fmt="%.17g",
+               delimiter=",", header="midpoint,value", comments="")
     print(f"\nwrote {path} (two columns: midpoint, value)")

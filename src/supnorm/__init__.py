@@ -9,7 +9,6 @@ alpha / (2 alpha + 1).
 
 __version__ = "0.1.0"
 
-from .grids import GridFunction
 from .wavelets import (
     WaveletBasis,
     WaveletIndex,
@@ -51,7 +50,6 @@ from .rates import (
 )
 
 __all__ = [
-    "GridFunction",
     "WaveletBasis", "WaveletIndex", "build_basis", "level_slice",
     "HolderTruthSpec", "make_density_truth", "make_holder_truth",
     "ProductPriorSpec", "coord_posterior",

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -47,7 +48,8 @@ def parse_config(
     `seed`, a SUPNORM_SEED value, replaces the master seed and `threads`, a
     --threads value, the thread count before validation, so a bad one is a
     config error like a bad `master_seed` or `threads`.  The echo dict is
-    the raw input with all defaults filled in.
+    the raw input with all defaults filled in.  The config's warnings are
+    printed to stderr, one `warning: <message>` line each.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -73,9 +75,13 @@ def parse_config(
     if threads is not None:
         raw["threads"] = threads
     try:
-        cfg = ExperimentConfig(**raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = ExperimentConfig(**raw)
     except TypeError as e:
         raise ConfigError(str(e))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     echo = {k: getattr(cfg, k) for k in _CONFIG_KEYS}
     echo["mcmc"] = dataclasses.asdict(cfg.mcmc)
     echo["n_grid"] = list(cfg.n_grid)

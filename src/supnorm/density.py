@@ -58,28 +58,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridFunction, check_number
+from .grids import check_number
 from .functions import log_mean_exp
 from .wavelets import WaveletBasis
 
 
-class NonDensityError(ValueError):
-    """Input function is not a probability density on the grid."""
+def _grid_values(f0) -> np.ndarray:
+    """f0 as a float array; ValueError unless it is 1-D with 2^J values, J >= 1."""
+    f0 = np.asarray(f0, dtype=float)
+    if f0.ndim != 1 or f0.size < 2 or f0.size & (f0.size - 1):
+        raise ValueError(f"f0 must be a 1-D array of 2^J grid values, J >= 1 (got {f0.shape})")
+    return f0
 
 
-def check_density(f0: GridFunction) -> None:
-    """Raise `NonDensityError` unless f0 is a density on its grid: no value
-    below -1e-12, and a midpoint-rule integral within 1e-6 of 1."""
-    vals = f0.values
-    if vals.min() < -1e-12 or abs(vals.mean() - 1.0) > 1e-6:
-        raise NonDensityError("f0 must be nonnegative with unit integral")
+def check_density(f0: np.ndarray) -> None:
+    """Raise ValueError unless f0 is a density: 2^J values, J >= 1, none
+    below -1e-12, and a midpoint-rule integral within 1e-6 of 1 (a NaN fails both)."""
+    f0 = _grid_values(f0)
+    if not (f0.min() >= -1e-12 and abs(f0.mean() - 1.0) <= 1e-6):
+        raise ValueError("f0 must be nonnegative with unit integral")
 
 
 # inverse-CDF keys drawn and counted at once (256 KiB of float64), whatever n
 _CHUNK = 2 ** 15
 
 
-def sample_data(f0: GridFunction, n: int, seed: int) -> np.ndarray:
+def sample_data(f0: np.ndarray, n: int, seed: int) -> np.ndarray:
     """The (2^J,) counts of n i.i.d. draws from the grid density f0 on the
     cells (k 2^-J, (k+1) 2^-J] of its grid.
 
@@ -90,9 +94,8 @@ def sample_data(f0: GridFunction, n: int, seed: int) -> np.ndarray:
     """
     check_number("n", n, integer=True, minimum=0)
     check_density(f0)
-    vals = f0.values
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
-    probs = np.clip(vals, 0.0, None)
+    probs = np.clip(f0, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
     N = cum.size
     search = _guided_search(cum)
@@ -396,7 +399,7 @@ class McmcChain:
         T -= log_mean_exp(T)[:, None]
         return np.exp(T, out=T)
 
-    def expected_losses(self, basis: WaveletBasis, f0: GridFunction) -> "LossSummary":
+    def expected_losses(self, basis: WaveletBasis, f0: np.ndarray) -> "LossSummary":
         """`posterior_expected_losses` of the density draws, a block of draws at a
         time: no cell holds all (kept, R) values, so threads do not add them up."""
         return LossSummary.of_draws(*(
@@ -601,7 +604,7 @@ class LossSummary:
         return cls(float(d[0].mean()), float(d[1].mean()), hell, float(np.quantile(d[0], 0.9)), d)
 
 
-def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -> LossSummary:
+def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> LossSummary:
     """Monte Carlo average of sup/L2(/Hellinger) losses over posterior draws.
 
     `draws` is an (m, K) array of draw rows.  A row of K values is a step
@@ -612,10 +615,11 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
     ((N / K) sum_k (c_k - mean_k f0)^2 + css) / N with css f0's centred sum
     of squares over the blocks, and the Hellinger loss
     h^2 = integral (sqrt c - sqrt f0)^2 the L2 loss of sqrt c to sqrt f0.
-    Also reports the 0.9 quantile of the sup loss over draws.  Density
-    values below -1e-12, in the draws or in f0, raise `NonDensityError`
-    (smaller ones are rounding dust, clamped to zero), and draws whose
-    losses are not finite (a NaN or infinite value) raise ValueError.
+    Also reports the 0.9 quantile of the sup loss over draws.  ValueError
+    for an f0 that is not 1-D with 2^J values, J >= 1, for density values
+    below -1e-12 in the draws or in f0 (smaller ones are rounding dust,
+    clamped to zero), and for losses that are not finite (a NaN or
+    infinite value in the draws or in f0).
 
     The draws are reduced a block of rows at a time, with the same result
     per draw.  Each block's differences from f0's block statistics, their
@@ -635,11 +639,12 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
         raise ValueError(f"draws must be an (m, K) array of rows (got a {type(draws).__name__})")
     if draws.ndim != 2:
         raise ValueError(f"draws must be an (m, K) array of rows (got shape {draws.shape})")
-    N, K = f0.values.size, draws.shape[1]
+    f0 = _grid_values(f0)
+    N, K = f0.size, draws.shape[1]
     if K < 1 or K & (K - 1) or N % K:
         raise ValueError(f"row width {K} is not a power-of-two divisor of the grid size {N}")
-    if densities and (draws.min() < -1e-12 or f0.values.min() < -1e-12):
-        raise NonDensityError("density values below -1e-12")
+    if densities and (draws.min() < -1e-12 or f0.min() < -1e-12):
+        raise ValueError("density values below -1e-12")
 
     def moments(blocks):  # each block's mean, and the centred sum of squares
         mean = blocks.mean(axis=1)
@@ -649,7 +654,7 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
         np.square(w, out=w)
         return np.sqrt(((N // K) * w.sum(axis=1) + css) / N)
 
-    blocks = f0.values.reshape(K, N // K)
+    blocks = f0.reshape(K, N // K)
     lo, hi = blocks.min(axis=1), blocks.max(axis=1)
     mean, css = moments(blocks)
     if densities:
@@ -674,7 +679,7 @@ def posterior_expected_losses(draws, f0: GridFunction, densities: bool = True) -
             rows.append(rms(w, root_css))
         out = np.array(rows)
         if not np.isfinite(out).all():
-            raise ValueError("draws give non-finite losses (a NaN or infinite draw value)")
+            raise ValueError("non-finite losses (a NaN or infinite value in the draws or in f0)")
         return out
 
     return LossSummary.of_draws(*(losses(draws[rows]) for rows in row_blocks))

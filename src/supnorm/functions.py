@@ -1,8 +1,9 @@
 """Holder-ball truths and the log-density normaliser.
 
 Truths are built directly from wavelet coefficients, so that they saturate
-the Besov ball of the computed levels l <= L_max exactly.  `log_mean_exp`
-is the one log-normaliser c(T) = log integral e^T of the package.
+the Besov ball of the computed levels l <= L_max exactly; a truth is the
+array of its grid values.  `log_mean_exp` is the one log-normaliser
+c(T) = log integral e^T of the package.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, check_number
+from .grids import check_number
 from .wavelets import WaveletBasis, level_slice
 
 
@@ -50,16 +51,21 @@ def truth_coefficients(spec: HolderTruthSpec, L_max: int) -> np.ndarray:
     return out
 
 
-def make_holder_truth(spec: HolderTruthSpec, basis: WaveletBasis) -> GridFunction:
+def make_holder_truth(spec: HolderTruthSpec, basis: WaveletBasis) -> np.ndarray:
     """Truth with |<f0, psi_lk>| = R 2^{-l(1/2+alpha)} at every computed level.
 
     The scaling coefficient is zero, so the sup over levels of
-    2^{l(1/2+alpha)} |<f0, psi_lk>| is R.
+    2^{l(1/2+alpha)} |<f0, psi_lk>| is R.  Values that overflow a float
+    raise ValueError, the one finiteness check of both kinds of truth.
     """
-    return basis.synthesize(truth_coefficients(spec, basis.L_max))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = basis.synthesize(truth_coefficients(spec, basis.L_max))
+    if not np.isfinite(f0).all():
+        raise ValueError("truth values must be finite")
+    return f0
 
 
-def make_density_truth(spec: HolderTruthSpec, basis: WaveletBasis) -> GridFunction:
+def make_density_truth(spec: HolderTruthSpec, basis: WaveletBasis) -> np.ndarray:
     """Normalized density exp(g0 - c(g0)) with g0 = make_holder_truth(spec, basis)."""
     return normalize_log(make_holder_truth(spec, basis))
 
@@ -77,6 +83,6 @@ def log_mean_exp(t: np.ndarray, out: np.ndarray | None = None):
     return m + np.log(e.sum(axis=-1) / t.shape[-1])
 
 
-def normalize_log(t: GridFunction) -> GridFunction:
+def normalize_log(t: np.ndarray) -> np.ndarray:
     """exp(T - c(T)) with c(T) = log integral e^T."""
-    return GridFunction(np.exp(t.values - log_mean_exp(t.values)))
+    return np.exp(t - log_mean_exp(t))

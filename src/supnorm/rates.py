@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridFunction, check_number
+from .grids import check_number
 from .functions import HolderTruthSpec, make_density_truth, make_holder_truth
 from .wavelets import WaveletBasis, build_basis, check_basis_args, level_slice
 from . import density as dens
@@ -367,7 +367,7 @@ def plan_truths(cfg: ExperimentConfig, basis: WaveletBasis) -> dict:
 
 
 def _run_cell(cfg: ExperimentConfig, basis: WaveletBasis,
-              truth: tuple[GridFunction, np.ndarray | None], n: int, rep: int) -> LossRecord:
+              truth: tuple[np.ndarray, np.ndarray | None], n: int, rep: int) -> LossRecord:
     """Data, posterior, draws and losses of one cell, as one `LossRecord`."""
     f0, coeffs = truth
     data_seed = _derived_seed(cfg.master_seed, _TAG_DATA, n, rep)
@@ -453,10 +453,6 @@ class RateFit:
         }
 
 
-class InsufficientDataError(ValueError):
-    """Fewer than 3 distinct n values available for the fit."""
-
-
 def record_group(records) -> tuple | None:
     """The one (model, prior, alpha) all records share; None for no records.
 
@@ -494,9 +490,7 @@ def fit_rate(records, regressor: str = "nlogn", loss: str = "sup") -> RateFit:
             raise ValueError(f"{r.model} records carry no {loss} loss")
         by_n.setdefault(r.n, []).append(val)
     if len(by_n) < 3:
-        raise InsufficientDataError(
-            f"need >= 3 distinct n values, have {len(by_n)}"
-        )
+        raise ValueError(f"need >= 3 distinct n values, have {len(by_n)}")
     ns = np.array(sorted(by_n))
     means = np.array([np.mean(by_n[n]) for n in ns])
     if ns[0] < 2 or not np.all(np.isfinite(means) & (means > 0)):

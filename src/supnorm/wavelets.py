@@ -22,7 +22,8 @@ Coefficients are one flat vector in column order (see `level_slice`).
 
 A basis stores its columns on the coarsest dyadic grid on which they are
 exact: 2^(L_max+1) rows for Haar, whose functions are constant on that many
-dyadic blocks, and the N grid rows for boundary-smooth.
+dyadic blocks, and the N grid rows for boundary-smooth.  `synthesize` and
+`function` return a function's (N,) grid values, and `analyze` takes them.
 """
 from __future__ import annotations
 
@@ -30,20 +31,12 @@ from dataclasses import dataclass, field
 from math import comb
 import numpy as np
 
-from .grids import GridFunction, GridMismatchError, check_number
+from .grids import check_number
 
 HAAR_GRAM_TOL = 1e-8
 SMOOTH_GRAM_TOL = 1e-6
 # basis columns per panel of the Gram check: (64 x dim) blocks, not (dim x dim)
 _GRAM_PANEL = 64
-
-
-class ResolutionError(ValueError):
-    """Grid too coarse for the requested number of levels."""
-
-
-class BasisConstructionError(RuntimeError):
-    """The filter-bank construction failed a structural invariant."""
 
 
 @dataclass(frozen=True)
@@ -99,11 +92,11 @@ def _qr_columns(A: np.ndarray) -> np.ndarray:
     """Householder QR with sign fixing; columns are normalized first."""
     nrm = np.linalg.norm(A, axis=0)
     if nrm.min() <= 0:
-        raise BasisConstructionError("zero column in edge block")
+        raise RuntimeError("zero column in edge block")
     Q, R = np.linalg.qr(A / nrm)
     d = np.abs(np.diag(R))
     if d.min() < 1e-7:
-        raise BasisConstructionError(f"edge block nearly rank deficient ({d.min():.2e})")
+        raise RuntimeError(f"edge block nearly rank deficient ({d.min():.2e})")
     s = np.sign(np.diag(R))
     s[s == 0] = 1.0
     return Q * s
@@ -124,9 +117,7 @@ def _pivoted_complement(C: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
         norms = np.linalg.norm(C, axis=0)
         jbest = int(np.argmax(norms))
         if norms[jbest] < 1e-7:
-            raise BasisConstructionError(
-                f"completion rank deficiency ({norms[jbest]:.2e})"
-            )
+            raise RuntimeError(f"completion rank deficiency ({norms[jbest]:.2e})")
         v = C[:, jbest] / norms[jbest]
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
@@ -285,7 +276,7 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
         inner_r = np.abs(RR[:2, :]).max()
         scale = max(np.linalg.norm(RL, axis=0).max(), np.linalg.norm(RR, axis=0).max())
         if max(inner_l, inner_r) > 1e-9 * max(scale, 1e-300):
-            raise BasisConstructionError("edge residuals leak out of their window")
+            raise RuntimeError("edge residuals leak out of their window")
         left_blk = _qr_columns(RL)    # W x p
         right_blk = _qr_columns(RR)   # W x p
 
@@ -349,9 +340,7 @@ def _build_level(h: np.ndarray, p: int, j: int, UL: np.ndarray, UR: np.ndarray):
         np.linalg.norm(UR - M.apply(UR2), axis=0)[: min(p, n)].max(),
     )
     if 2 ** j >= p and res > 1e-8:
-        raise BasisConstructionError(
-            f"polynomial reproduction lost at level {j} ({res:.2e})"
-        )
+        raise RuntimeError(f"polynomial reproduction lost at level {j} ({res:.2e})")
     return M, Q, UL2, UR2
 
 
@@ -438,8 +427,8 @@ class WaveletBasis:
             raise IndexError(f"level {idx.level} beyond basis L_max={self.L_max}")
         return level_slice(idx.level).start + idx.position
 
-    def function(self, idx: WaveletIndex) -> GridFunction:
-        return GridFunction(np.repeat(self.blocks[:, self.column_of(idx)], self.block_size))
+    def function(self, idx: WaveletIndex) -> np.ndarray:
+        return np.repeat(self.blocks[:, self.column_of(idx)], self.block_size)
 
     def gram_deviation(self) -> float:
         """max |B^T B / rows - I| over the stored rows B.  The Gram matrix is
@@ -454,15 +443,20 @@ class WaveletBasis:
         return dev
 
     # --- analysis / synthesis -------------------------------------------
-    def analyze(self, f: GridFunction) -> np.ndarray:
-        """Quadrature inner products of f with every basis function (flat
-        layout): the sums of f over the stored blocks, times the stored rows."""
-        if f.resolution != self.resolution:
-            raise GridMismatchError(
-                f"function grid J={f.resolution} does not match basis grid J={self.resolution}"
+    def analyze(self, f: np.ndarray) -> np.ndarray:
+        """Quadrature inner products of the grid values f with every basis
+        function (flat layout): the sums of f over the stored blocks, times
+        the stored rows.  ValueError unless f is finite, with the shape
+        (2^J,) of the basis's grid."""
+        f = np.asarray(f, dtype=float)
+        if f.shape != (2 ** self.resolution,):
+            raise ValueError(
+                f"grid values of shape {f.shape} do not match the basis grid J={self.resolution}"
             )
-        sums = f.values.reshape(len(self.blocks), self.block_size).sum(axis=1)
-        return self.blocks.T @ sums / f.values.size
+        if not np.isfinite(f).all():
+            raise ValueError("grid values must be finite")
+        sums = f.reshape(len(self.blocks), self.block_size).sum(axis=1)
+        return self.blocks.T @ sums / f.size
 
     def _prefix_columns(self, width: int) -> np.ndarray:
         if width > self.dim:
@@ -472,11 +466,10 @@ class WaveletBasis:
             )
         return self.blocks[:, :width]
 
-    def synthesize(self, coeffs: np.ndarray) -> GridFunction:
-        """The function of a flat coefficient vector, or of a prefix of one."""
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """The grid values of a flat coefficient vector, or of a prefix of one."""
         coeffs = np.asarray(coeffs, dtype=float)
-        values = self._prefix_columns(coeffs.size) @ coeffs
-        return GridFunction(np.repeat(values, self.block_size))
+        return np.repeat(self._prefix_columns(coeffs.size) @ coeffs, self.block_size)
 
     def synthesize_flat(self, flat: np.ndarray) -> np.ndarray:
         """Batch synthesis: rows of `flat` are flat coefficient vectors, or
@@ -536,7 +529,7 @@ def check_basis_args(kind: str, L_max: int, J: int | None = None, order: int = 4
     check_number("J", J, integer=True)
     check_number("order", order, integer=True)
     if J < L_max + 2:
-        raise ResolutionError(
+        raise ValueError(
             f"grid resolution J={J} too coarse for L_max={L_max} (need J >= L_max + 2)"
         )
     if kind not in ("haar", "boundary-smooth"):
@@ -561,5 +554,5 @@ def build_basis(kind: str, L_max: int, J: int | None = None, order: int = 4) -> 
         tol = SMOOTH_GRAM_TOL
     dev = basis.gram_deviation()
     if dev > tol:
-        raise BasisConstructionError(f"Gram deviation {dev:.2e} exceeds {tol:.0e}")
+        raise RuntimeError(f"Gram deviation {dev:.2e} exceeds {tol:.0e}")
     return basis

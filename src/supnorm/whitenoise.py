@@ -40,10 +40,6 @@ LIKELIHOOD_HALF_WIDTH = 8.0  # in units of 1/sqrt(n); mass outside < 1e-14
 _GRID_INDEX = np.arange(QUADRATURE_POINTS, dtype=float)
 
 
-class PosteriorUnderflowError(RuntimeError):
-    """Posterior mass underflows even on the full prior support."""
-
-
 @dataclass(frozen=True)
 class ProductPriorSpec:
     """Coordinate-wise prior: density phi(./sigma_l)/sigma_l per coefficient.
@@ -254,9 +250,7 @@ class CoordPosterior:
         return float(np.trapezoid(fn(self.thetas) * w, self.thetas))
 
 
-def coord_posterior(
-    x: float, level: int, prior: ProductPriorSpec, n: int
-) -> CoordPosterior:
+def coord_posterior(x: float, level: int, prior: ProductPriorSpec, n: int) -> CoordPosterior:
     """Tabulated posterior of one coefficient given observation x.
 
     The theta window is the likelihood interval x +- 8/sqrt(n) intersected
@@ -264,7 +258,8 @@ def coord_posterior(
     full prior support is used instead.  The grid has the bits of
     `np.linspace(lo, hi, QUADRATURE_POINTS)`.  Only the weights and their
     cumulative pair sums are formed here; `pdf` is derived from them when
-    read.  An `n` that is not an integer >= 1 raises ValueError.
+    read.  An `n` that is not an integer >= 1 raises ValueError, and a
+    posterior whose mass underflows on the whole window RuntimeError.
     """
     check_number("n", n, integer=True, minimum=1)
     sigma = prior.sigma(level)
@@ -272,8 +267,16 @@ def coord_posterior(
     radius = prior.standardized_radius() * sigma
     lo = max(-radius, x - half)
     hi = min(radius, x + half)
-    if not lo < hi:
-        lo, hi = -radius, radius
+    if lo < hi:
+        return _tabulate(x, level, prior, n, sigma, lo, hi)
+    # far from the prior's support n (theta - x)^2 / 2 overflows to inf; the
+    # underflow that follows is refused, so numpy's warning is not shown
+    with np.errstate(over="ignore"):
+        return _tabulate(x, level, prior, n, sigma, -radius, radius)
+
+
+def _tabulate(x, level, prior, n, sigma, lo, hi) -> CoordPosterior:
+    """`coord_posterior` on the theta window [lo, hi], with sigma = sigma_level."""
     # linspace's own arithmetic: lo + step * i, with hi as the last point
     thetas = _GRID_INDEX * ((hi - lo) / (QUADRATURE_POINTS - 1))
     thetas += lo
@@ -291,9 +294,7 @@ def coord_posterior(
         w += prior.log_phi(u)
     top = w.max()
     if not np.isfinite(top):
-        raise PosteriorUnderflowError(
-            f"posterior mass underflows at level {level} (x={x!r})"
-        )
+        raise RuntimeError(f"posterior mass underflows at level {level} (x={x!r})")
     w -= top
     np.exp(w, out=w)
     cum = np.empty_like(w)

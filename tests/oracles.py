@@ -3,15 +3,14 @@ import numpy as np
 
 from supnorm import density as dens, rates, whitenoise as wn
 from supnorm.functions import HolderTruthSpec, make_holder_truth, normalize_log
-from supnorm.grids import GridFunction
 from supnorm.wavelets import WaveletBasis, WaveletIndex, level_slice
 
 
-def constant(J: int, c: float = 1.0) -> GridFunction:
-    return GridFunction(np.full(2 ** J, float(c)))
+def constant(J: int, c: float = 1.0) -> np.ndarray:
+    return np.full(2 ** J, float(c))
 
 
-def besov_norm(f: GridFunction, s: float, basis: WaveletBasis) -> float:
+def besov_norm(f: np.ndarray, s: float, basis: WaveletBasis) -> float:
     """sup over computed levels of 2^{l(1/2+s)} |<f, psi_lk>|.
 
     Truncated at the basis L_max; exact for functions built inside the span.
@@ -97,7 +96,7 @@ def hellinger_rows(values: np.ndarray, g: np.ndarray) -> np.ndarray:
     root = step_blocks(np.sqrt(np.clip(g, 0.0, None)), values.shape[-1])
     root_mean, root_css = block_moments(root)
     if values.min() < -1e-12 or g.min() < -1e-12:
-        raise dens.NonDensityError("density values below -1e-12")
+        raise ValueError("density values below -1e-12")
     return step_rms(np.sqrt(np.clip(values, 0.0, None)) - root_mean, root_css, g.size)
 
 
@@ -134,16 +133,16 @@ def grid_counts(points, J: int) -> np.ndarray:
     return np.bincount(np.searchsorted(np.arange(1, N) / N, points), minlength=N)
 
 
-def sample_points(f0: GridFunction, n: int, seed: int) -> np.ndarray:
+def sample_points(f0: np.ndarray, n: int, seed: int) -> np.ndarray:
     """The n points whose cell counts `density.sample_data` returns: the
     inverse-CDF keys of its stream, their cells found by a binary search
     (a key above cum[-1] gets cell N), each point placed uniformly in its
     cell by a second stream of n uniforms and clipped to [0, 1]."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
-    probs = np.clip(f0.values, 0.0, None)
+    probs = np.clip(f0, 0.0, None)
     cum = np.cumsum(probs / probs.sum())
     cells = np.searchsorted(cum, rng.uniform(size=n), side="left")
-    x = (cells + rng.uniform(size=n)) * 2.0 ** (-f0.resolution)
+    x = (cells + rng.uniform(size=n)) / f0.size
     return np.clip(x, 0.0, 1.0)
 
 

@@ -56,7 +56,7 @@ def test_criterion_1_wavelet_suite():
     rng = np.random.default_rng(0)
     flat = rng.normal(size=smooth.dim)
     f = smooth.synthesize(flat)
-    parseval_gap = abs((f.values ** 2).mean() - (flat ** 2).sum())
+    parseval_gap = abs((f ** 2).mean() - (flat ** 2).sum())
     assert parseval_gap < 1e-8
 
     rt = time.time() - t0

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def write_synthetic_csv(path, ns, loss_fn, alphas=(1.0,)):
             v = repr(float(loss_fn(n)))
             rows.append(f"white-noise,uniform,{alpha!r},{n},0,{v},{v},,{v},0.0,0,0")
     path.write_text("\n".join(rows) + "\n")
+
+
+def simulate_stderr(capsys, config, out):
+    """The exit code and stderr lines of `supnorm simulate`, with every
+    Python warning an error: a run prints only the CLI's own lines."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", str(config), "--out", str(out)])
+    return rc, capsys.readouterr().err.splitlines()
+
+
+FEWER_REPS = "warning: fewer than 5 replications per n"
 
 
 def strict_json(text):
@@ -89,9 +102,12 @@ BAD_CONFIGS = {
 
 
 class TestParseConfig:
-    def test_minimal_valid_with_defaults_echoed(self, tiny_config):
-        with pytest.warns(UserWarning):
+    def test_minimal_valid_with_defaults_echoed(self, tiny_config, capsys):
+        # the config's warnings are printed, not raised as Python warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cfg, echo = parse_config(tiny_config)
+        assert len(capsys.readouterr().err.splitlines()) == 2
         assert cfg.model == "density-histogram"
         assert echo["draws"] == 20
         assert echo["grid_resolution"] is None
@@ -155,6 +171,17 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rows"] == 4
         assert manifest["master_seed"] == 13
+
+    def test_config_warnings_are_cli_lines(self, tiny_config, tmp_path, capsys):
+        # each warning of the config is one line, without the source line
+        # that Python's warning display adds
+        code, err = simulate_stderr(capsys, tiny_config, tmp_path / "out")
+        assert code == 0
+        assert err == [
+            "warning: n-grid smaller than 3 points spanning a factor 16; "
+            "rate fits on this run will be refused or unreliable",
+            FEWER_REPS,
+        ]
 
     def test_rerun_is_byte_identical(self, tiny_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -225,23 +252,27 @@ class TestSimulate:
         assert m1["config_hash"] == m2["config_hash"]
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("radius, rc", [(1e10, 0), (1e12, 2), (1e308, 2)])
     def test_truth_the_run_cannot_use_exits_2_before_output(self, radius, rc, tmp_path, capsys):
         # at 1e12 c(T) loses digits and f0 is no density on the grid; at
-        # 1e308 the truth's values overflow.  Both used to exit 3 at run
-        # time, after creating the output directory
+        # 1e308 the truth's values overflow, with no numpy warning on stderr.
+        # Both used to exit 3 at run time, after creating the output directory
         path = tmp_path / "radius.json"
         path.write_text(json.dumps({**TINY, "grid_resolution": 8, "n_grid": [64, 256, 1024],
                                     "replications": 1, "radius": radius}))
         out = tmp_path / "out"
-        assert main(["simulate", str(path), "--out", str(out)]) == rc
-        err = capsys.readouterr().err
+        code, err = simulate_stderr(capsys, path, out)
+        assert code == rc
+        assert err[0] == FEWER_REPS
         if rc == 0:
+            assert err == [FEWER_REPS]
             assert (out / "records.csv").exists()
         else:
-            assert f"config error: the truth of replication 0 (radius {radius!r})" in err
+            assert len(err) == 2
+            assert err[1].startswith(f"config error: the truth of replication 0 (radius {radius!r}): ")
             assert not out.exists()
+        if radius == 1e308:
+            assert err[1].endswith("): truth values must be finite")
 
     def test_json_int_equal_to_a_default_is_that_default(self, tiny_config, tmp_path):
         path = tmp_path / "ints.json"
@@ -259,11 +290,11 @@ class TestSimulate:
         rc = main(["simulate", tiny_config, "--out", str(blocker)])
         assert rc == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("existed", [False, True], ids=["new-out", "existing-out"])
     def test_run_time_failure_leaves_no_empty_out_of_its_own(self, existed, tmp_path, capsys):
         # the exp-power quadrature of a coordinate far outside the prior's
-        # mass underflows; that is found only at run time, after --out is made
+        # mass underflows; that is found only at run time, after --out is
+        # made.  The squared distance overflows first, with no numpy warning
         path = tmp_path / "underflow.json"
         path.write_text(json.dumps({
             "model": "white-noise", "alpha": 1.0, "prior_family": "exp-power",
@@ -272,10 +303,10 @@ class TestSimulate:
         out = tmp_path / "out"
         if existed:
             out.mkdir()
-        assert main(["simulate", str(path), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert "runtime error: posterior mass underflows at level 0" in err
-        assert "Traceback" not in err
+        code, err = simulate_stderr(capsys, path, out)
+        assert code == 3
+        assert len(err) == 2 and err[0] == FEWER_REPS
+        assert err[1].startswith("runtime error: posterior mass underflows at level 0 (x=")
         assert out.exists() == existed
 
     @pytest.mark.parametrize("tau, rc", [(0.99, 0), (0.992, 0), (0.993, 2), (0.995, 2), (0.999, 2)])

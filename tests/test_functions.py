@@ -1,8 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supnorm.grids import GridFunction
 from supnorm.functions import (
     HolderTruthSpec,
     log_mean_exp,
@@ -10,7 +11,7 @@ from supnorm.functions import (
     make_holder_truth,
     normalize_log,
 )
-from supnorm.density import NonDensityError, posterior_expected_losses
+from supnorm.density import check_density, posterior_expected_losses, sample_data
 from supnorm.wavelets import WaveletIndex, build_basis, level_slice
 
 from oracles import besov_norm, constant, hellinger_rows
@@ -26,8 +27,8 @@ def J():
     return 10
 
 
-def hellinger(f: GridFunction, g: GridFunction) -> float:
-    return float(posterior_expected_losses(f.values[None], g).per_draw[2, 0])
+def hellinger(f: np.ndarray, g: np.ndarray) -> float:
+    return float(posterior_expected_losses(f[None], g).per_draw[2, 0])
 
 
 class TestBesovNorm:
@@ -58,8 +59,8 @@ class TestBesovNorm:
     def test_absolute_homogeneity(self, c):
         basis = build_basis("haar", 4, 8)
         rng = np.random.default_rng(0)
-        f = GridFunction(rng.normal(size=2 ** basis.resolution))
-        assert besov_norm(GridFunction(c * f.values), 0.7, basis) == pytest.approx(
+        f = rng.normal(size=2 ** basis.resolution)
+        assert besov_norm(c * f, 0.7, basis) == pytest.approx(
             abs(c) * besov_norm(f, 0.7, basis), rel=1e-12
         )
 
@@ -70,13 +71,13 @@ class TestBesovNorm:
 
 def distances(f, g):
     """(sup, L2) distance of f to g, by the one reduction the losses use."""
-    loss = posterior_expected_losses(f.values[None], g, densities=False)
+    loss = posterior_expected_losses(f[None], g, densities=False)
     return loss.sup, loss.l2
 
 
 class TestDistances:
     def test_zero_on_equal(self, J):
-        f = GridFunction(np.linspace(0, 1, 2 ** J))
+        f = np.linspace(0, 1, 2 ** J)
         assert distances(f, f) == (0.0, 0.0)
 
     def test_constants(self, J):
@@ -97,8 +98,8 @@ class TestHellinger:
 
     def test_disjoint_supports(self, J):
         half = 2 ** J // 2
-        f = GridFunction(np.r_[np.full(half, 2.0), np.zeros(half)])
-        g = GridFunction(np.r_[np.zeros(half), np.full(half, 2.0)])
+        f = np.r_[np.full(half, 2.0), np.zeros(half)]
+        g = np.r_[np.zeros(half), np.full(half, 2.0)]
         assert hellinger(f, g) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_two_formula_agreement(self, J):
@@ -107,8 +108,7 @@ class TestHellinger:
         g = np.exp(rng.normal(size=2 ** J))
         f /= f.mean()
         g /= g.mean()
-        ff, gg = GridFunction(f), GridFunction(g)
-        h2_direct = hellinger(ff, gg) ** 2
+        h2_direct = hellinger(f, g) ** 2
         h2_cross = 2.0 - 2.0 * np.sqrt(f * g).mean()
         assert h2_direct == pytest.approx(h2_cross, abs=1e-12)
 
@@ -117,17 +117,17 @@ class TestHellinger:
         fs = []
         for _ in range(3):
             v = np.exp(rng.normal(size=2 ** J))
-            fs.append(GridFunction(v / v.mean()))
+            fs.append(v / v.mean())
         f, g, k = fs
         assert hellinger(f, g) <= hellinger(f, k) + hellinger(k, g) + 1e-10
 
     def test_negativity_error(self, J):
-        bad = GridFunction(np.full(2 ** J, -1e-6))
-        with pytest.raises(NonDensityError):
+        bad = np.full(2 ** J, -1e-6)
+        with pytest.raises(ValueError, match="density values below -1e-12"):
             hellinger(bad, constant(J))
 
     def test_negative_dust_clamped(self, J):
-        dusty = GridFunction(np.full(2 ** J, -1e-13))
+        dusty = np.full(2 ** J, -1e-13)
         assert np.isfinite(hellinger(dusty, constant(J)))
 
 
@@ -150,46 +150,60 @@ class TestRowwiseReductions:
         V = np.exp(rng.normal(size=(20, 2 ** J)))
         g = constant(J)
         rows = posterior_expected_losses(V, g).per_draw[2]
-        np.testing.assert_array_equal(rows, hellinger_rows(V, g.values))
-        assert all(rows[i] == hellinger(GridFunction(V[i]), g) for i in range(20))
+        np.testing.assert_array_equal(rows, hellinger_rows(V, g))
+        assert all(rows[i] == hellinger(V[i], g) for i in range(20))
 
     def test_hellinger_rows_negativity(self, J):
         V = np.ones((3, 2 ** J))
         V[1, 7] = -1e-6
-        with pytest.raises(NonDensityError):
+        with pytest.raises(ValueError, match="density values below -1e-12"):
             posterior_expected_losses(V, constant(J))
 
 
-class TestGridFunction:
-    @pytest.mark.parametrize("values", [
-        np.empty(0), np.ones(1), np.ones(3), np.ones(6), np.ones((2, 2)),
-    ], ids=["length-0", "length-1", "length-3", "length-6", "2-D"])
-    def test_bad_shape_refused(self, values):
-        with pytest.raises(ValueError, match="values must be a 1-D array of 2\\^J cells"):
-            GridFunction(values)
-
-    def test_non_finite_refused(self):
-        with pytest.raises(ValueError, match="values must be finite"):
-            GridFunction(np.r_[1.0, np.nan])
-
-    def test_resolution(self):
-        assert GridFunction(np.ones(2)).resolution == 1
-        assert GridFunction(np.ones(2 ** 12)).resolution == 12
+def _with(value, J=6):
+    """The uniform density on the 2^J grid, with `value` in cell 3."""
+    f = np.ones(2 ** J)
+    f[3] = value
+    return f
 
 
-class TestGridFunctionCsv:
-    def test_round_trip(self, tmp_path, J):
-        rng = np.random.default_rng(12)
-        f = GridFunction(rng.normal(size=2 ** J))
-        path = tmp_path / "f.csv"
-        f.to_csv(path)
-        head = path.read_text().splitlines()[0]
-        assert head == "midpoint,value"
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        back = GridFunction(rows[:, 1])
-        assert np.array_equal(rows[:, 0], (np.arange(2 ** J) + 0.5) / 2 ** J)
-        assert back.resolution == J
-        assert np.array_equal(back.values, f.values)
+def _quiet_losses(draws, f0):
+    with np.errstate(invalid="ignore"):
+        return posterior_expected_losses(draws, f0)
+
+
+# each reader of grid values refuses a shape or value it cannot read, with
+# its own message: (reader, message for a bad shape, message for a NaN or inf)
+READERS = {
+    "analyze": (lambda basis, f: basis.analyze(f),
+                "do not match the basis grid J=6", "grid values must be finite"),
+    "check_density": (lambda basis, f: check_density(f),
+                      "1-D array of 2\\^J grid values", "nonnegative with unit integral"),
+    "sample_data": (lambda basis, f: sample_data(f, 10, seed=0),
+                    "1-D array of 2\\^J grid values", "nonnegative with unit integral"),
+    # one-value rows divide every grid, so the refusal is f0's own; an inf
+    # in f0 makes inf - inf in its block moments before the losses are refused
+    "posterior_expected_losses": (lambda basis, f: _quiet_losses(np.ones((2, 1)), f),
+                                  "1-D array of 2\\^J grid values", "non-finite losses"),
+}
+BAD_VALUES = {
+    "2-D": (np.ones((8, 8)), True),  # as many values as the 2^6 grid
+    "length-0": (np.ones(0), True),
+    "length-1": (np.ones(1), True),
+    "length-6": (np.ones(6), True),
+    "length-2^J-1": (np.ones(2 ** 6 - 1), True),
+    "length-2^J+1": (np.ones(2 ** 6 + 1), True),
+    "nan": (_with(np.nan), False),
+    "inf": (_with(np.inf), False),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("values, bad_shape", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_grid_values_refused_by_their_reader(reader, values, bad_shape):
+    read, shape_message, value_message = READERS[reader]
+    with pytest.raises(ValueError, match=shape_message if bad_shape else value_message):
+        read(build_basis("haar", 3, 6), values)
 
 
 class TestHolderTruth:
@@ -215,19 +229,27 @@ class TestHolderTruth:
             2.0 * 2.0 ** (-l * (0.5 + 0.75)) * haar.localisation_sum(l)
             for l in range(haar.L_max + 1)
         )
-        assert np.abs(f0.values).max() <= bound + 1e-12
+        assert np.abs(f0).max() <= bound + 1e-12
 
     def test_seed_determinism_and_variation(self, haar):
         a = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=1), haar)
         b = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=1), haar)
         c = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=2), haar)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("kind", ["signed-coefficient", "fixed-analytic"])
+    def test_overflowing_values_refused_without_a_warning(self, haar, kind):
+        # the coefficients are floats, but their sums on the grid pass the float maximum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^truth values must be finite$"):
+                make_holder_truth(HolderTruthSpec(1.0, 1e308, seed=3, kind=kind), haar)
 
     def test_fixed_analytic_is_deterministic(self, haar):
         a = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=1, kind="fixed-analytic"), haar)
         b = make_holder_truth(HolderTruthSpec(1.0, 1.0, seed=99, kind="fixed-analytic"), haar)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -241,20 +263,20 @@ class TestHolderTruth:
 class TestDensityTruth:
     def test_zero_log_gives_uniform(self, J):
         f0 = normalize_log(constant(J, 0.0))
-        assert np.allclose(f0.values, 1.0, atol=1e-14)
+        assert np.allclose(f0, 1.0, atol=1e-14)
 
     def test_unit_mass(self, haar):
         spec = HolderTruthSpec(alpha=1.0, radius=1.0, seed=4)
         f0 = make_density_truth(spec, haar)
-        assert f0.quad() == pytest.approx(1.0, abs=1e-8)
-        assert f0.values.min() > 0.0
+        assert f0.mean() == pytest.approx(1.0, abs=1e-8)
+        assert f0.min() > 0.0
 
     def test_log_besov_preserved_up_to_constant(self, haar):
         # the normalizing constant only shifts the scaling coefficient
         spec = HolderTruthSpec(alpha=1.0, radius=1.0, seed=4)
         g0 = make_holder_truth(spec, haar)
         f0 = make_density_truth(spec, haar)
-        logf0 = GridFunction(np.log(f0.values))
+        logf0 = np.log(f0)
         assert besov_norm(logf0, 1.0, haar) == pytest.approx(
             besov_norm(g0, 1.0, haar), rel=1e-9
         )

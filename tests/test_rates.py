@@ -9,7 +9,6 @@ from supnorm.wavelets import build_basis
 from supnorm.rates import (
     ConfigError,
     ExperimentConfig,
-    InsufficientDataError,
     LossRecord,
     cutoff,
     fit_rate,
@@ -144,7 +143,7 @@ class TestFitRate:
 
     def test_insufficient_points(self):
         recs = synthetic_records([10, 100], lambda n: 1.0 / n)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="^need >= 3 distinct n values, have 2$"):
             fit_rate(recs)
 
     def test_flagged_rows_excluded_and_counted(self):
