@@ -399,13 +399,14 @@ class McmcChain:
         T -= log_mean_exp(T)[:, None]
         return np.exp(T, out=T)
 
-    def expected_losses(self, basis: WaveletBasis, f0: np.ndarray) -> "LossSummary":
-        """`posterior_expected_losses` of the density draws, a block of draws at a
-        time: no cell holds all (kept, R) values, so threads do not add them up."""
-        return LossSummary.of_draws(*(
-            posterior_expected_losses(self.density_values(basis, rows), f0).per_draw
+    def expected_losses(self, basis: WaveletBasis, f0: np.ndarray) -> np.ndarray:
+        """The per-draw loss rows of `posterior_expected_losses` of the density
+        draws, a block of draws at a time: no cell holds all (kept, R)
+        values, so threads do not add them up."""
+        return np.concatenate([
+            posterior_expected_losses(self.density_values(basis, rows), f0)
             for rows in _row_blocks(len(self.states), len(basis.blocks))
-        ))
+        ], axis=1)
 
 
 def _level_moves(prior: LogDensityPriorSpec, counts: np.ndarray, B: np.ndarray) -> list:
@@ -495,7 +496,11 @@ def logdensity_mcmc(
         log_mean_exp(B @ (sigmas * a), E)
         return float(E.sum())
 
-    S = refresh()
+    # a prior draw times a large scale can overflow T; that chain cannot start
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = refresh()
+    if not math.isfinite(S):
+        raise ValueError(f"the chain's first prior draw overflows a float (prior scale {prior.scale!r})")
 
     gaussian = prior.law == "gaussian"
     log_phi, starts = prior.log_phi, [sl.start for sl, _ in levels]
@@ -529,42 +534,47 @@ def logdensity_mcmc(
     u = [0.0] * (L + 1)
     dot, exp, log = np.dot, np.exp, math.log
 
-    for it in range(cfg.iterations):
-        if it == burn_in:
-            accepted = [0] * (L + 1)
-        for l, xi_blk in enumerate(xi_blocks):
-            normal(out=xi_blk)
-            u[l] = uniform()
-        xi *= step
-        if gaussian:
-            np.multiply(shrink, a, out=a_new)
-            a_new += xi
-        else:
-            np.add(a, xi, out=a_new)
-        np.subtract(a_new, a, out=d)
-        log_prior_new = log_priors(a_new)
-        for l, a_blk, new_blk, d_blk, Rs in moves:
-            dot(d_blk, Rs, out=G)
-            exp(X, out=X)
-            S_new = float(dot(E, X))
-            log_prior_ratio = log_prior_new[l] - log_prior[l]
-            if log(u[l]) < G.item(R) - n * log(S_new / S) + log_prior_ratio:
-                a_blk[...] = new_blk
-                E *= X
-                S = S_new
-                log_prior[l] = log_prior_new[l]
-                accepted[l] += 1
-        if (it + 1) % _REFRESH == 0:
-            S = refresh()
-        if it < burn_in:
-            if (it + 1) % adapt_every == 0:
-                rate = np.array(accepted, dtype=float) / adapt_every
-                scales *= np.exp(0.66 * (rate - cfg.target_acceptance))
-                scales = np.clip(scales, 1e-3, 1.0 if gaussian else 10.0)
-                step, shrink = step_vectors(scales)
+    # a proposal whose e^X overflows has a NaN or infinite log ratio, and a
+    # comparison with NaN is false, so it is rejected: numpy's warning says nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.iterations):
+            if it == burn_in:
                 accepted = [0] * (L + 1)
-        elif (it - burn_in) % thin == 0:
-            states[(it - burn_in) // thin] = a
+            for l, xi_blk in enumerate(xi_blocks):
+                normal(out=xi_blk)
+                u[l] = uniform()
+            xi *= step
+            if gaussian:
+                np.multiply(shrink, a, out=a_new)
+                a_new += xi
+            else:
+                np.add(a, xi, out=a_new)
+            np.subtract(a_new, a, out=d)
+            log_prior_new = log_priors(a_new)
+            for l, a_blk, new_blk, d_blk, Rs in moves:
+                dot(d_blk, Rs, out=G)
+                exp(X, out=X)
+                S_new = float(dot(E, X))
+                log_prior_ratio = log_prior_new[l] - log_prior[l]
+                # a normaliser ratio that underflows to 0 has no log: rejected
+                r = S_new / S
+                if r > 0.0 and log(u[l]) < G.item(R) - n * log(r) + log_prior_ratio:
+                    a_blk[...] = new_blk
+                    E *= X
+                    S = S_new
+                    log_prior[l] = log_prior_new[l]
+                    accepted[l] += 1
+            if (it + 1) % _REFRESH == 0:
+                S = refresh()
+            if it < burn_in:
+                if (it + 1) % adapt_every == 0:
+                    rate = np.array(accepted, dtype=float) / adapt_every
+                    scales *= np.exp(0.66 * (rate - cfg.target_acceptance))
+                    scales = np.clip(scales, 1e-3, 1.0 if gaussian else 10.0)
+                    step, shrink = step_vectors(scales)
+                    accepted = [0] * (L + 1)
+            elif (it - burn_in) % thin == 0:
+                states[(it - burn_in) // thin] = a
 
     rates = np.array(accepted, dtype=float) / max(cfg.iterations - burn_in, 1)
     ok = bool(np.all((rates >= 0.1) & (rates <= 0.6)))
@@ -587,25 +597,9 @@ def _row_blocks(m: int, width: int) -> list[slice]:
     return [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
 
 
-@dataclass(frozen=True)
-class LossSummary:
-    sup: float
-    l2: float
-    hellinger: float | None
-    q90_sup: float
-    # (sup, l2[, hellinger]) loss of each draw, one row per loss
-    per_draw: np.ndarray = field(repr=False, compare=False)
-
-    @classmethod
-    def of_draws(cls, *parts: np.ndarray) -> "LossSummary":
-        """Summary of the per-draw losses `parts`, concatenated in order."""
-        d = np.concatenate(parts, axis=1)
-        hell = float(d[2].mean()) if len(d) > 2 else None
-        return cls(float(d[0].mean()), float(d[1].mean()), hell, float(np.quantile(d[0], 0.9)), d)
-
-
-def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> LossSummary:
-    """Monte Carlo average of sup/L2(/Hellinger) losses over posterior draws.
+def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> np.ndarray:
+    """The sup, L2 (and Hellinger) loss of each posterior draw: a (2, m)
+    array, or (3, m) with `densities`, one row per loss.
 
     `draws` is an (m, K) array of draw rows.  A row of K values is a step
     function on K dyadic blocks of f0's grid (K = N: grid values; K must be
@@ -615,7 +609,7 @@ def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> 
     ((N / K) sum_k (c_k - mean_k f0)^2 + css) / N with css f0's centred sum
     of squares over the blocks, and the Hellinger loss
     h^2 = integral (sqrt c - sqrt f0)^2 the L2 loss of sqrt c to sqrt f0.
-    Also reports the 0.9 quantile of the sup loss over draws.  ValueError
+    Their posterior expectations are the rows' means (`rates`).  ValueError
     for an f0 that is not 1-D with 2^J values, J >= 1, for density values
     below -1e-12 in the draws or in f0 (smaller ones are rounding dust,
     clamped to zero), and for losses that are not finite (a NaN or
@@ -656,9 +650,11 @@ def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> 
 
     blocks = f0.reshape(K, N // K)
     lo, hi = blocks.min(axis=1), blocks.max(axis=1)
-    mean, css = moments(blocks)
-    if densities:
-        root_mean, root_css = moments(np.sqrt(np.clip(blocks, 0.0, None)))
+    # an inf in f0 makes inf - inf here; the non-finite losses are refused below
+    with np.errstate(invalid="ignore"):
+        mean, css = moments(blocks)
+        if densities:
+            root_mean, root_css = moments(np.sqrt(np.clip(blocks, 0.0, None)))
     row_blocks = _row_blocks(*draws.shape)
     scratch = np.empty((max(b.stop - b.start for b in row_blocks), K),
                        order="F" if np.isfortran(draws) else "C")
@@ -682,4 +678,4 @@ def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> 
             raise ValueError("non-finite losses (a NaN or infinite value in the draws or in f0)")
         return out
 
-    return LossSummary.of_draws(*(losses(draws[rows]) for rows in row_blocks))
+    return np.concatenate([losses(draws[rows]) for rows in row_blocks], axis=1)

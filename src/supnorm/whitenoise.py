@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,55 +211,23 @@ def simulate_wn(coeffs: np.ndarray, n: int, seed: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class CoordPosterior:
-    """Quadrature table of one coordinate posterior.
+def coord_posterior(
+    x: float, level: int, prior: ProductPriorSpec, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature table (thetas, weights, cum) of one coefficient's
+    posterior given observation x.
 
     `weights` is the posterior density on the grid `thetas` up to a
     constant factor (its largest value is 1), and `cum[i]` is the sum of
     the trapezoid pair sums weights[k] + weights[k + 1] over k < i: the
     cdf before normalising, with the constant spacing cancelled.
-    """
-
-    thetas: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    cum: np.ndarray = field(repr=False)
-
-    @property
-    def pdf(self) -> np.ndarray:
-        """The weights over their trapezoid sum."""
-        return self.weights / np.trapezoid(self.weights, self.thetas)
-
-    def sample(self, uniforms: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draws with linear interpolation on the table.
-
-        A uniform u is located at u cum[-1] among the unnormalised `cum`,
-        so no normalised cdf is formed.  The draws agree with interpolation
-        on the trapezoid cdf of `pdf` to within 1e-10 of the window width:
-        the two differ only in how the cdf is summed and scaled.  A
-        draw in the last cell may round past hi, so draws are clipped to
-        [lo, hi].
-        """
-        draws = np.interp(np.multiply(uniforms, self.cum[-1]), self.cum, self.thetas)
-        # np.clip's bits, NaN included, at about half its cost
-        np.maximum(draws, self.thetas[0], out=draws)
-        return np.minimum(draws, self.thetas[-1], out=draws)
-
-    def expectation(self, fn) -> float:
-        w = self.pdf
-        return float(np.trapezoid(fn(self.thetas) * w, self.thetas))
-
-
-def coord_posterior(x: float, level: int, prior: ProductPriorSpec, n: int) -> CoordPosterior:
-    """Tabulated posterior of one coefficient given observation x.
 
     The theta window is the likelihood interval x +- 8/sqrt(n) intersected
     with the prior's effective support; when that intersection is empty the
     full prior support is used instead.  The grid has the bits of
-    `np.linspace(lo, hi, QUADRATURE_POINTS)`.  Only the weights and their
-    cumulative pair sums are formed here; `pdf` is derived from them when
-    read.  An `n` that is not an integer >= 1 raises ValueError, and a
-    posterior whose mass underflows on the whole window RuntimeError.
+    `np.linspace(lo, hi, QUADRATURE_POINTS)`.  An `n` that is not an
+    integer >= 1 raises ValueError, and a posterior whose mass underflows
+    on the whole window RuntimeError.
     """
     check_number("n", n, integer=True, minimum=1)
     sigma = prior.sigma(level)
@@ -275,7 +243,7 @@ def coord_posterior(x: float, level: int, prior: ProductPriorSpec, n: int) -> Co
         return _tabulate(x, level, prior, n, sigma, -radius, radius)
 
 
-def _tabulate(x, level, prior, n, sigma, lo, hi) -> CoordPosterior:
+def _tabulate(x, level, prior, n, sigma, lo, hi):
     """`coord_posterior` on the theta window [lo, hi], with sigma = sigma_level."""
     # linspace's own arithmetic: lo + step * i, with hi as the last point
     thetas = _GRID_INDEX * ((hi - lo) / (QUADRATURE_POINTS - 1))
@@ -301,7 +269,7 @@ def _tabulate(x, level, prior, n, sigma, lo, hi) -> CoordPosterior:
     cum[0] = 0.0
     np.add(w[1:], w[:-1], out=cum[1:])
     np.cumsum(cum[1:], out=cum[1:])
-    return CoordPosterior(thetas, w, cum)
+    return thetas, w, cum
 
 
 def draw_posterior_coefficients(
@@ -318,10 +286,13 @@ def draw_posterior_coefficients(
     prior.truncation_level): the prefix of a flat vector that the truncated
     prior leaves non-zero, so the rows of `basis.synthesize_flat(flat)` are
     the posterior function draws.  Coordinate j is sampled by inverse CDF
-    (`CoordPosterior.sample`) on its own table, from its own stream, with
-    the key of the same coordinate in `simulate_wn`; all the streams of a
-    call are derived together by `_coordinate_streams`.  `m` must be an
-    integer >= 1 (ValueError).
+    on its own `coord_posterior` table, from its own stream, with the key
+    of the same coordinate in `simulate_wn`; all the streams of a call are
+    derived together by `_coordinate_streams`.  A uniform u is located at
+    u cum[-1] among the unnormalised `cum` and interpolated linearly, so
+    no normalised cdf is formed; a draw in the last cell may round past
+    the window's end, so draws are clipped to it.  `m` must be an integer
+    >= 1 (ValueError).
     """
     check_number("draw count m", m, integer=True, minimum=1)
     x = np.asarray(x, dtype=float)
@@ -329,8 +300,11 @@ def draw_posterior_coefficients(
     flat = np.empty((m, level_slice(L).stop))
     for j, stream in enumerate(_coordinate_streams(seed, flat.shape[1])):
         # the scaling coordinate (j = 0) behaves like level 0
-        post = coord_posterior(float(x[j]), max(j.bit_length() - 1, 0), prior, n)
-        flat[:, j] = post.sample(stream.random(m))
+        thetas, _, cum = coord_posterior(float(x[j]), max(j.bit_length() - 1, 0), prior, n)
+        draws = np.interp(np.multiply(stream.random(m), cum[-1]), cum, thetas)
+        # np.clip's bits, NaN included, at about half its cost
+        np.maximum(draws, thetas[0], out=draws)
+        np.minimum(draws, thetas[-1], out=flat[:, j])
     return flat
 
 
@@ -345,8 +319,8 @@ def laplace_check(
     """E^pi[exp(t sqrt(n) (theta - x_lk)) | x], averaged over replications.
 
     `x` is one flat observation vector (`simulate_wn`) or a (replications,
-    width) array of them, all at noise level n; each term is a quadrature
-    on the coordinate posterior.  An x of another shape, a level outside
+    width) array of them, all at noise level n; each term is a trapezoid
+    quadrature on the coordinate's `coord_posterior` table.  An x of another shape, a level outside
     the observed levels or a position outside 0..2^level - 1 raises
     ValueError, and so does a t with |t| > 3 or t = NaN.
     """
@@ -364,8 +338,9 @@ def laplace_check(
     root_n = np.sqrt(n)
     vals = []
     for xj in rows[:, j].tolist():
-        post = coord_posterior(xj, level, prior, n)
-        vals.append(post.expectation(lambda th: np.exp(t * root_n * (th - xj))))
+        thetas, weights, _ = coord_posterior(xj, level, prior, n)
+        pdf = weights / np.trapezoid(weights, thetas)
+        vals.append(float(np.trapezoid(np.exp(t * root_n * (thetas - xj)) * pdf, thetas)))
     return float(np.mean(vals))
 
 

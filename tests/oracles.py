@@ -146,25 +146,54 @@ def sample_points(f0: np.ndarray, n: int, seed: int) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def coord_cdf(post) -> np.ndarray:
-    """Trapezoid integral of a `CoordPosterior`'s pdf up to each grid point,
-    scaled to end at 1."""
-    pdf = post.pdf
+def coord_pdf(table) -> np.ndarray:
+    """The weights of a `whitenoise.coord_posterior` table over their trapezoid sum."""
+    thetas, weights, _ = table
+    return weights / np.trapezoid(weights, thetas)
+
+
+def coord_expectation(table, fn) -> float:
+    """Posterior expectation of fn(theta) by the trapezoid rule on a
+    `coord_posterior` table."""
+    thetas = table[0]
+    return float(np.trapezoid(fn(thetas) * coord_pdf(table), thetas))
+
+
+def coord_cdf(table) -> np.ndarray:
+    """Trapezoid integral of a `coord_posterior` table's pdf up to each grid
+    point, scaled to end at 1."""
+    pdf = coord_pdf(table)
     cdf = np.empty_like(pdf)
     cdf[0] = 0.0
-    np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(post.thetas), out=cdf[1:])
+    np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(table[0]), out=cdf[1:])
     cdf /= cdf[-1]
     return cdf
 
 
-def coord_mean(post) -> float:
-    """Posterior mean of a `CoordPosterior` by the trapezoid rule on its table."""
-    return float(np.trapezoid(post.thetas * post.pdf, post.thetas))
+def coord_mean(table) -> float:
+    """Posterior mean of a `coord_posterior` table by the trapezoid rule."""
+    return coord_expectation(table, lambda t: t)
 
 
-def interpolated_draws(post, u) -> np.ndarray:
-    """Inverse-CDF draws of a `CoordPosterior` by interpolation on its normalised cdf."""
-    return np.interp(u, coord_cdf(post), post.thetas)
+def interpolated_draws(table, u) -> np.ndarray:
+    """Inverse-CDF draws of a `coord_posterior` table by interpolation on its
+    normalised cdf."""
+    return np.interp(u, coord_cdf(table), table[0])
+
+
+def table_draws(table, u) -> np.ndarray:
+    """Inverse-CDF draws on a `coord_posterior` table as the white-noise
+    sampler makes them: u cum[-1] interpolated among the unnormalised
+    `cum`, then clipped to the window [thetas[0], thetas[-1]]."""
+    thetas, _, cum = table
+    return np.clip(np.interp(np.multiply(u, cum[-1]), cum, thetas), thetas[0], thetas[-1])
+
+
+def loss_summary(rows) -> tuple:
+    """(sup, l2, hellinger, q90_sup) of per-draw loss rows: the means of the
+    rows, None for an absent Hellinger row, and the sup row's 0.9 quantile."""
+    hellinger = float(np.mean(rows[2])) if len(rows) == 3 else None
+    return float(np.mean(rows[0])), float(np.mean(rows[1])), hellinger, float(np.quantile(rows[0], 0.9))
 
 
 def coordinate_rng(seed, j: int) -> np.random.Generator:
@@ -203,11 +232,10 @@ def _reference_cell(cfg, basis, truth, n, rep):
         x = wn.simulate_wn(coeffs[:level_slice(L_trunc).stop], n, data_seed)
         flat = wn.draw_posterior_coefficients(x, n, prior, cfg.draws, draw_seed)
         values = basis.synthesize_flat(flat)
-        losses = dens.posterior_expected_losses(values, f0, densities=False)
+        sup, l2, _, q90 = loss_summary(dens.posterior_expected_losses(values, f0, densities=False))
         return rates.LossRecord(
             cfg.model, cfg.prior_label, cfg.alpha, n, rep,
-            losses.sup, losses.l2, None, losses.q90_sup,
-            wn.truncation_bias_bound(prior), data_seed,
+            sup, l2, None, q90, wn.truncation_bias_bound(prior), data_seed,
         )
 
     if cfg.model == "density-histogram":
@@ -215,19 +243,16 @@ def _reference_cell(cfg, basis, truth, n, rep):
         counts = dens.sample_data(f0, n, data_seed)
         params = dens.histogram_posterior(prior, dens.bin_counts(counts, L_n))
         values = dens.draw_histogram_values(params, cfg.draws, draw_seed)
-        losses = dens.posterior_expected_losses(values, f0, densities=True)
+        losses = loss_summary(dens.posterior_expected_losses(values, f0, densities=True))
         return rates.LossRecord(
-            cfg.model, cfg.prior_label, cfg.alpha, n, rep,
-            losses.sup, losses.l2, losses.hellinger, losses.q90_sup,
-            None, data_seed,
+            cfg.model, cfg.prior_label, cfg.alpha, n, rep, *losses, None, data_seed,
         )
 
     prior = cfg.prior_spec(min(L_n, basis.L_max))
     counts = dens.sample_data(f0, n, data_seed)
     chain = dens.logdensity_mcmc(prior, counts, basis, cfg.mcmc, draw_seed)
-    losses = chain.expected_losses(basis, f0)
+    losses = loss_summary(chain.expected_losses(basis, f0))
     return rates.LossRecord(
-        cfg.model, cfg.prior_label, cfg.alpha, n, rep,
-        losses.sup, losses.l2, losses.hellinger, losses.q90_sup,
+        cfg.model, cfg.prior_label, cfg.alpha, n, rep, *losses,
         None, data_seed, flag=0 if chain.converged else 1,
     )

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supnorm.cli import _CONFIG_KEYS, config_hash, main, parse_config
-from supnorm.rates import MODELS, ConfigError, ExperimentConfig, run_experiment, write_records
+from supnorm.rates import (
+    MODELS,
+    ConfigError,
+    ExperimentConfig,
+    read_records,
+    run_experiment,
+    write_records,
+)
 
 TINY = {
     "model": "density-histogram",
@@ -327,6 +334,39 @@ class TestSimulate:
             assert f"config error: heavy-tail prior with tau={tau}" in err
             assert not out.exists()
 
+    def test_overflowing_proposals_are_rejected_without_a_warning(self, tmp_path, capsys):
+        # at prior_scale 1e300 a proposal's e^X overflows and its log ratio is
+        # NaN, so it is rejected; every chain is flagged, and stderr holds only
+        # the config's warning
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps({
+            **LOGD, "prior_scale": 1e300, "grid_resolution": 8,
+            "n_grid": [64, 256, 1024], "replications": 1,
+            "mcmc": {"iterations": 400, "burn_in": 200},
+        }))
+        out = tmp_path / "out"
+        code, err = simulate_stderr(capsys, path, out)
+        assert code == 0
+        assert err == [FEWER_REPS]
+        records = read_records(out / "records.csv")
+        assert len(records) == 3 and all(r.flag == 1 for r in records)
+
+    def test_prior_draw_that_overflows_exits_3_without_a_warning(self, tmp_path, capsys):
+        # heavy-tail draws at tau 0.992 are about 1e262: at prior_scale 1e300
+        # the chain's first T overflows, found by the contract fuzz below
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            **LOGD, "coefficient_law": "heavy-tail", "tau": 0.992, "prior_scale": 1e300,
+            "grid_resolution": 8, "n_grid": [64, 256, 1024], "replications": 1,
+            "mcmc": {"iterations": 400, "burn_in": 200},
+        }))
+        out = tmp_path / "out"
+        code, err = simulate_stderr(capsys, path, out)
+        assert code == 3
+        assert err == [FEWER_REPS, "runtime error: the chain's first prior draw overflows a float "
+                                   "(prior scale 1e+300)"]
+        assert not out.exists()
+
     def test_env_seed_override(self, tiny_config, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", tiny_config, "--out", str(out1)])
@@ -561,3 +601,104 @@ def test_corrupted_config_exits_2_before_work(raw):
         assert "config error:" in err.getvalue()
         assert "Traceback" not in err.getvalue()
         assert not os.path.exists(os.path.join(out, "records.csv"))
+
+
+# the CLI contract under valid configs, extremes included: one strategy per
+# model, each run small (one replication, at most 5 draws, n <= 2^10 and
+# 400 MCMC iterations).  n stops at 2^10 because a tiny alpha at a larger n
+# plans a basis whose dense Gram check takes seconds.  The examples are
+# derandomized, so a run fails only on a fault in the code it checks; wider
+# unseeded probes are run by hand
+_N_GRIDS = st.lists(st.integers(3, 2 ** 10), min_size=3, max_size=3, unique=True).map(sorted)
+
+
+@st.composite
+def _common(draw, model):
+    return {
+        "model": model,
+        "alpha": draw(st.floats(1e-3, 50.0)),
+        "radius": draw(st.floats(1e-300, 1e10)),
+        "n_grid": draw(_N_GRIDS),
+        "replications": 1,
+        "draws": draw(st.integers(1, 5)),
+        "master_seed": draw(st.integers(0, 2 ** 64)),
+        "truth_kind": draw(st.sampled_from(["signed-coefficient", "fixed-analytic"])),
+    }
+
+
+@st.composite
+def white_noise_configs(draw):
+    raw = draw(_common("white-noise"))
+    raw["prior_family"] = draw(st.sampled_from(["uniform", "exp-power"]))
+    # a uniform prior needs B > R
+    raw["bound"] = raw["radius"] * draw(st.floats(1.0 + 1e-9, 1e3))
+    raw["delta"] = draw(st.floats(1e-3, 50.0))
+    return raw
+
+
+@st.composite
+def histogram_configs(draw):
+    return {**draw(_common("density-histogram")),
+            "dirichlet_alpha": draw(st.floats(1e-300, 1e300))}
+
+
+@st.composite
+def logdensity_configs(draw):
+    raw = draw(_common("density-logdensity"))
+    law = raw["coefficient_law"] = draw(st.sampled_from(["gaussian", "laplace", "heavy-tail", "logistic"]))
+    if law == "gaussian":
+        # 0 < r <= alpha - 1/4; an alpha at or below 1/4 is the config error it makes
+        raw["r"] = max(raw["alpha"] - 0.25, 1e-3) * draw(st.floats(1e-3, 1.0))
+    raw["tau"] = draw(st.floats(0.0, 0.992))
+    raw["prior_scale"] = draw(st.floats(1e-300, 1e300))
+    raw["mcmc"] = {
+        "iterations": 400, "burn_in": draw(st.integers(0, 300)), "thin": draw(st.integers(1, 5)),
+        "adapt_every": draw(st.integers(1, 50)), "target_acceptance": draw(st.floats(0.01, 0.99)),
+    }
+    return raw
+
+
+CONFIG_STRATEGIES = {
+    "white-noise": white_noise_configs(),
+    "density-histogram": histogram_configs(),
+    "density-logdensity": logdensity_configs(),
+}
+CLI_PREFIXES = ("warning: ", "config error: ", "runtime error: ")
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr lines of `supnorm ...` run in process;
+    a Python warning that escapes is a stderr line of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    lines = err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
+    return rc, out.getvalue(), lines
+
+
+@pytest.mark.parametrize("model", MODELS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_valid_configs_keep_the_cli_contract(model, data):
+    raw = data.draw(CONFIG_STRATEGIES[model])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out = os.path.join(tmp, "out")
+        rc, _, err = run_cli(["simulate", path, "--out", out])
+        assert rc in (0, 2, 3), (raw, err)
+        assert all(line.startswith(CLI_PREFIXES) for line in err), (raw, err)
+        if rc:
+            assert not os.path.exists(out), raw
+            return
+        csv = os.path.join(out, "records.csv")
+        assert len(read_records(csv)) == 3
+        rc, text, err = run_cli(["fit-rate", csv])
+        assert rc in (0, 2) and all(line.startswith("input error: ") for line in err), (raw, err)
+        if rc == 0:
+            strict_json(text)
+        rc, _, err = run_cli(["report", csv])
+        assert rc in (0, 2) and all(line.startswith("input error: ") for line in err), (raw, err)

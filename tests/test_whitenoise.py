@@ -18,7 +18,16 @@ from supnorm.whitenoise import (
     truncation_bias_bound,
 )
 
-from oracles import coord_cdf, coord_mean, coordinate_rng, interpolated_draws
+from oracles import (
+    coord_cdf,
+    coord_expectation,
+    coord_mean,
+    coord_pdf,
+    coordinate_rng,
+    interpolated_draws,
+    loss_summary,
+    table_draws,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +84,12 @@ DRAW_RTOL = 1e-10
 
 
 def assert_draws_match_the_table(draws, x, level, prior, n, u):
-    """Draws of one coordinate against interpolation on the normalised cdf."""
+    """Draws of one coordinate against the table sampler, bit for bit, and
+    against interpolation on the normalised cdf."""
     post = coord_posterior(float(x), level, prior, n)
-    lo, hi = post.thetas[0], post.thetas[-1]
+    lo, hi = post[0][0], post[0][-1]
     assert np.all((lo <= draws) & (draws <= hi))
+    assert np.array_equal(draws, table_draws(post, u))
     assert np.abs(draws - interpolated_draws(post, u)).max() <= DRAW_RTOL * (hi - lo)
 
 
@@ -191,7 +202,7 @@ class TestCoordPosterior:
         a, b = (-2.0 * s - x) / sd, (2.0 * s - x) / sd
         ref = stats.truncnorm(a, b, loc=x, scale=sd)
         assert coord_mean(post) == pytest.approx(ref.mean(), abs=1e-3 / np.sqrt(n))
-        var = post.expectation(lambda t: (t - coord_mean(post)) ** 2)
+        var = coord_expectation(post, lambda t: (t - coord_mean(post)) ** 2)
         assert var == pytest.approx(1.0 / n, rel=0.01)
 
     def test_prior_collapse_regime(self):
@@ -227,16 +238,17 @@ class TestCoordPosterior:
         prec = n + 2.0 / s ** 2
         post = coord_posterior(x, l, prior, n)
         assert coord_mean(post) == pytest.approx(n * x / prec, abs=1e-10)
-        var = post.expectation(lambda t: (t - coord_mean(post)) ** 2)
+        var = coord_expectation(post, lambda t: (t - coord_mean(post)) ** 2)
         assert var == pytest.approx(1.0 / prec, rel=1e-6)
 
     def test_inverse_cdf_sampler_matches_pdf(self):
+        # coordinate 2 is wavelet (1, 0)
         post = coord_posterior(0.07, 1, ep_prior(), n=150)
-        rng = np.random.default_rng(0)
-        draws = post.sample(rng.uniform(size=8000))
+        x = np.array([0.0, 0.0, 0.07, 0.0])
+        draws = draw_posterior_coefficients(x, 150, ep_prior(), 8000, seed=0)[:, 2]
         emp_mean = draws.mean()
         emp_var = draws.var()
-        var = post.expectation(lambda t: (t - coord_mean(post)) ** 2)
+        var = coord_expectation(post, lambda t: (t - coord_mean(post)) ** 2)
         assert emp_mean == pytest.approx(coord_mean(post), abs=4 * np.sqrt(var / 8000))
         assert emp_var == pytest.approx(var, rel=0.1)
 
@@ -247,8 +259,8 @@ class TestCoordPosterior:
         l = 6
         s = prior.sigma(l)
         post = coord_posterior(5.0, l, prior, n)
-        assert post.thetas[0] == pytest.approx(-2.0 * s)
-        assert post.thetas[-1] == pytest.approx(2.0 * s)
+        assert post[0][0] == pytest.approx(-2.0 * s)
+        assert post[0][-1] == pytest.approx(2.0 * s)
         assert np.isfinite(coord_mean(post))
 
     @pytest.mark.parametrize("n", [4, 256, 65536])
@@ -261,8 +273,8 @@ class TestCoordPosterior:
             for x in (0.3 * radius, radius, 5.0):
                 post = coord_posterior(x, level, prior, n)
                 thetas, pdf, cdf, mean = reference_coord_posterior(x, level, prior, n)
-                assert np.array_equal(post.thetas, thetas)
-                assert np.array_equal(post.pdf, pdf)
+                assert np.array_equal(post[0], thetas)
+                assert np.array_equal(coord_pdf(post), pdf)
                 assert np.array_equal(coord_cdf(post), cdf)
                 assert coord_mean(post) == mean
 
@@ -283,8 +295,8 @@ class TestCoordPosterior:
                 x = np.nextafter(x, np.copysign(np.inf, ulps))
             thetas, pdf, _, _ = reference_coord_posterior(x, level, prior, n)
             post = coord_posterior(x, level, prior, n)
-            assert np.array_equal(post.thetas, thetas)
-            assert np.array_equal(post.pdf, pdf)
+            assert np.array_equal(post[0], thetas)
+            assert np.array_equal(coord_pdf(post), pdf)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_nonpositive_n_refused(self, n):
@@ -296,13 +308,21 @@ class TestCoordPosterior:
         with pytest.raises(ValueError, match="n must be an integer"):
             coord_posterior(0.1, 1, uniform_prior(), n)
 
-    def test_draws_keep_nan_and_clip_to_the_window(self):
-        # the clip to [lo, hi] is np.clip's, also for uniforms at and past the ends
-        post = coord_posterior(0.1, 1, uniform_prior(), 100)
+    def test_draws_keep_nan_and_clip_to_the_window(self, monkeypatch):
+        # the clip to [lo, hi] is np.clip's, also for uniforms at and past the
+        # ends, which no stream draws: each coordinate's stream here hands out u
         u = np.array([0.0, 1.0, 1.0 + 1e-12, -1e-12, 0.5, np.nan])
-        lo, hi = post.thetas[0], post.thetas[-1]
-        expected = np.clip(np.interp(u * post.cum[-1], post.cum, post.thetas), lo, hi)
-        assert np.array_equal(post.sample(u), expected, equal_nan=True)
+
+        class Stream:
+            def random(self, m):
+                return u[:m].copy()
+
+        monkeypatch.setattr(wn, "_coordinate_streams", lambda seed, width: (Stream() for _ in range(width)))
+        x = np.array([0.02, -0.05, 0.1, 0.3])
+        flat = draw_posterior_coefficients(x, 100, uniform_prior(), u.size, seed=0)
+        for j in range(x.size):
+            expected = table_draws(coord_posterior(x[j], max(j.bit_length() - 1, 0), uniform_prior(), 100), u)
+            assert np.array_equal(flat[:, j], expected, equal_nan=True)
 
 
 class TestDraws:
@@ -409,9 +429,10 @@ class TestDraws:
             grid = np.repeat(rows, 2 ** haar.resolution // rows.shape[1], axis=1)
             step = posterior_expected_losses(rows, truth, densities=False)
             ref = posterior_expected_losses(grid, truth, densities=False)
-            assert step.sup == ref.sup and step.q90_sup == ref.q90_sup
-            assert np.array_equal(step.per_draw[0], ref.per_draw[0])
-            assert step.l2 == pytest.approx(ref.l2, rel=1e-12, abs=0)
+            (sup, l2, _, q90), (ref_sup, ref_l2, _, ref_q90) = map(loss_summary, (step, ref))
+            assert sup == ref_sup and q90 == ref_q90
+            assert np.array_equal(step[0], ref[0])
+            assert l2 == pytest.approx(ref_l2, rel=1e-12, abs=0)
 
     def test_sup_loss_decreases_with_n(self, haar, truth):
         prior = uniform_prior()
@@ -451,6 +472,14 @@ class TestLaplace:
             rows = [laplace_check(x, 256, uniform_prior(), level, position, t) for x in xs]
             assert laplace_check(xs, 256, uniform_prior(), level, position, t) == np.mean(rows)
 
+    def test_one_row_is_the_trapezoid_expectation_of_its_table(self, haar, truth):
+        x = simulate_wn(haar.analyze(truth), 256, seed=0)
+        for level, position, t in ((0, 0, 1.0), (2, 3, -2.0), (4, 15, 0.5)):
+            xj = x[level_slice(level).start + position]
+            post = coord_posterior(xj, level, uniform_prior(), 256)
+            want = coord_expectation(post, lambda th: np.exp(t * 16.0 * (th - xj)))
+            assert laplace_check(x, 256, uniform_prior(), level, position, t) == want
+
     @pytest.mark.parametrize("level, position, bad", [
         (1, -1, "position -1"), (1, 2, "position 2"), (-1, 0, "got -1"), (5, 0, "level 5"),
         (1.5, 0, "level must be an integer"), (True, 0, "level must be an integer"),
@@ -486,9 +515,7 @@ class TestLaplace:
                 x = c[level_slice(l)][k] + sign * eps / np.sqrt(n)
                 post = coord_posterior(x, l, prior, n)
                 rn = np.sqrt(n)
-                bucket.append(
-                    post.expectation(lambda th: np.exp(t * rn * (th - x)))
-                )
+                bucket.append(coord_expectation(post, lambda th: np.exp(t * rn * (th - x))))
         se = np.std(plus) / np.sqrt(len(plus))
         assert abs(np.mean(plus) - np.mean(minus)) < 4 * se + 1e-9
 
