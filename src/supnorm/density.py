@@ -392,20 +392,31 @@ class McmcChain:
     step_scales: np.ndarray = field(repr=False)
     converged: bool = True
 
-    def density_values(self, basis: WaveletBasis, rows: slice = slice(None)) -> np.ndarray:
+    def density_values(self, basis: WaveletBasis, rows: slice = slice(None),
+                       out: np.ndarray | None = None) -> np.ndarray:
         """(kept, R) posterior density draws, or those of `rows`: step rows on
-        the R stored blocks of the basis (R = N, grid values, for boundary-smooth)."""
-        T = (self.states[rows] * self.sigmas) @ basis.blocks[:, 1:self.sigmas.size + 1].T
-        T -= log_mean_exp(T)[:, None]
+        the R stored blocks of the basis (R = N, grid values, for boundary-smooth).
+        `out`, a C-ordered (2, r, R) buffer with r at least the number of
+        rows, replaces fresh arrays, bit for bit: the draws are written to
+        (and returned as a view of) out[0], and out[1] is their normaliser's
+        scratch."""
+        A = self.states[rows] * self.sigmas
+        T, scratch = (None, None) if out is None else out[:, :len(A)]
+        T = np.matmul(A, basis.blocks[:, 1:self.sigmas.size + 1].T, out=T)
+        T -= log_mean_exp(T, scratch)[:, None]
         return np.exp(T, out=T)
 
     def expected_losses(self, basis: WaveletBasis, f0: np.ndarray) -> np.ndarray:
         """The per-draw loss rows of `posterior_expected_losses` of the density
         draws, a block of draws at a time: no cell holds all (kept, R)
-        values, so threads do not add them up."""
+        values, so threads do not add them up.  Every block reuses one
+        (2, rows, R) buffer for its draws and the scratch of their normaliser
+        and losses, so no block faults in fresh pages."""
+        blocks = _row_blocks(len(self.states), len(basis.blocks))
+        out = np.empty((2, max(b.stop - b.start for b in blocks), len(basis.blocks)))
         return np.concatenate([
-            posterior_expected_losses(self.density_values(basis, rows), f0)
-            for rows in _row_blocks(len(self.states), len(basis.blocks))
+            posterior_expected_losses(self.density_values(basis, rows, out), f0, scratch=out[1])
+            for rows in blocks
         ], axis=1)
 
 
@@ -597,7 +608,8 @@ def _row_blocks(m: int, width: int) -> list[slice]:
     return [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
 
 
-def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> np.ndarray:
+def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True,
+                              scratch: np.ndarray | None = None) -> np.ndarray:
     """The sup, L2 (and Hellinger) loss of each posterior draw: a (2, m)
     array, or (3, m) with `densities`, one row per loss.
 
@@ -618,14 +630,15 @@ def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> 
     The draws are reduced a block of rows at a time, with the same result
     per draw.  Each block's differences from f0's block statistics, their
     squares and the Hellinger root differences are all worked in one
-    (rows, K) scratch taken once per call: fresh MiB temporaries per block
-    can be handed back to the kernel when freed and fault their pages back
-    in on the next block.  The arithmetic, and so every loss bit, is the
-    same as with fresh arrays.  The scratch takes the memory order of the
-    draws, so Fortran-ordered histogram draws (`dirichlet_draws`) are
-    reduced a contiguous bin column at a time.  The order changes only how
-    a row's squares are summed: the sup loss is the same in either order,
-    and the L2 and Hellinger losses agree to rounding.
+    (rows, K) scratch taken once per call, or in `scratch`, a caller's
+    (r, K) buffer with r >= m: fresh MiB temporaries per block can be
+    handed back to the kernel when freed and fault their pages back in on
+    the next block.  The arithmetic, and so every loss bit, is the same as
+    with fresh arrays.  The scratch takes the memory order of the draws (a
+    caller's buffer must have it), so Fortran-ordered histogram draws
+    (`dirichlet_draws`) are reduced a contiguous bin column at a time.  The
+    order changes only how a row's squares are summed: the sup loss is the
+    same in either order, and the L2 and Hellinger losses agree to rounding.
     """
     if len(draws) == 0:
         raise ValueError("need at least one draw")
@@ -656,8 +669,9 @@ def posterior_expected_losses(draws, f0: np.ndarray, densities: bool = True) -> 
         if densities:
             root_mean, root_css = moments(np.sqrt(np.clip(blocks, 0.0, None)))
     row_blocks = _row_blocks(*draws.shape)
-    scratch = np.empty((max(b.stop - b.start for b in row_blocks), K),
-                       order="F" if np.isfortran(draws) else "C")
+    if scratch is None:
+        scratch = np.empty((max(b.stop - b.start for b in row_blocks), K),
+                           order="F" if np.isfortran(draws) else "C")
 
     def losses(c):
         w = np.subtract(c, lo, out=scratch[:len(c)])

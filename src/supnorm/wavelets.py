@@ -24,6 +24,13 @@ A basis stores its columns on the coarsest dyadic grid on which they are
 exact: 2^(L_max+1) rows for Haar, whose functions are constant on that many
 dyadic blocks, and the N grid rows for boundary-smooth.  `synthesize` and
 `function` return a function's (N,) grid values, and `analyze` takes them.
+
+`build_basis` checks each basis it builds.  A Haar basis is exact by
+construction, so it is checked against the Haar system's definition, whose
+orthonormality is a theorem (`_check_haar`: O(dim^2) reads, no matrix
+product; an entry off by an ulp is refused).  A boundary-smooth basis comes
+from QR factors and is orthonormal only to rounding, so its Gram matrix is
+checked (`gram_deviation`, within `SMOOTH_GRAM_TOL`).
 """
 from __future__ import annotations
 
@@ -33,7 +40,6 @@ import numpy as np
 
 from .grids import check_number
 
-HAAR_GRAM_TOL = 1e-8
 SMOOTH_GRAM_TOL = 1e-6
 # basis columns per panel of the Gram check: (64 x dim) blocks, not (dim x dim)
 _GRAM_PANEL = 64
@@ -388,6 +394,28 @@ def _haar_columns(L_max: int) -> np.ndarray:
     return B
 
 
+def _check_haar(B: np.ndarray, L_max: int) -> None:
+    """RuntimeError unless the (2^(L_max+1))^2 blocks B are the Haar system
+    exactly: column 0 all ones and, at each level l, wavelet k equal to
+    -2^(l/2) on the first half of its b = dim / 2^l support rows, +2^(l/2)
+    on the second half, and zero elsewhere.  The supports are the diagonal
+    blocks of the level's columns viewed as (2^l, b, 2^l); they hold dim
+    non-zero entries, so a level with exactly dim non-zeros has none off
+    its supports.  The check makes no product and no (dim x dim) array.
+    """
+    dim = 2 ** (L_max + 1)
+    if B.shape != (dim, dim) or not (B[:, 0] == 1.0).all():
+        raise RuntimeError("Haar blocks are not the Haar system (shape or scaling column)")
+    for l in range(L_max + 1):
+        amp, b = 2.0 ** (l / 2.0), dim >> l
+        V = B[:, level_slice(l)]
+        # D[i, k]: row i of the support of wavelet k
+        D = np.diagonal(V.reshape(2 ** l, b, 2 ** l), axis1=0, axis2=2)
+        if not ((D[:b // 2] == -amp).all() and (D[b // 2:] == amp).all()
+                and np.count_nonzero(V) == dim):
+            raise RuntimeError(f"Haar blocks are not the Haar system (level {l})")
+
+
 def level_slice(l: int) -> slice:
     """Positions of the level-l wavelets in a flat coefficient vector.
 
@@ -546,13 +574,12 @@ def build_basis(kind: str, L_max: int, J: int | None = None, order: int = 4) -> 
     """
     J = check_basis_args(kind, L_max, J, order)
     if kind == "haar":
-        basis = WaveletBasis("haar", 1, L_max, J, _haar_columns(L_max))
-        tol = HAAR_GRAM_TOL
-    else:
-        cols = _boundary_smooth_columns(order, L_max, J)
-        basis = WaveletBasis("boundary-smooth", order, L_max, J, cols)
-        tol = SMOOTH_GRAM_TOL
+        blocks = _haar_columns(L_max)
+        _check_haar(blocks, L_max)
+        return WaveletBasis("haar", 1, L_max, J, blocks)
+    cols = _boundary_smooth_columns(order, L_max, J)
+    basis = WaveletBasis("boundary-smooth", order, L_max, J, cols)
     dev = basis.gram_deviation()
-    if dev > tol:
-        raise RuntimeError(f"Gram deviation {dev:.2e} exceeds {tol:.0e}")
+    if dev > SMOOTH_GRAM_TOL:
+        raise RuntimeError(f"Gram deviation {dev:.2e} exceeds {SMOOTH_GRAM_TOL:.0e}")
     return basis

@@ -44,12 +44,33 @@ class Mutation(NamedTuple):
     tests: tuple  # pytest node IDs, relative to the repository root, that must fail
 
 
+_WAVELETS = "src/supnorm/wavelets.py"
 _WN = "src/supnorm/whitenoise.py"
 _DENSITY = "src/supnorm/density.py"
 _RATES = "src/supnorm/rates.py"
 _REFERENCE_RECORDS = "tests/test_rates.py::TestRunExperiment::test_records_equal_the_per_model_reference"
 
+_HAAR_CHECK = "tests/test_wavelets.py::TestHaarCheck"
+
 MUTATIONS = (
+    Mutation(
+        "haar-amplitude-an-ulp-high", _WAVELETS,
+        "        amp = 2.0 ** (l / 2.0)\n", "        amp = 2.0 ** (l / 2.0) * (1 + 2**-52)\n",
+        (f"{_HAAR_CHECK}::test_blocks_equal_the_definition_bit_for_bit",
+         f"{_HAAR_CHECK}::test_accepts_the_haar_system"),
+    ),
+    Mutation(
+        "haar-check-without-its-non-zero-count", _WAVELETS,
+        "\n                and np.count_nonzero(V) == dim)", ")",
+        (f"{_HAAR_CHECK}::test_refuses_every_single_entry_corruption",),
+    ),
+    Mutation(
+        "haar-check-with-its-half-signs-swapped", _WAVELETS,
+        "(D[:b // 2] == -amp).all() and (D[b // 2:] == amp).all()",
+        "(D[:b // 2] == amp).all() and (D[b // 2:] == -amp).all()",
+        (f"{_HAAR_CHECK}::test_accepts_the_haar_system",
+         f"{_HAAR_CHECK}::test_refuses_the_mirrored_system"),
+    ),
     Mutation(
         "guide-table-without-its-plus-one", _DENSITY,
         "    first += 1\n", "",

@@ -604,21 +604,20 @@ def test_corrupted_config_exits_2_before_work(raw):
 
 
 # the CLI contract under valid configs, extremes included: one strategy per
-# model, each run small (one replication, at most 5 draws, n <= 2^10 and
-# 400 MCMC iterations).  n stops at 2^10 because a tiny alpha at a larger n
-# plans a basis whose dense Gram check takes seconds.  The examples are
+# model, each run small (one replication, at most 5 draws, n <= 2^12 and
+# 400 MCMC iterations).  A tiny alpha at n near 2^12 plans a Haar basis with
+# L_max 12, which builds and checks in well under a second.  Log-density n
+# stops at 2^10: there a tiny alpha plans a boundary-smooth basis with
+# J = 14, whose build and Gram check still take seconds.  The examples are
 # derandomized, so a run fails only on a fault in the code it checks; wider
 # unseeded probes are run by hand
-_N_GRIDS = st.lists(st.integers(3, 2 ** 10), min_size=3, max_size=3, unique=True).map(sorted)
-
-
 @st.composite
-def _common(draw, model):
+def _common(draw, model, n_max=2 ** 12):
     return {
         "model": model,
         "alpha": draw(st.floats(1e-3, 50.0)),
         "radius": draw(st.floats(1e-300, 1e10)),
-        "n_grid": draw(_N_GRIDS),
+        "n_grid": sorted(draw(st.lists(st.integers(3, n_max), min_size=3, max_size=3, unique=True))),
         "replications": 1,
         "draws": draw(st.integers(1, 5)),
         "master_seed": draw(st.integers(0, 2 ** 64)),
@@ -644,7 +643,7 @@ def histogram_configs(draw):
 
 @st.composite
 def logdensity_configs(draw):
-    raw = draw(_common("density-logdensity"))
+    raw = draw(_common("density-logdensity", n_max=2 ** 10))
     law = raw["coefficient_law"] = draw(st.sampled_from(["gaussian", "laplace", "heavy-tail", "logistic"]))
     if law == "gaussian":
         # 0 < r <= alpha - 1/4; an alpha at or below 1/4 is the config error it makes

@@ -8,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from supnorm import wavelets
 from supnorm.wavelets import (
+    WaveletBasis,
     WaveletIndex,
     _boundary_smooth_columns,
+    _check_haar,
+    _haar_columns,
     _mirror_filter,
     build_basis,
     daubechies_filter,
@@ -422,15 +426,16 @@ class TestBuildBasis:
         assert abs(basis.gram_deviation() - dense) <= 1e-15
 
     def test_haar_build_peak_memory(self):
-        # the 2 MiB block matrix and one (64 x 512) Gram panel; the dense
-        # check held three (512 x 512) arrays beside it, 6 MiB at its peak
+        # the 2 MiB (512 x 512) block matrix and O(dim) scratch, here at most
+        # eight (512,) float arrays: the check makes no (dim x dim) or
+        # (64 x dim) temporary, where a Gram panel took 256 KiB
         tracemalloc.start()
         try:
             build_basis("haar", 8, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * 2 ** 20
+        assert peak <= 2 * 2 ** 20 + 8 * 512 * 8
 
     def test_haar_holds_only_its_blocks(self):
         # the (512, 512) block matrix at L_max = 8; the (4096, 512) grid
@@ -637,6 +642,101 @@ class TestLocalisation:
         assert max(ratios) <= C
         fine = ratios[2:]  # stationary regime for order 4
         assert max(fine) / min(fine) < 1.3
+
+
+def corrupt_haar(L, kind, c, i, row, value):
+    """(L, blocks, kind): the Haar blocks at L_max = L with one entry changed.
+
+    Entry i of the support of wavelet column c is negated (`flip`), moved
+    by an ulp towards the sign of `value` (`ulp`), or moved to `row`
+    (`move`, row != that entry); or `value` is written to entry (row, c),
+    off the support (`stray`), or to entry (row, 0) of the scaling column
+    (`scaling`)."""
+    B = _haar_columns(L)
+    l = c.bit_length() - 1
+    b = len(B) >> l
+    r = (c - 2 ** l) * b + i
+    if kind == "flip":
+        B[r, c] = -B[r, c]
+    elif kind == "ulp":
+        B[r, c] = np.nextafter(B[r, c], np.copysign(np.inf, value))
+    elif kind == "move":
+        B[row, c], B[r, c] = B[r, c], 0.0
+    elif kind == "stray":
+        assert B[row, c] == 0.0
+        B[row, c] = value
+    else:
+        B[row, 0] = value
+    return L, B, kind
+
+
+@st.composite
+def haar_corruptions(draw):
+    kind = draw(st.sampled_from(["flip", "ulp", "move", "stray", "scaling"]))
+    # the level-0 wavelet fills its column: a stray entry needs level >= 1
+    stray = kind == "stray"
+    L = draw(st.integers(int(stray), 6))
+    dim = 2 ** (L + 1)
+    c = draw(st.integers(1 + stray, dim - 1))
+    b = dim >> (c.bit_length() - 1)
+    first = (c - 2 ** (c.bit_length() - 1)) * b  # the first row of c's support
+    i = draw(st.integers(0, b - 1))
+    if stray:
+        rows = st.integers(0, dim - b - 1).map(lambda j: j + b if j >= first else j)
+    else:
+        rows = st.integers(0, dim - 1).filter(lambda j: kind != "move" or j != first + i)
+    row = draw(rows)
+    value = draw(st.floats(-1e6, 1e6).filter(lambda v: v != 0.0 and v != 1.0))
+    return corrupt_haar(L, kind, c, i, row, value)
+
+
+class TestHaarCheck:
+    """`build_basis` checks a Haar basis against the Haar system's definition."""
+
+    @pytest.mark.parametrize("L_max", range(11))
+    def test_accepts_the_haar_system(self, L_max):
+        _check_haar(_haar_columns(L_max), L_max)
+
+    @pytest.mark.parametrize("L_max", [0, 3, 8])
+    def test_blocks_equal_the_definition_bit_for_bit(self, L_max):
+        basis = build_basis("haar", L_max, L_max + 2)
+        ref = haar_columns(L_max, L_max + 1)  # eval_haar at the block midpoints
+        assert np.array_equal(basis.blocks, ref)
+        # orthonormal within an ulp of 2^(l/2) squared
+        assert basis.gram_deviation() <= 2.0 ** -52 * 2 ** L_max
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(haar_corruptions())
+    # one of each kind, whatever hypothesis draws
+    @example(corrupt_haar(3, "flip", 5, 0, 0, 1.0))
+    @example(corrupt_haar(6, "ulp", 100, 1, 0, -1.0))
+    @example(corrupt_haar(0, "ulp", 1, 0, 0, 1.0))
+    @example(corrupt_haar(2, "move", 3, 0, 0, 1.0))
+    @example(corrupt_haar(2, "stray", 4, 1, 7, 5e-324))
+    @example(corrupt_haar(1, "scaling", 1, 0, 2, -1.0))
+    def test_refuses_every_single_entry_corruption(self, case):
+        L, B, kind = case
+        with pytest.raises(RuntimeError, match="are not the Haar system"):
+            _check_haar(B, L)
+        if kind == "ulp":
+            # a change the Gram check lets through
+            assert WaveletBasis("haar", 1, L, L + 2, B).gram_deviation() <= 1e-8
+
+    def test_refuses_the_mirrored_system(self):
+        # every wavelet negated: +2^(l/2) first, then -2^(l/2), an
+        # orthonormal basis that the Gram check passes
+        B = _haar_columns(4)
+        B[:, 1:] *= -1.0
+        assert WaveletBasis("haar", 1, 4, 6, B).gram_deviation() <= 1e-8
+        with pytest.raises(RuntimeError, match=re.escape("not the Haar system (level 0)")):
+            _check_haar(B, 4)
+
+    def test_build_never_computes_a_gram_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("gram_deviation called")
+
+        monkeypatch.setattr(wavelets.WaveletBasis, "gram_deviation", refuse)
+        assert build_basis("haar", 10, 14).dim == 2 ** 11
 
 
 @pytest.mark.parametrize("L_max, J", [(0, 2), (4, 10), (8, 10), (8, 12)])
