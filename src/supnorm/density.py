@@ -20,13 +20,13 @@ The log-density model exp(T - c(T)), with T a truncated wavelet series, has
 no conjugate posterior; a Metropolis-Hastings sampler with per-level block
 moves is provided (prior-reversible pCN proposals in the Gaussian case,
 random-walk proposals with a prior ratio otherwise).  It works on the R
-stored rows of the basis, `blocks` (2^(L_max+1) for Haar, N for
-boundary-smooth): the blocks are equal, so c(T) and the data term are exact
-sums over them.  Its kernel uses exact reductions only: each level's
-wavelets, scaled by sigma_l, are stored once as contiguous (2^l, R) rows
-R_l, and the data term sum_i T(X_i) = counts . T of a level move by d
-changes by d . s_l with s_l = R_l counts (that is, s = B^T counts,
-precomputed), so it costs O(2^l) instead of O(R).  The normaliser term
+stored rows of the basis, its `columns` (2^(L_max+1) dyadic blocks for
+Haar, N grid points for boundary-smooth): the blocks are equal, so c(T) and
+the data term are exact sums over them.  Its kernel uses exact reductions
+only: each level's wavelets, scaled by sigma_l, are stored once as
+contiguous (2^l, R) rows R_l, and the data term sum_i T(X_i) = counts . T
+of a level move by d changes by d . s_l with s_l = R_l counts (that is,
+s = B^T counts, precomputed), so it costs O(2^l) instead of O(R).  The normaliser term
 needs only c(T + X) - c(T) for X = d R_l, and with kept weights
 E = e^(T - max T) that difference is exact:
 
@@ -402,7 +402,7 @@ class McmcChain:
         scratch."""
         A = self.states[rows] * self.sigmas
         T, scratch = (None, None) if out is None else out[:, :len(A)]
-        T = np.matmul(A, basis.blocks[:, 1:self.sigmas.size + 1].T, out=T)
+        T = np.matmul(A, basis.columns(self.sigmas.size + 1)[:, 1:].T, out=T)
         T -= log_mean_exp(T, scratch)[:, None]
         return np.exp(T, out=T)
 
@@ -412,8 +412,9 @@ class McmcChain:
         values, so threads do not add them up.  Every block reuses one
         (2, rows, R) buffer for its draws and the scratch of their normaliser
         and losses, so no block faults in fresh pages."""
-        blocks = _row_blocks(len(self.states), len(basis.blocks))
-        out = np.empty((2, max(b.stop - b.start for b in blocks), len(basis.blocks)))
+        R = 2 ** basis.resolution // basis.block_size
+        blocks = _row_blocks(len(self.states), R)
+        out = np.empty((2, max(b.stop - b.start for b in blocks), R))
         return np.concatenate([
             posterior_expected_losses(self.density_values(basis, rows, out), f0, scratch=out[1])
             for rows in blocks
@@ -484,7 +485,7 @@ def logdensity_mcmc(
     if L > basis.L_max:
         raise ValueError(f"cutoff level {L} beyond basis L_max={basis.L_max}")
     # the wavelet columns of levels 0..L, copied once: products run faster on contiguous rows
-    B = np.ascontiguousarray(basis.blocks[:, 1:2 ** (L + 1)])
+    B = np.ascontiguousarray(basis.columns(2 ** (L + 1))[:, 1:])
     R, K = B.shape
     sigmas = np.concatenate(
         [np.full(2 ** l, prior.sigma(l)) for l in range(L + 1)]

@@ -20,17 +20,18 @@ The basis starts at a single scaling coefficient (the scaling function is
 the constant 1) and carries 2^l wavelets at each level l = 0..L_max.
 Coefficients are one flat vector in column order (see `level_slice`).
 
-A basis stores its columns on the coarsest dyadic grid on which they are
-exact: 2^(L_max+1) rows for Haar, whose functions are constant on that many
-dyadic blocks, and the N grid rows for boundary-smooth.  `synthesize` and
+A basis's columns are exact on the coarsest dyadic grid that carries them:
+the 2^(L_max+1) dyadic blocks for Haar, whose functions are constant on
+them, and the N grid points for boundary-smooth.  `synthesize` and
 `function` return a function's (N,) grid values, and `analyze` takes them.
 
-`build_basis` checks each basis it builds.  A Haar basis is exact by
-construction, so it is checked against the Haar system's definition, whose
-orthonormality is a theorem (`_check_haar`: O(dim^2) reads, no matrix
-product; an entry off by an ulp is refused).  A boundary-smooth basis comes
-from QR factors and is orthonormal only to rounding, so its Gram matrix is
-checked (`gram_deviation`, within `SMOOTH_GRAM_TOL`).
+A Haar basis is exact by definition and stores no array: `analyze` runs
+the Haar pyramid over the block sums, `synthesize` and `synthesize_flat`
+the Haar cascade, both in one fixed order and without a BLAS product, and
+`columns` builds the stored rows of a prefix from the definition when a
+reader asks for them.  A boundary-smooth basis comes from QR factors and is
+orthonormal only to rounding, so `build_basis` checks its Gram matrix
+(`gram_deviation`, within `SMOOTH_GRAM_TOL`).
 """
 from __future__ import annotations
 
@@ -375,47 +376,6 @@ def _boundary_smooth_columns(p: int, L_max: int, J: int) -> np.ndarray:
     return B
 
 
-def _haar_columns(L_max: int) -> np.ndarray:
-    """The Haar basis on the 2^(L_max+1) grid, filled in place one level at a time.
-
-    Every Haar function up to level L_max is constant on these dyadic
-    blocks.  At level l, block i lies in the support of wavelet k = i // b,
-    with b = 2^(L_max+1-l) >= 2 blocks per support; the wavelet there is
-    -2^(l/2) on the first half of the support and +2^(l/2) on the second.
-    """
-    N = 2 ** (L_max + 1)
-    B = np.zeros((N, N))
-    B[:, 0] = 1.0
-    i = np.arange(N)
-    for l in range(L_max + 1):
-        b = N >> l
-        amp = 2.0 ** (l / 2.0)
-        B[i, level_slice(l).start + i // b] = np.where(i % b < b // 2, -amp, amp)
-    return B
-
-
-def _check_haar(B: np.ndarray, L_max: int) -> None:
-    """RuntimeError unless the (2^(L_max+1))^2 blocks B are the Haar system
-    exactly: column 0 all ones and, at each level l, wavelet k equal to
-    -2^(l/2) on the first half of its b = dim / 2^l support rows, +2^(l/2)
-    on the second half, and zero elsewhere.  The supports are the diagonal
-    blocks of the level's columns viewed as (2^l, b, 2^l); they hold dim
-    non-zero entries, so a level with exactly dim non-zeros has none off
-    its supports.  The check makes no product and no (dim x dim) array.
-    """
-    dim = 2 ** (L_max + 1)
-    if B.shape != (dim, dim) or not (B[:, 0] == 1.0).all():
-        raise RuntimeError("Haar blocks are not the Haar system (shape or scaling column)")
-    for l in range(L_max + 1):
-        amp, b = 2.0 ** (l / 2.0), dim >> l
-        V = B[:, level_slice(l)]
-        # D[i, k]: row i of the support of wavelet k
-        D = np.diagonal(V.reshape(2 ** l, b, 2 ** l), axis1=0, axis2=2)
-        if not ((D[:b // 2] == -amp).all() and (D[b // 2:] == amp).all()
-                and np.count_nonzero(V) == dim):
-            raise RuntimeError(f"Haar blocks are not the Haar system (level {l})")
-
-
 def level_slice(l: int) -> slice:
     """Positions of the level-l wavelets in a flat coefficient vector.
 
@@ -429,40 +389,73 @@ def level_slice(l: int) -> slice:
 class WaveletBasis:
     """Sampled orthonormal basis: constant scaling function + wavelets.
 
-    `blocks` holds the columns on the coarsest dyadic grid on which they are
-    exact, one row per r = `block_size` grid points: 2^(L_max+1) rows for
-    Haar, r = 1 for boundary-smooth.  It is the only stored form of the
-    basis, and every method reads it through r.
+    Its columns are exact on R stored rows, one per r = `block_size` grid
+    points: R = 2^(L_max+1) dyadic blocks for Haar, R = N grid points for
+    boundary-smooth.  A boundary-smooth basis keeps them as `blocks`; a Haar
+    basis stores no array, and its rows are the Haar system's definition.
+    `columns` is the one reader of the stored rows.
     """
 
     kind: str
     order: int
     L_max: int
     resolution: int  # J: the basis lives on the 2^J grid
-    blocks: np.ndarray = field(repr=False)  # (N / r, 2^(L_max+1)); col 0 = scaling
+    # boundary-smooth only: (N, 2^(L_max+1)); col 0 = scaling
+    blocks: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.blocks.shape[1]
+        return 2 ** (self.L_max + 1)
 
     @property
     def block_size(self) -> int:
         """r: the grid points under one stored row."""
-        return 2 ** self.resolution // len(self.blocks)
+        return 2 ** (self.resolution - self.L_max - 1) if self.kind == "haar" else 1
 
     def column_of(self, idx: WaveletIndex) -> int:
         if idx.level > self.L_max:
             raise IndexError(f"level {idx.level} beyond basis L_max={self.L_max}")
         return level_slice(idx.level).start + idx.position
 
+    def _check_width(self, width: int) -> None:
+        if width > self.dim:
+            raise IndexError(
+                f"{width} coefficients exceed the basis dimension {self.dim} "
+                f"(L_max={self.L_max})"
+            )
+
+    def columns(self, width: int) -> np.ndarray:
+        """The (R, width) stored rows of the first `width` basis columns: a
+        view of `blocks`, or for Haar built from the definition, on R = dim
+        blocks.  Block i lies in the support of level-l wavelet k = i // b,
+        b = dim / 2^l, which is -2^(l/2) on the first half and +2^(l/2) on
+        the second."""
+        self._check_width(width)
+        if self.kind != "haar":
+            return self.blocks[:, :width]
+        B = np.zeros((self.dim, width))
+        B[:, :1] = 1.0
+        for l in range((width - 1).bit_length()):  # the levels that start below width
+            sl = level_slice(l)
+            live = min(sl.stop, width) - sl.start  # a prefix can end inside a level
+            b, amp = self.dim >> l, 2.0 ** (l / 2.0)
+            i = np.arange(live * b)
+            B[i, sl.start + i // b] = np.where(i % b < b // 2, -amp, amp)
+        return B
+
     def function(self, idx: WaveletIndex) -> np.ndarray:
-        return np.repeat(self.blocks[:, self.column_of(idx)], self.block_size)
+        """The grid values of one basis function; for Haar, the cascade of
+        its unit coefficient vector, O(N) (0 plus one +-2^(l/2) term)."""
+        col = self.column_of(idx)
+        if self.kind == "haar":
+            return self.synthesize(np.eye(1, col + 1, col)[0])
+        return self.columns(col + 1)[:, -1].copy()
 
     def gram_deviation(self) -> float:
         """max |B^T B / rows - I| over the stored rows B.  The Gram matrix is
         symmetric, so it is read off its upper triangle, `_GRAM_PANEL` rows
         of it at a time, and never held whole."""
-        B, dev = self.blocks, 0.0
+        B, dev = self.columns(self.dim), 0.0
         for j in range(0, self.dim, _GRAM_PANEL):
             G = B[:, j:j + _GRAM_PANEL].T @ B[:, j:]
             G /= len(B)
@@ -472,10 +465,11 @@ class WaveletBasis:
 
     # --- analysis / synthesis -------------------------------------------
     def analyze(self, f: np.ndarray) -> np.ndarray:
-        """Quadrature inner products of the grid values f with every basis
-        function (flat layout): the sums of f over the stored blocks, times
-        the stored rows.  ValueError unless f is finite, with the shape
-        (2^J,) of the basis's grid."""
+        """Quadrature inner products of the grid values f (finite, shape
+        (2^J,), else ValueError) with every basis function, in flat layout.
+        Haar runs the pyramid over the dim block sums S of f, finest level
+        first: (l, k) is (S_2k+1 - S_2k) 2^(l/2) / N, then S_k <- S_2k +
+        S_2k+1, and the scaling coefficient is the last sum over N."""
         f = np.asarray(f, dtype=float)
         if f.shape != (2 ** self.resolution,):
             raise ValueError(
@@ -483,49 +477,49 @@ class WaveletBasis:
             )
         if not np.isfinite(f).all():
             raise ValueError("grid values must be finite")
-        sums = f.reshape(len(self.blocks), self.block_size).sum(axis=1)
-        return self.blocks.T @ sums / f.size
-
-    def _prefix_columns(self, width: int) -> np.ndarray:
-        if width > self.dim:
-            raise IndexError(
-                f"{width} coefficients exceed the basis dimension {self.dim} "
-                f"(L_max={self.L_max})"
-            )
-        return self.blocks[:, :width]
+        if self.kind != "haar":
+            return self.columns(self.dim).T @ f / f.size
+        sums = f.reshape(self.dim, self.block_size).sum(axis=1)
+        out = np.empty(self.dim)
+        for l in range(self.L_max, -1, -1):
+            left, right = sums[0::2], sums[1::2]
+            out[level_slice(l)] = (right - left) * (2.0 ** (l / 2.0) / f.size)
+            sums = left + right
+        out[0] = sums[0] / f.size
+        return out
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """The grid values of a flat coefficient vector, or of a prefix of one."""
+        """The grid values of a flat coefficient vector, or of a prefix of
+        one; for Haar, its `synthesize_flat` row repeated over the grid."""
         coeffs = np.asarray(coeffs, dtype=float)
-        return np.repeat(self._prefix_columns(coeffs.size) @ coeffs, self.block_size)
+        if self.kind != "haar":
+            return self.columns(coeffs.size) @ coeffs
+        row = self.synthesize_flat(coeffs[None])[0]
+        return np.repeat(row, 2 ** self.resolution // row.size)
 
     def synthesize_flat(self, flat: np.ndarray) -> np.ndarray:
         """Batch synthesis: rows of `flat` are flat coefficient vectors, or
         prefixes of one width; only the coefficients of that prefix are used.
 
         Each row comes back on the coarsest dyadic grid on which the prefix
-        is exact.  A boundary-smooth basis stores its columns at all N grid
-        points, so its rows are the N grid values, `flat @ blocks.T`.  Haar
-        levels 0..L are constant on 2^(L+1) dyadic blocks,
-        so a Haar row holds K = 2^ceil(log2 width) values, one per block of
-        N / K grid points, and `np.repeat(rows, N // K, axis=1)` is the grid
-        row.  Each block value is summed in one fixed order, the scaling
-        term first and then the single live wavelet of each level in
-        ascending level order, so a row's bits depend only on its own
-        coefficients, not on the BLAS kernel or on the rows beside it.
-        The sums are built by the Haar cascade: level l splits each of the
-        2^l blocks in two, subtracting c_lk 2^(l/2) on the left half and
-        adding it on the right (the sign pattern of `_haar_columns`).
-        `density.posterior_expected_losses` reduces K-wide rows exactly.
+        is exact: N grid values, `flat @ blocks.T`, for boundary-smooth, and
+        for Haar K = 2^ceil(log2 width) block values, whose grid row is
+        `np.repeat(rows, N // K, axis=1)`.  The Haar cascade splits each of
+        the 2^l blocks of level l in two, subtracting c_lk 2^(l/2) on the
+        left half and adding it on the right, so a block value is summed in
+        one fixed order (the scaling term, then one wavelet per level) and
+        a row's bits depend on its own coefficients only, not on the BLAS
+        kernel or the rows beside it.
         """
         if np.ndim(flat) != 2:
             raise ValueError(f"flat must be a 2-D array of rows (got shape {np.shape(flat)})")
         width = flat.shape[1]
-        cols = self._prefix_columns(width)
         if self.kind != "haar":
-            return flat @ cols.T
-        K = 1 << (width - 1).bit_length()
-        rows = flat[:, :1] * 1.0  # the scaling function is 1
+            return flat @ self.columns(width).T
+        self._check_width(width)
+        K = 1 << max(width - 1, 0).bit_length()
+        # the scaling function is 1; an empty prefix is the zero function
+        rows = flat[:, :1] * 1.0 if width else np.zeros((len(flat), 1))
         for l in range(K.bit_length() - 1):
             sl = level_slice(l)
             t = flat[:, sl.start:min(sl.stop, width)] * 2.0 ** (l / 2.0)
@@ -538,11 +532,14 @@ class WaveletBasis:
         return rows
 
     def localisation_sum(self, l: int) -> float:
-        """max over grid points of sum_k |psi_lk(x)|."""
+        """max over grid points of sum_k |psi_lk(x)|; 2^(l/2) for Haar."""
         check_number("level", l, integer=True)
         if not 0 <= l <= self.L_max:
             raise IndexError(f"level {l} out of range 0..{self.L_max}")
-        return float(np.abs(self.blocks[:, level_slice(l)]).sum(axis=1).max())
+        if self.kind == "haar":
+            return 2.0 ** (l / 2.0)
+        sl = level_slice(l)
+        return float(np.abs(self.columns(sl.stop)[:, sl]).sum(axis=1).max())
 
 
 def check_basis_args(kind: str, L_max: int, J: int | None = None, order: int = 4) -> int:
@@ -574,9 +571,7 @@ def build_basis(kind: str, L_max: int, J: int | None = None, order: int = 4) -> 
     """
     J = check_basis_args(kind, L_max, J, order)
     if kind == "haar":
-        blocks = _haar_columns(L_max)
-        _check_haar(blocks, L_max)
-        return WaveletBasis("haar", 1, L_max, J, blocks)
+        return WaveletBasis("haar", 1, L_max, J)
     cols = _boundary_smooth_columns(order, L_max, J)
     basis = WaveletBasis("boundary-smooth", order, L_max, J, cols)
     dev = basis.gram_deviation()

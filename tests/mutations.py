@@ -50,26 +50,32 @@ _DENSITY = "src/supnorm/density.py"
 _RATES = "src/supnorm/rates.py"
 _REFERENCE_RECORDS = "tests/test_rates.py::TestRunExperiment::test_records_equal_the_per_model_reference"
 
-_HAAR_CHECK = "tests/test_wavelets.py::TestHaarCheck"
+_HAAR = "tests/test_wavelets.py::TestHaarBlocksMatchFullGrid"
+_HAAR_DEFINITION = "tests/test_wavelets.py::TestHaarDefinition"
+_ANALYZE = "tests/test_wavelets.py::TestAnalyzeSynthesize"
 
 MUTATIONS = (
     Mutation(
-        "haar-amplitude-an-ulp-high", _WAVELETS,
-        "        amp = 2.0 ** (l / 2.0)\n", "        amp = 2.0 ** (l / 2.0) * (1 + 2**-52)\n",
-        (f"{_HAAR_CHECK}::test_blocks_equal_the_definition_bit_for_bit",
-         f"{_HAAR_CHECK}::test_accepts_the_haar_system"),
+        "haar-pyramid-left-minus-right", _WAVELETS,
+        "(right - left) * (2.0 ** (l / 2.0) / f.size)", "(left - right) * (2.0 ** (l / 2.0) / f.size)",
+        (f"{_HAAR}::test_analyze_and_synthesize",
+         f"{_ANALYZE}::test_analyze_single_wavelet",
+         f"{_ANALYZE}::test_haar_analysis_sums_in_fixed_order"),
     ),
     Mutation(
-        "haar-check-without-its-non-zero-count", _WAVELETS,
-        "\n                and np.count_nonzero(V) == dim)", ")",
-        (f"{_HAAR_CHECK}::test_refuses_every_single_entry_corruption",),
+        "haar-scaling-coefficient-undivided", _WAVELETS,
+        "out[0] = sums[0] / f.size", "out[0] = sums[0]",
+        (f"{_HAAR}::test_analyze_and_synthesize",
+         f"{_ANALYZE}::test_analyze_constant",
+         f"{_ANALYZE}::test_haar_analysis_sums_in_fixed_order"),
     ),
     Mutation(
-        "haar-check-with-its-half-signs-swapped", _WAVELETS,
-        "(D[:b // 2] == -amp).all() and (D[b // 2:] == amp).all()",
-        "(D[:b // 2] == amp).all() and (D[b // 2:] == -amp).all()",
-        (f"{_HAAR_CHECK}::test_accepts_the_haar_system",
-         f"{_HAAR_CHECK}::test_refuses_the_mirrored_system"),
+        "haar-columns-amplitude-two-to-the-l", _WAVELETS,
+        "b, amp = self.dim >> l, 2.0 ** (l / 2.0)", "b, amp = self.dim >> l, 2.0 ** l",
+        (f"{_HAAR}::test_block_rows",
+         f"{_HAAR}::test_gram_localisation_and_functions",
+         f"{_HAAR_DEFINITION}::test_columns_are_the_haar_system",
+         f"{_HAAR_DEFINITION}::test_blocks_equal_the_definition_bit_for_bit"),
     ),
     Mutation(
         "guide-table-without-its-plus-one", _DENSITY,

@@ -57,7 +57,7 @@ def haar_columns(L_max: int, J: int) -> np.ndarray:
 def grid_columns(basis: WaveletBasis) -> np.ndarray:
     """(N, dim) grid samples of the basis: each stored row repeated over its
     r = `block_size` grid points."""
-    return np.repeat(basis.blocks, basis.block_size, axis=0)
+    return np.repeat(basis.columns(basis.dim), basis.block_size, axis=0)
 
 
 def step_blocks(g: np.ndarray, width: int) -> np.ndarray:

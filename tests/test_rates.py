@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,8 @@ from supnorm.rates import (
 
 from oracles import reference_records
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def synthetic_records(ns, loss_fn, model="white-noise", reps=1, flag_fn=None,
                       alpha=1.0):
@@ -36,6 +43,43 @@ def synthetic_records(ns, loss_fn, model="white-noise", reps=1, flag_fn=None,
                 )
             )
     return out
+
+
+# a config's records.csv in a fresh interpreter, with OpenBLAS forced onto
+# one core type (OPENBLAS_CORETYPE) or on its default; prints the core name
+# that OpenBLAS reports, or None where numpy's OpenBLAS cannot be found
+_CORE_RUN = """
+import ctypes, glob, json, os, sys
+import numpy as np
+from supnorm.rates import ExperimentConfig, run_experiment, write_records
+
+def corename():
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename"):
+            fn = getattr(ctypes.CDLL(path), name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+write_records(sys.argv[2], run_experiment(ExperimentConfig(**json.loads(sys.argv[1]))))
+print(json.dumps(corename()))
+"""
+
+
+def _records_under_core(config: dict, core, out) -> tuple:
+    """(core name, records.csv bytes) of `config` run under OpenBLAS core `core`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    proc = subprocess.run([sys.executable, "-c", _CORE_RUN, json.dumps(config), str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), out.read_bytes()
 
 
 # one tiny config per model
@@ -392,14 +436,25 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("model", ["white-noise", "density-histogram"])
     def test_haar_runs_never_build_the_grid_columns(self, model):
-        # white-noise and histogram cells read the Haar basis through its
-        # (2^(L_max+1))-row block matrix only, and leave no other array on it
+        # white-noise and histogram cells run the Haar pyramid and cascade,
+        # and leave no array on the basis
         cfg = ExperimentConfig(**TINY[model])
         basis = rates.plan_basis(cfg)
         run_experiment(cfg, basis)
-        side = 2 ** (basis.L_max + 1)
-        assert basis.kind == "haar" and basis.blocks.shape == (side, side)
-        assert [k for k, v in vars(basis).items() if isinstance(v, np.ndarray)] == ["blocks"]
+        assert basis.kind == "haar" and basis.blocks is None
+        assert not [k for k, v in vars(basis).items() if isinstance(v, np.ndarray)]
+
+    @pytest.mark.parametrize("model", ["white-noise", "density-histogram"])
+    def test_haar_records_do_not_depend_on_the_blas_kernel(self, model, tmp_path):
+        # the Haar pyramid and cascade, the quadrature and the loss reductions
+        # make no BLAS product, so forcing OpenBLAS onto another core type
+        # leaves every byte of records.csv as it is
+        runs = {core: _records_under_core(TINY[model], core, tmp_path / f"{core}.csv")
+                for core in (None, "Prescott")}
+        (default, default_bytes), (forced, forced_bytes) = runs[None], runs["Prescott"]
+        if forced is None or forced == default:
+            pytest.skip(f"the OpenBLAS core did not switch (default {default}, forced {forced})")
+        assert forced_bytes == default_bytes
 
     def test_histogram_median_sup_decreasing(self):
         cfg = ExperimentConfig(

@@ -8,15 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from supnorm import wavelets
 from supnorm.wavelets import (
-    WaveletBasis,
     WaveletIndex,
     _boundary_smooth_columns,
-    _check_haar,
-    _haar_columns,
     _mirror_filter,
     build_basis,
     daubechies_filter,
@@ -345,7 +342,7 @@ class TestReferenceBuilds:
 
     @pytest.mark.parametrize("L_max, J", [(4, 10), (8, 10), (0, 2), (8, 12)])
     def test_haar_fill_matches_eval_haar(self, L_max, J):
-        # the full-grid view of the stored blocks, bit for bit
+        # the full-grid view of the rows `columns` builds, bit for bit
         assert np.array_equal(grid_columns(build_basis("haar", L_max, J)), haar_columns(L_max, J))
 
     def test_runtime_loads_no_scipy(self):
@@ -421,28 +418,46 @@ class TestBuildBasis:
     def test_panelled_gram_matches_the_dense_check(self, kind, L_max, J):
         # dims 2, 32, 512, 64 and 512: below, at and above the panel width
         basis = build_basis(kind, L_max, J)
-        B = basis.blocks
+        B = basis.columns(basis.dim)
         dense = np.abs(B.T @ B / len(B) - np.eye(basis.dim)).max()
         assert abs(basis.gram_deviation() - dense) <= 1e-15
 
     def test_haar_build_peak_memory(self):
-        # the 2 MiB (512 x 512) block matrix and O(dim) scratch, here at most
-        # eight (512,) float arrays: the check makes no (dim x dim) or
-        # (64 x dim) temporary, where a Gram panel took 256 KiB
+        # a Haar build validates its arguments and allocates no array; the
+        # dense (16384 x 16384) block matrix at L_max = 13 would be 2 GiB
         tracemalloc.start()
         try:
-            build_basis("haar", 8, 12)
+            build_basis("haar", 13, 17)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2 ** 20 + 8 * 512 * 8
+        assert peak < 64 * 2 ** 10
 
-    def test_haar_holds_only_its_blocks(self):
-        # the (512, 512) block matrix at L_max = 8; the (4096, 512) grid
-        # matrix (16 MiB) is not built
-        basis = build_basis("haar", 8, 12)
-        held = sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray))
-        assert held <= 2.1 * 2 ** 20
+    def test_haar_function_builds_no_prefix_matrix(self):
+        # the last wavelet at L_max = 13 is its (2^17,) grid values, 1 MiB,
+        # plus the one-row cascade; its (16384 x 16384) column prefix would be 2 GiB
+        basis = build_basis("haar", 13, 17)
+        tracemalloc.start()
+        try:
+            f = basis.function(WaveletIndex(13, 2 ** 13 - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        amp = 2.0 ** 6.5
+        assert (f[:-16] == 0.0).all() and (f[-16:-8] == -amp).all() and (f[-8:] == amp).all()
+
+    def test_haar_holds_no_array(self):
+        basis = build_basis("haar", 13, 17)
+        assert basis.blocks is None
+        assert not [k for k, v in vars(basis).items() if isinstance(v, np.ndarray)]
+
+    def test_build_never_computes_a_gram_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("gram_deviation called")
+
+        monkeypatch.setattr(wavelets.WaveletBasis, "gram_deviation", refuse)
+        assert build_basis("haar", 10, 14).dim == 2 ** 11
 
     def test_scaling_function_is_one(self, smooth):
         assert np.allclose(grid_columns(smooth)[:, 0], 1.0, atol=1e-9)
@@ -501,9 +516,18 @@ class TestAnalyzeSynthesize:
                 f"grid values of shape (256,) do not match the basis grid J={haar.resolution}")):
             haar.analyze(f)
 
+    @staticmethod
+    def check_synthesize_zero(basis, empty_row_size):
+        # a zero vector, and the empty prefix
+        for c in (np.zeros(level_slice(2).stop), []):
+            assert np.array_equal(basis.synthesize(c), np.zeros(2 ** basis.resolution))
+        assert np.array_equal(basis.synthesize_flat(np.zeros((3, 0))), np.zeros((3, empty_row_size)))
+
     def test_synthesize_zero(self, haar):
-        c = np.zeros(level_slice(2).stop)
-        assert np.all(haar.synthesize(c) == 0.0)
+        self.check_synthesize_zero(haar, 1)
+
+    def test_synthesize_zero_smooth(self, smooth):
+        self.check_synthesize_zero(smooth, 2 ** smooth.resolution)
 
     def test_synthesize_constant(self, haar):
         assert np.allclose(haar.synthesize([1.0]), 1.0)
@@ -580,6 +604,20 @@ class TestAnalyzeSynthesize:
             for m in list(range(1, 41)) + [200]:
                 assert np.array_equal(haar.synthesize_flat(flat[:m]), expected[:m])
 
+    def test_haar_analysis_sums_in_fixed_order(self, haar):
+        # the block sums, then level by level from the finest: the right
+        # sum less the left, times 2^(l/2) / N, and the pair's sum passed up
+        f = np.random.default_rng(13).normal(size=2 ** haar.resolution)
+        N = f.size
+        sums = list(f.reshape(haar.dim, -1).sum(axis=1))
+        expected = [0.0] * haar.dim
+        for l in range(haar.L_max, -1, -1):
+            for k in range(2 ** l):
+                expected[2 ** l + k] = (sums[2 * k + 1] - sums[2 * k]) * (2.0 ** (l / 2.0) / N)
+            sums = [sums[2 * k] + sums[2 * k + 1] for k in range(2 ** l)]
+        expected[0] = sums[0] / N
+        assert np.array_equal(haar.analyze(f), expected)
+
     @pytest.mark.parametrize("kind", ["haar", "smooth"])
     def test_synthesize_flat_refuses_one_row_vector(self, kind, request):
         basis = request.getfixturevalue(kind)
@@ -644,115 +682,62 @@ class TestLocalisation:
         assert max(fine) / min(fine) < 1.3
 
 
-def corrupt_haar(L, kind, c, i, row, value):
-    """(L, blocks, kind): the Haar blocks at L_max = L with one entry changed.
-
-    Entry i of the support of wavelet column c is negated (`flip`), moved
-    by an ulp towards the sign of `value` (`ulp`), or moved to `row`
-    (`move`, row != that entry); or `value` is written to entry (row, c),
-    off the support (`stray`), or to entry (row, 0) of the scaling column
-    (`scaling`)."""
-    B = _haar_columns(L)
-    l = c.bit_length() - 1
-    b = len(B) >> l
-    r = (c - 2 ** l) * b + i
-    if kind == "flip":
-        B[r, c] = -B[r, c]
-    elif kind == "ulp":
-        B[r, c] = np.nextafter(B[r, c], np.copysign(np.inf, value))
-    elif kind == "move":
-        B[row, c], B[r, c] = B[r, c], 0.0
-    elif kind == "stray":
-        assert B[row, c] == 0.0
-        B[row, c] = value
-    else:
-        B[row, 0] = value
-    return L, B, kind
-
-
-@st.composite
-def haar_corruptions(draw):
-    kind = draw(st.sampled_from(["flip", "ulp", "move", "stray", "scaling"]))
-    # the level-0 wavelet fills its column: a stray entry needs level >= 1
-    stray = kind == "stray"
-    L = draw(st.integers(int(stray), 6))
-    dim = 2 ** (L + 1)
-    c = draw(st.integers(1 + stray, dim - 1))
-    b = dim >> (c.bit_length() - 1)
-    first = (c - 2 ** (c.bit_length() - 1)) * b  # the first row of c's support
-    i = draw(st.integers(0, b - 1))
-    if stray:
-        rows = st.integers(0, dim - b - 1).map(lambda j: j + b if j >= first else j)
-    else:
-        rows = st.integers(0, dim - 1).filter(lambda j: kind != "move" or j != first + i)
-    row = draw(rows)
-    value = draw(st.floats(-1e6, 1e6).filter(lambda v: v != 0.0 and v != 1.0))
-    return corrupt_haar(L, kind, c, i, row, value)
-
-
-class TestHaarCheck:
-    """`build_basis` checks a Haar basis against the Haar system's definition."""
+class TestHaarDefinition:
+    """A Haar basis's stored rows are the Haar system's definition: column 0
+    all ones and, at each level l, wavelet k equal to -2^(l/2) on the first
+    half of its b = dim / 2^l support rows, +2^(l/2) on the second half,
+    and zero elsewhere."""
 
     @pytest.mark.parametrize("L_max", range(11))
-    def test_accepts_the_haar_system(self, L_max):
-        _check_haar(_haar_columns(L_max), L_max)
+    def test_columns_are_the_haar_system(self, L_max):
+        basis = build_basis("haar", L_max, L_max + 2)
+        dim = basis.dim
+        B = basis.columns(dim)
+        assert B.shape == (dim, dim)
+        assert (B[:, 0] == 1.0).all()
+        for l in range(L_max + 1):
+            amp, b = 2.0 ** (l / 2.0), dim >> l
+            V = B[:, level_slice(l)]
+            # D[i, k]: row i of the support of wavelet k; the supports hold
+            # dim entries, so dim non-zeros leave none off them
+            D = np.diagonal(V.reshape(2 ** l, b, 2 ** l), axis1=0, axis2=2)
+            assert (D[:b // 2] == -amp).all() and (D[b // 2:] == amp).all()
+            assert np.count_nonzero(V) == dim
 
     @pytest.mark.parametrize("L_max", [0, 3, 8])
     def test_blocks_equal_the_definition_bit_for_bit(self, L_max):
         basis = build_basis("haar", L_max, L_max + 2)
         ref = haar_columns(L_max, L_max + 1)  # eval_haar at the block midpoints
-        assert np.array_equal(basis.blocks, ref)
+        assert np.array_equal(basis.columns(basis.dim), ref)
         # orthonormal within an ulp of 2^(l/2) squared
         assert basis.gram_deviation() <= 2.0 ** -52 * 2 ** L_max
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(haar_corruptions())
-    # one of each kind, whatever hypothesis draws
-    @example(corrupt_haar(3, "flip", 5, 0, 0, 1.0))
-    @example(corrupt_haar(6, "ulp", 100, 1, 0, -1.0))
-    @example(corrupt_haar(0, "ulp", 1, 0, 0, 1.0))
-    @example(corrupt_haar(2, "move", 3, 0, 0, 1.0))
-    @example(corrupt_haar(2, "stray", 4, 1, 7, 5e-324))
-    @example(corrupt_haar(1, "scaling", 1, 0, 2, -1.0))
-    def test_refuses_every_single_entry_corruption(self, case):
-        L, B, kind = case
-        with pytest.raises(RuntimeError, match="are not the Haar system"):
-            _check_haar(B, L)
-        if kind == "ulp":
-            # a change the Gram check lets through
-            assert WaveletBasis("haar", 1, L, L + 2, B).gram_deviation() <= 1e-8
-
-    def test_refuses_the_mirrored_system(self):
-        # every wavelet negated: +2^(l/2) first, then -2^(l/2), an
-        # orthonormal basis that the Gram check passes
-        B = _haar_columns(4)
-        B[:, 1:] *= -1.0
-        assert WaveletBasis("haar", 1, 4, 6, B).gram_deviation() <= 1e-8
-        with pytest.raises(RuntimeError, match=re.escape("not the Haar system (level 0)")):
-            _check_haar(B, 4)
-
-    def test_build_never_computes_a_gram_matrix(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("gram_deviation called")
-
-        monkeypatch.setattr(wavelets.WaveletBasis, "gram_deviation", refuse)
-        assert build_basis("haar", 10, 14).dim == 2 ** 11
 
 
 @pytest.mark.parametrize("L_max, J", [(0, 2), (4, 10), (8, 10), (8, 12)])
 class TestHaarBlocksMatchFullGrid:
-    """A Haar basis stores 2^(L_max+1) block rows; every method must agree
-    with the full-grid oracle, the N-row matrix the blocks replace."""
+    """A Haar basis stores no array; every method must agree with the dense
+    full-grid oracle (`oracles.haar_columns`, `eval_haar` at the grid
+    midpoints), whose rows under each of the 2^(L_max+1) dyadic blocks are
+    the stored rows that `columns` builds."""
 
     def test_block_rows(self, L_max, J):
+        # `columns` is bit for bit the oracle's block rows, for every prefix width and
+        # for a prefix that ends inside a level
         basis = build_basis("haar", L_max, J)
         side = 2 ** (L_max + 1)
-        assert basis.blocks.shape == (side, side)
         assert basis.block_size == 2 ** J // side
+        rows = haar_columns(L_max, J)[::basis.block_size]
+        for w in sorted({0, 1, min(3, side), side // 2 + 1, side - 1, side}):
+            cols = basis.columns(w)
+            assert cols.shape == (side, w)
+            assert np.array_equal(cols, rows[:, :w])
+        with pytest.raises(IndexError, match=re.escape(
+                f"{side + 1} coefficients exceed the basis dimension {side} (L_max={L_max})")):
+            basis.columns(side + 1)
 
     def test_analyze_and_synthesize(self, L_max, J):
         # rounding only: each coefficient or value is within 1e-13 of the
-        # sum of the absolute values of its terms
+        # sum of the absolute values of its terms in the dense product
         basis = build_basis("haar", L_max, J)
         B = haar_columns(L_max, J)
         N = 2 ** J
@@ -765,14 +750,21 @@ class TestHaarBlocksMatchFullGrid:
             c = rng.normal(size=w)
             ref = B[:, :w] @ c
             bound = np.abs(B[:, :w]) @ np.abs(c)
-            assert np.all(np.abs(basis.synthesize(c) - ref) <= 1e-13 * bound)
+            got = basis.synthesize(c)
+            assert np.all(np.abs(got - ref) <= 1e-13 * bound)
+            # the grid values are the one-row cascade, repeated over the grid
+            row = basis.synthesize_flat(c[None])[0]
+            assert np.array_equal(got, np.repeat(row, N // row.size))
 
     def test_gram_localisation_and_functions(self, L_max, J):
+        # the values the dense block matrix gave, bit for bit
         basis = build_basis("haar", L_max, J)
         B = haar_columns(L_max, J)
         N = 2 ** J
         full_gram = np.abs(B.T @ B / N - np.eye(basis.dim)).max()
         assert abs(basis.gram_deviation() - full_gram) <= 1e-15
+        # orthonormal within an ulp of 2^(l/2) squared
+        assert basis.gram_deviation() <= 2.0 ** -52 * 2 ** L_max
         for l in range(L_max + 1):
             full = np.abs(B[:, level_slice(l)]).sum(axis=1).max()
             assert basis.localisation_sum(l) == full
